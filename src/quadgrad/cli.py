@@ -14,22 +14,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import validate
 from .config import Experiment, build_experiment, experiment_from_file
-from .constants import (
-    CriticalReport,
-    check_smallness,
-    compute_G,
-    c_lambda_bound,
-    delta1,
-    phi_at_min,
-    solve_delta0,
-    z_delta,
-    zeros_y,
-)
+from .constants import critical_report, phi_at_min, z_delta, zeros_y
 from .errors import (
     BracketError,
     CertificateError,
@@ -76,60 +67,36 @@ def _dump_json(payload, out_dir, name):
     return text
 
 
-def _partial_report(exp: Experiment, tol, y_deltas=()):
-    """Constants report that degrades gracefully when smallness fails."""
-    c = exp.problem_constants
-    theta = c.theta
-    G = compute_G(c, theta)
-    a1, a3 = check_smallness(c, theta, G)
-    report = CriticalReport(
-        theta=theta, c_theta=c_lambda_bound(theta), G=G, delta1=delta1(c),
-        delta0=None, Z_delta0=None, smallness_A1=a1, smallness_A3=a3,
-        root_tol=tol, C_N=c.C_N, C_N_source=exp.C_N_source,
-    )
-    ok = a1.holds and a3.holds
-    if ok:
-        report.delta0, report.Z_delta0 = solve_delta0(c, theta, G, tol=tol)
-        for d in y_deltas:
-            try:
-                report.y_zeros[float(d)] = zeros_y(d, c, theta, G, tol=tol)
-            except (NoTwoZeros, DeltaOutOfRange):
-                report.y_zeros[float(d)] = (math.nan, math.nan)
-    return report, ok
+def _constants_experiment(args) -> Experiment:
+    """Experiment of a constants-only command; its report may be partial."""
+    exp = experiment_from_file(args.config, for_solve=False)
+    if exp.report is None:
+        raise ConfigError(f"constants not computable: {exp.constants_error}")
+    return exp
 
 
 def cmd_constants(args):
-    exp = experiment_from_file(args.config, for_solve=False)
-    if exp.problem_constants is None:
-        raise ConfigError(f"constants not computable: {exp.constants_error}")
-    tol = float(exp.raw.get("constants", {}).get("root_tol", 1e-12))
-    report, ok = _partial_report(
-        exp, tol, exp.raw.get("report", {}).get("y_deltas", ()))
+    exp = _constants_experiment(args)
     payload = {
-        "report": report.to_dict(),
+        "report": exp.report.to_dict(),
         "norms": exp.norms,
         "exponents": exp.exponents,
         "seed": exp.seed,
     }
     print(_dump_json(payload, args.out or exp.out_dir, "constants_report.json"))
-    return EXIT_OK if ok else EXIT_SMALLNESS
+    return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
 
 
 def cmd_check(args):
-    exp = experiment_from_file(args.config, for_solve=False)
-    if exp.problem_constants is None:
-        raise ConfigError(f"constants not computable: {exp.constants_error}")
-    c = exp.problem_constants
-    theta = c.theta
-    G = compute_G(c, theta)
-    a1, a3 = check_smallness(c, theta, G)
+    exp = _constants_experiment(args)
+    a1, a3 = exp.report.smallness_A1, exp.report.smallness_A3
     payload = {
         "A1": {"holds": a1.holds, "margin": a1.margin},
         "A3": {"holds": a3.holds, "margin": a3.margin},
         "seed": exp.seed,
     }
     print(_dump_json(payload, args.out or exp.out_dir, "smallness.json"))
-    return EXIT_OK if (a1.holds and a3.holds) else EXIT_SMALLNESS
+    return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
 
 
 def _write_trace(traces, out_dir):
@@ -215,21 +182,13 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    exp = experiment_from_file(args.config, for_solve=False)
-    if exp.problem_constants is None:
-        raise ConfigError(f"constants not computable: {exp.constants_error}")
-    c = exp.problem_constants
-    theta = c.theta
-    G = compute_G(c, theta)
+    exp = _constants_experiment(args)
+    c, report = exp.problem_constants, exp.report
+    theta, G, d0 = report.theta, report.G, report.delta0
     out_dir = args.out or exp.out_dir
     rows = []
     if args.mode == "delta":
-        a1, a3 = check_smallness(c, theta, G)
-        d0 = None
-        if a1.holds and a3.holds:
-            d0, _ = solve_delta0(c, theta, G)
-        lo, hi = c.gamma, delta1(c)
-        for d in np.linspace(lo, hi, args.points):
+        for d in np.linspace(c.gamma, report.delta1, args.points):
             d = float(d)
             row = {"delta": d}
             try:
@@ -252,20 +211,14 @@ def cmd_sweep(args):
             for sa in scales:
                 row = {"f_scale": float(sf), "a0_scale": float(sa)}
                 try:
-                    from .constants import ProblemConstants
-                    cc = ProblemConstants(
-                        N=c.N, alpha=c.alpha, gamma=c.gamma, c0=c.c0, q=c.q,
-                        norm_f_N2=c.norm_f_N2 * sf, norm_f_Hm1=c.norm_f_Hm1 * sf,
-                        norm_a0_N2=c.norm_a0_N2 * sa, norm_a0_q=c.norm_a0_q * sa,
-                        C_N=c.C_N, sobolev_exponent=c.sobolev_exponent,
-                        f_norm_exponent=c.f_norm_exponent)
-                    th = cc.theta
-                    Gs = compute_G(cc, th)
-                    a1, a3 = check_smallness(cc, th, Gs)
-                    row["A1_margin"], row["A3_margin"] = a1.margin, a3.margin
-                    row["admissible"] = a1.holds and a3.holds
-                    if row["admissible"]:
-                        row["delta0"], _ = solve_delta0(cc, th, Gs)
+                    scaled = critical_report(replace(
+                        c, norm_f_N2=c.norm_f_N2 * sf, norm_f_Hm1=c.norm_f_Hm1 * sf,
+                        norm_a0_N2=c.norm_a0_N2 * sa, norm_a0_q=c.norm_a0_q * sa),
+                        tol=report.root_tol)
+                    row["A1_margin"] = scaled.smallness_A1.margin
+                    row["A3_margin"] = scaled.smallness_A3.margin
+                    row["admissible"] = scaled.admissible
+                    row["delta0"] = scaled.delta0
                     row["status"] = "ok"
                 except QuadgradError as exc:
                     row["status"] = f"failed: {exc}"
@@ -354,12 +307,10 @@ def cmd_verify(args):
     results.append(validate.check_holder(exp.grid, (p_f, p_star, p_star), rng))
     results.append(validate.check_sobolev_holds(exp.grid, p_star, data.C_N, rng))
     results.append(validate.check_dual_norm(exp.grid, rng))
-    if exp.problem_constants is not None:
-        c = exp.problem_constants
-        theta = c.theta
-        G = compute_G(c, theta)
-        results.append(validate.check_g_growth(G, theta, delta1(c), rng))
-        results.extend(validate.constants_cross_checks(c, rng))
+    if exp.report is not None:
+        rep = exp.report
+        results.append(validate.check_g_growth(rep.G, rep.theta, rep.delta1, rng))
+        results.extend(validate.constants_cross_checks(exp.problem_constants, rng))
         results.append(_equivalence_crosscheck(exp))
 
     for res in results:

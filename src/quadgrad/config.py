@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constants import (
+    DEFAULT_ROOT_TOL,
     CriticalReport,
     ProblemConstants,
-    check_smallness,
-    compute_G,
     critical_report,
-    solve_delta0,
     zeros_y,
 )
 from .errors import (
@@ -38,6 +36,7 @@ from .errors import (
     ExponentOutOfRange,
     FieldValidationError,
     NoTwoZeros,
+    SmallnessViolated,
 )
 from .grid import (
     Grid,
@@ -73,7 +72,6 @@ class Experiment:
     constants_error: str | None = None
     norms: dict | None = None
     exponents: dict | None = None
-    C_N_source: str = "estimate"
 
 
 def load_config(path) -> dict:
@@ -90,6 +88,32 @@ def _require(block: dict, key, context):
     if key not in block:
         raise ConfigError(f"missing key {key!r} in {context} block")
     return block[key]
+
+
+def _number(value, name, convert=float):
+    """A numeric config entry, converted once; anything else is a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _solver_knobs(sspec: dict) -> dict:
+    """SolverConfig keyword arguments except delta, type-checked.
+
+    Each knob takes the type and the default of its SolverConfig field.
+    """
+    knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
+                             type(f.default))
+             for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
+    schedule = sspec.get("k_schedule", ())
+    if not isinstance(schedule, (list, tuple)) or not all(
+            isinstance(k, (int, float)) and not isinstance(k, bool)
+            for k in schedule):
+        raise ConfigError(
+            f"solver.k_schedule must be a list of numbers, got {schedule!r}")
+    knobs["k_schedule"] = tuple(schedule)
+    return knobs
 
 
 def _resolve_path(base_dir, path):
@@ -194,14 +218,15 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     try:
         grid = Grid(tuple(_require(gspec, "extents", "problem.grid")),
                     tuple(_require(gspec, "n", "problem.grid")))
-    except FieldValidationError as exc:
+    except (FieldValidationError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    alpha = float(_require(problem, "alpha", "problem"))
-    gamma = float(_require(problem, "gamma", "problem"))
-    c0 = float(_require(problem, "c0", "problem"))
-    q = float(_require(problem, "q", "problem"))
-    N = int(_require(problem, "N", "problem"))
+    alpha, gamma, c0, q = (_number(_require(problem, key, "problem"),
+                                   f"problem.{key}")
+                           for key in ("alpha", "gamma", "c0", "q"))
+    N = _number(_require(problem, "N", "problem"), "problem.N", int)
+    sspec = cfg.get("solver", {})
+    knobs = _solver_knobs(sspec) if for_solve else None
 
     A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
     f = _build_scalar_field(_require(problem, "f", "problem"), grid, base_dir, "f")
@@ -265,61 +290,51 @@ def build_experiment(cfg: dict, base_dir: str = ".",
 
     theta = G = 0.0
     if constants is not None:
-        theta = constants.theta
-        G = compute_G(constants, theta)
+        report = critical_report(
+            constants, C_N_source=cn_source,
+            tol=_number(cfg.get("constants", {}).get("root_tol", DEFAULT_ROOT_TOL),
+                        "constants.root_tol"),
+            y_deltas=cfg.get("report", {}).get("y_deltas", ()),
+        )
+        theta, G = report.theta, report.G
 
-    sspec = cfg.get("solver", {})
     delta_spec = sspec.get("delta", "delta0")
     ball_radius = None
+    solver_cfg = None
     if not for_solve:
         delta_mode = "none"
-        delta = None
     elif delta_spec == "delta0":
         if constants is None:
             raise ConfigError(
                 f"solver.delta = 'delta0' needs admissible constants: {constants_error}"
             )
+        a1, a3 = report.smallness_A1, report.smallness_A3
+        if not a1.holds:
+            raise SmallnessViolated(
+                f"first smallness condition fails: margin {a1.margin:g} <= 0")
+        if not a3.holds:
+            raise SmallnessViolated(
+                "second smallness condition fails: profile minimum at gamma "
+                f"is {-a3.margin:g} > 0")
         delta_mode = "delta0"
-        d0, zd0 = solve_delta0(constants, theta, G)
-        delta = d0
-        ball_radius = zd0
-        report = critical_report(
-            constants, C_N_source=cn_source,
-            y_deltas=cfg.get("report", {}).get("y_deltas", ()),
-        )
+        solver_cfg = SolverConfig(delta=report.delta0, **knobs)
+        ball_radius = report.Z_delta0
     else:
-        delta = float(delta_spec)
+        delta = _number(delta_spec, "solver.delta")
         delta_mode = "explicit"
         if delta < gamma:
             raise DomainError(
                 f"solver.delta = {delta:g} lies below gamma = {gamma:g}"
             )
-        if constants is not None:
-            a1, a3 = check_smallness(constants, theta, G)
-            if a1.holds and a3.holds:
-                report = critical_report(constants, C_N_source=cn_source)
-                if delta < report.delta0:
-                    try:
-                        y_minus, _ = zeros_y(delta, constants, theta, G)
-                        ball_radius = y_minus
-                    except NoTwoZeros:
-                        ball_radius = report.Z_delta0
-                elif delta == report.delta0:
+        solver_cfg = SolverConfig(delta=delta, **knobs)
+        if report is not None and report.admissible:
+            if delta < report.delta0:
+                try:
+                    ball_radius, _ = zeros_y(delta, constants, theta, G)
+                except NoTwoZeros:
                     ball_radius = report.Z_delta0
-
-    solver_cfg = None
-    if for_solve:
-        solver_cfg = SolverConfig(
-            delta=delta,
-            k=float(sspec.get("k", 100.0)),
-            rho=float(sspec.get("rho", 0.5)),
-            outer_tol=float(sspec.get("outer_tol", 1e-9)),
-            inner_tol=float(sspec.get("inner_tol", 1e-11)),
-            cg_tol=float(sspec.get("cg_tol", 1e-12)),
-            max_outer=int(sspec.get("max_outer", 200)),
-            max_inner=int(sspec.get("max_inner", 40)),
-            k_schedule=tuple(sspec.get("k_schedule", ())),
-        )
+            elif delta == report.delta0:
+                ball_radius = report.Z_delta0
 
     data = SolveData(
         grid=grid, A=A, f=f, a0=a0, model=model, alpha=alpha, gamma=gamma,
@@ -337,7 +352,6 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         constants_error=str(constants_error) if constants_error else None,
         norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},
-        C_N_source=cn_source,
     )
 
 

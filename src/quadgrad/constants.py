@@ -361,20 +361,29 @@ def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,
 
 @dataclass
 class CriticalReport:
-    """Derived quantities plus smallness verdicts, JSON-serializable."""
+    """Derived quantities plus smallness verdicts, JSON-serializable.
+
+    When a smallness condition fails the report is partial: ``delta0`` and
+    ``Z_delta0`` are None and no zero pairs are computed.
+    """
 
     theta: float
     c_theta: float
     G: float
     delta1: float
-    delta0: float
-    Z_delta0: float
+    delta0: float | None
+    Z_delta0: float | None
     smallness_A1: SmallnessVerdict
     smallness_A3: SmallnessVerdict
     root_tol: float
     C_N: float
     C_N_source: str
     y_zeros: dict = field(default_factory=dict)
+
+    @property
+    def admissible(self):
+        """Both smallness conditions hold."""
+        return self.smallness_A1.holds and self.smallness_A3.holds
 
     def to_dict(self):
         d = {
@@ -403,24 +412,30 @@ class CriticalReport:
 def critical_report(c: ProblemConstants, C_N_source: str = "user",
                     tol: float = DEFAULT_ROOT_TOL,
                     y_deltas=()) -> CriticalReport:
-    """Run the whole constants pipeline and package the result."""
+    """Run the whole constants pipeline and package the result.
+
+    The pipeline stops after the smallness verdicts when one of them fails,
+    leaving a partial report (see ``CriticalReport``).
+    """
     theta = c.theta
     G = compute_G(c, theta)
     a1, a3 = check_smallness(c, theta, G)
-    d0, zd0 = solve_delta0(c, theta, G, tol=tol)
     report = CriticalReport(
         theta=theta,
         c_theta=c_lambda_bound(theta),
         G=G,
         delta1=delta1(c),
-        delta0=d0,
-        Z_delta0=zd0,
+        delta0=None,
+        Z_delta0=None,
         smallness_A1=a1,
         smallness_A3=a3,
         root_tol=tol,
         C_N=c.C_N,
         C_N_source=C_N_source,
     )
+    if not report.admissible:
+        return report
+    report.delta0, report.Z_delta0 = solve_delta0(c, theta, G, tol=tol)
     for d in y_deltas:
         try:
             report.y_zeros[float(d)] = zeros_y(d, c, theta, G, tol=tol)

@@ -20,6 +20,7 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,8 @@ class Grid:
         return h * np.arange(1, self.shape[axis] + 1)
 
     def coords(self):
-        """Interior node coordinates, one array per axis (meshgrid in 2D)."""
+        """Interior node coordinates, one array per axis (an ij meshgrid)."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
@@ -164,46 +163,47 @@ class MatrixField:
     def edge_coefficients(self):
         """Diagonal coefficient per axis edge, arithmetic cell averages.
 
-        Only the diagonal entries enter the 5-point stencil; off-diagonal
-        entries are rejected at assembly time (a wider stencil would be
-        required to represent them).
+        The axis-a entry of each cell is averaged over the cells sharing an
+        axis-a edge.  Only the diagonal entries enter the (2d+1)-point
+        stencil; off-diagonal entries are rejected at assembly time (a wider
+        stencil would be required to represent them).
         """
         d = self.grid.dim
         cv = self.cell_values()
-        if d == 2 and np.any(cv[..., 0, 1] != 0.0):
+        if np.any(cv[..., ~np.eye(d, dtype=bool)] != 0.0):
             raise FieldValidationError(
-                "operator assembly requires a diagonal coefficient matrix in 2D; "
-                "off-diagonal entries are not representable by the 5-point stencil"
+                "operator assembly requires a diagonal coefficient matrix; "
+                "off-diagonal entries are not representable by the "
+                f"{2 * d + 1}-point stencil"
             )
-        if d == 1:
-            return (cv[..., 0, 0].copy(),)
-        a11 = cv[..., 0, 0]  # (nx+1, ny+1)
-        a22 = cv[..., 1, 1]
-        coefx = 0.5 * (a11[:, :-1] + a11[:, 1:])  # (nx+1, ny)
-        coefy = 0.5 * (a22[:-1, :] + a22[1:, :])  # (nx, ny+1)
-        return coefx, coefy
+        plan = kernels.stencil_plan(self.grid.shape)
+        coefs = []
+        for a in range(d):
+            coef = cv[..., a, a]  # one value per cell
+            for b in range(d):
+                if b != a:
+                    hi, lo = plan.nodes[b]
+                    coef = 0.5 * (coef[lo] + coef[hi])
+            coefs.append(np.array(coef))
+        return tuple(coefs)
 
     def node_values(self):
-        """Matrix at each interior node, averaging the adjacent cells."""
+        """Matrix at each interior node, averaging the 2^d adjacent cells."""
         cv = self.cell_values()
-        if self.grid.dim == 1:
-            return 0.5 * (cv[:-1] + cv[1:])
-        return 0.25 * (cv[:-1, :-1] + cv[1:, :-1] + cv[:-1, 1:] + cv[1:, 1:])
+        sides = (slice(None, -1), slice(1, None))
+        # corners in axis order, the first axis varying fastest
+        corners = [cv[idx[::-1]]
+                   for idx in itertools.product(sides, repeat=self.grid.dim)]
+        return 0.5 ** self.grid.dim * sum(corners[1:], corners[0])
 
 
 def gradient(v: ScalarField) -> VectorField:
-    """Forward differences per cell with Dirichlet zero extension."""
+    """Forward differences per axis edge with Dirichlet zero extension."""
     g = v.grid
-    if g.dim == 1:
-        ext = np.zeros(g.shape[0] + 2)
-        ext[1:-1] = v.values
-        return VectorField(g, (np.diff(ext) / g.h[0],))
-    nx, ny = g.shape
-    ext = np.zeros((nx + 2, ny + 2))
-    ext[1:-1, 1:-1] = v.values
-    dx = np.diff(ext[:, 1:-1], axis=0) / g.h[0]
-    dy = np.diff(ext[1:-1, :], axis=1) / g.h[1]
-    return VectorField(g, (dx, dy))
+    plan = kernels.stencil_plan(g.shape)
+    ext = kernels.zero_padded(v.values, plan)
+    return VectorField(g, tuple((ext[hi] - ext[lo]) / h
+                                for (hi, lo), h in zip(plan.edges, g.h)))
 
 
 def nodal_gradient(v: ScalarField):
@@ -212,12 +212,9 @@ def nodal_gradient(v: ScalarField):
     Used for pointwise evaluation of the gradient nonlinearity; the energy
     machinery keeps the exact per-edge gradients.
     """
-    comps = gradient(v).components
-    if v.grid.dim == 1:
-        (dx,) = comps
-        return (0.5 * (dx[:-1] + dx[1:]),)
-    dx, dy = comps
-    return 0.5 * (dx[:-1, :] + dx[1:, :]), 0.5 * (dy[:, :-1] + dy[:, 1:])
+    plan = kernels.stencil_plan(v.grid.shape)
+    return tuple(0.5 * (d[lo] + d[hi])
+                 for d, (hi, lo) in zip(gradient(v).components, plan.nodes))
 
 
 def lp_norm(v: ScalarField, p) -> float:
@@ -252,15 +249,13 @@ class DiffusionOperator:
     def __init__(self, A: MatrixField):
         self.grid = A.grid
         self.coef = A.edge_coefficients()
-        h = self.grid.h
-        self._inv_h2 = tuple(1.0 / (hi * hi) for hi in h)
+        self._plan = kernels.stencil_plan(self.grid.shape)
+        inv_h2 = tuple(1.0 / (h * h) for h in self.grid.h)
+        self._axes = tuple(zip(self.coef, inv_h2, self._plan.edges,
+                               self._plan.nodes))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return kernels.apply_diffusion_1d(v, self.coef[0], self._inv_h2[0])
-        return kernels.apply_diffusion_2d(
-            v, self.coef[0], self.coef[1], self._inv_h2[0], self._inv_h2[1]
-        )
+        return kernels.apply_diffusion(v, self._axes, self._plan)
 
     def __call__(self, v):
         return self.apply(v)
@@ -369,15 +364,13 @@ def read_field_csv(path, grid: Grid | None = None) -> ScalarField:
         reader = csv.reader(fh)
         header = next(reader)
         flat = np.array([float(row[0]) for row in reader if row])
-    if len(header) == 2:
-        shape, h = (int(header[0]),), (float(header[1]),)
-    elif len(header) == 4:
-        shape = (int(header[0]), int(header[1]))
-        h = (float(header[2]), float(header[3]))
-    else:
+    dim, odd = divmod(len(header), 2)
+    if dim == 0 or odd:
         raise FieldValidationError(
             f"malformed field header {header!r}: expected nx[,ny],hx[,hy]"
         )
+    shape = tuple(int(n) for n in header[:dim])
+    h = tuple(float(hi) for hi in header[dim:])
     extents = tuple(hi * (n + 1) for hi, n in zip(h, shape))
     file_grid = Grid(extents, shape)
     if grid is not None:

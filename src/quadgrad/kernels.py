@@ -1,83 +1,77 @@
-"""Hot stencil kernels with a numba fast path and a pure-numpy fallback.
+"""The divergence-form stencil, written once for every grid dimension.
 
-The divergence-form operator application is the innermost loop of every
-conjugate-gradient iteration, which in turn sits inside semismooth Newton
-inside the fixed-point outer loop, so it dominates runtime.  Both
-implementations compute the identical expression; selection happens once at
-import time:
-
-  * ``QUADGRAD_NUMBA=0`` (or ``false``/``off``) forces the numpy path,
-  * otherwise numba is used when importable, numpy when not.
-
-``benchmarks/benchmark_kernels.py`` times the two paths against each other.
+The operator application is the innermost loop of every conjugate-gradient
+iteration, which in turn sits inside semismooth Newton inside the fixed-point
+outer loop, so it dominates runtime.  Its index tuples are therefore built
+once per grid shape (``stencil_plan``) and each application is one
+zero-padded copy plus slice differences per axis.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-
-def apply_diffusion_1d_numpy(v, coef, inv_h2):
-    """3-point divergence-form stencil; coef holds one value per cell."""
-    n = v.shape[0]
-    ext = np.zeros(n + 2)
-    ext[1:-1] = v
-    flux = coef * np.diff(ext)
-    return (flux[:-1] - flux[1:]) * inv_h2
-
-
-def apply_diffusion_2d_numpy(v, coefx, coefy, inv_hx2, inv_hy2):
-    """5-point divergence-form stencil; coefx/coefy live on axis edges."""
-    nx, ny = v.shape
-    ext = np.zeros((nx + 2, ny + 2))
-    ext[1:-1, 1:-1] = v
-    fx = coefx * np.diff(ext[:, 1:-1], axis=0)
-    fy = coefy * np.diff(ext[1:-1, :], axis=1)
-    return (fx[:-1, :] - fx[1:, :]) * inv_hx2 + (fy[:, :-1] - fy[:, 1:]) * inv_hy2
-
-
-def _want_numba():
-    flag = os.environ.get("QUADGRAD_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off")
-
-
+# There is a single numpy stencil; the flag stays because the benchmark
+# harness (perfbench/worker.py) records it with every run.
 USING_NUMBA = False
-apply_diffusion_1d = apply_diffusion_1d_numpy
-apply_diffusion_2d = apply_diffusion_2d_numpy
 
-if _want_numba():
-    try:
-        from numba import njit
 
-        @njit(cache=True)
-        def apply_diffusion_1d_numba(v, coef, inv_h2):
-            n = v.shape[0]
-            out = np.empty(n)
-            for i in range(n):
-                left = v[i] - (v[i - 1] if i > 0 else 0.0)
-                right = (v[i + 1] if i < n - 1 else 0.0) - v[i]
-                out[i] = (coef[i] * left - coef[i + 1] * right) * inv_h2
-            return out
+class StencilPlan(NamedTuple):
+    """Index tuples for nodal arrays of one shape, zero-padded by one node.
 
-        @njit(cache=True)
-        def apply_diffusion_2d_numba(v, coefx, coefy, inv_hx2, inv_hy2):
-            nx, ny = v.shape
-            out = np.empty((nx, ny))
-            for i in range(nx):
-                for j in range(ny):
-                    c = v[i, j]
-                    lx = c - (v[i - 1, j] if i > 0 else 0.0)
-                    rx = (v[i + 1, j] if i < nx - 1 else 0.0) - c
-                    ly = c - (v[i, j - 1] if j > 0 else 0.0)
-                    ry = (v[i, j + 1] if j < ny - 1 else 0.0) - c
-                    out[i, j] = (coefx[i, j] * lx - coefx[i + 1, j] * rx) * inv_hx2 \
-                        + (coefy[i, j] * ly - coefy[i, j + 1] * ry) * inv_hy2
-            return out
+    ``edges[a]`` holds the (upper, lower) nodes of each axis-a edge in the
+    padded array, ``nodes[a]`` the (upper, lower) edges of each node in an
+    axis-a edge array.
+    """
 
-        apply_diffusion_1d = apply_diffusion_1d_numba
-        apply_diffusion_2d = apply_diffusion_2d_numba
-        USING_NUMBA = True
-    except ImportError:
-        pass
+    padded: tuple
+    interior: tuple
+    edges: tuple
+    nodes: tuple
+
+
+@lru_cache(maxsize=32)
+def stencil_plan(shape):
+    dim = len(shape)
+
+    def along(axis, at_axis, elsewhere):
+        return tuple(at_axis if b == axis else elsewhere for b in range(dim))
+
+    upper, lower, inner, whole = (slice(1, None), slice(None, -1),
+                                  slice(1, -1), slice(None))
+    return StencilPlan(
+        padded=tuple(n + 2 for n in shape),
+        interior=(inner,) * dim,
+        edges=tuple((along(a, upper, inner), along(a, lower, inner))
+                    for a in range(dim)),
+        nodes=tuple((along(a, upper, whole), along(a, lower, whole))
+                    for a in range(dim)),
+    )
+
+
+def zero_padded(v, plan):
+    """Copy of v with one layer of homogeneous Dirichlet nodes around it."""
+    ext = np.zeros(plan.padded)
+    ext[plan.interior] = v
+    return ext
+
+
+def apply_diffusion(v, axes, plan):
+    """(2d+1)-point divergence-form stencil.
+
+    ``axes`` holds one (edge coefficient, 1/h^2, edge index, node index) tuple
+    per axis; the axis terms are summed in axis order starting from the first.
+    """
+    ext = zero_padded(v, plan)
+    out = None
+    for coef, inv_h2, (hi, lo), (nhi, nlo) in axes:
+        flux = coef * (ext[hi] - ext[lo])
+        term = (flux[nlo] - flux[nhi]) * inv_h2
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, MaxOuterIterations, NewtonStall
 from .grid import (
     DiffusionOperator,
@@ -243,8 +244,11 @@ def estimate_check(w: ScalarField, W: ScalarField, data: SolveData,
     the discrete Hoelder and Sobolev steps are exact with the discrete
     constants.
     """
-    dw = h1_seminorm(w)
-    dW = h1_seminorm(W)
+    return _estimate_slack(h1_seminorm(w), h1_seminorm(W), data, delta)
+
+
+def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
+    """``estimate_check`` from the energies |Dw| and |DW|."""
     bound = data.norm_f_Hm1 \
         + delta * data.C_N**2 * data.norm_f_N2 * dw \
         + data.C_N**2 * data.norm_a0_N2 * dw
@@ -301,29 +305,14 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
     """
     g = u.grid
     w_vals = transform_forward(u.values, delta)
-    w = ScalarField(g, w_vals)
-    rhs = h1_seminorm(w)
-    if g.dim == 1:
-        pads = [np.concatenate(([0.0], u.values, [0.0]))]
-        wpads = [np.concatenate(([0.0], w_vals, [0.0]))]
-    else:
-        pu = np.pad(u.values, 1)
-        pw = np.pad(w_vals, 1)
-        pads = [pu[:, 1:-1], pu[1:-1, :]]
-        wpads = [pw[:, 1:-1], pw[1:-1, :]]
+    rhs = h1_seminorm(ScalarField(g, w_vals))
+    plan = kernels.stencil_plan(g.shape)
+    pu = kernels.zero_padded(u.values, plan)
+    pw = kernels.zero_padded(w_vals, plan)
     total = 0.0
-    for axis, (pu, pw) in enumerate(zip(pads, wpads)):
-        h = g.h[axis]
-        if g.dim == 1:
-            u_lo, u_hi = pu[:-1], pu[1:]
-            w_lo, w_hi = pw[:-1], pw[1:]
-        else:
-            sl_lo = [slice(None)] * 2
-            sl_hi = [slice(None)] * 2
-            sl_lo[axis] = slice(None, -1)
-            sl_hi[axis] = slice(1, None)
-            u_lo, u_hi = pu[tuple(sl_lo)], pu[tuple(sl_hi)]
-            w_lo, w_hi = pw[tuple(sl_lo)], pw[tuple(sl_hi)]
+    for h, (hi, lo) in zip(g.h, plan.edges):
+        u_lo, u_hi = pu[lo], pu[hi]
+        w_lo, w_hi = pw[lo], pw[hi]
         du = (u_hi - u_lo) / h
         if exact_chain:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,50 +340,45 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             "zeroth-order coefficient would lose its sign"
         )
     k = float(k if k is not None else cfg.k)
-    run_cfg = SolverConfig(
-        delta=cfg.delta, k=k, rho=cfg.rho, outer_tol=cfg.outer_tol,
-        inner_tol=cfg.inner_tol, cg_tol=cfg.cg_tol, max_outer=cfg.max_outer,
-        max_inner=cfg.max_inner,
-    )
+    run_cfg = replace(cfg, k=k)
     trace = IterationTrace(k=k)
     w = ScalarField.zeros(data.grid)
+    norm_w = h1_seminorm(w)
     max_rhs = 0.0
-    for m in range(cfg.max_outer):
+    final = False
+    for m in range(cfg.max_outer + 1):
         W, inner = inner_solve(w, data, run_cfg)
-        max_rhs = max(max_rhs, inner.rhs_l2)
-        trace.eps_solver = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + max_rhs)
-        slack = estimate_check(w, W, data, cfg.delta)
+        norm_W = h1_seminorm(W)
         defect = h1_seminorm(ScalarField(data.grid, W.values - w.values))
-        new_vals = (1.0 - cfg.rho) * w.values + cfg.rho * W.values
-        w_new = ScalarField(data.grid, new_vals)
-        inc = cfg.rho * defect
+        if final:
+            # one unrelaxed application pins the reported solution to the map
+            norm_next, increment = norm_W, defect
+        else:
+            max_rhs = max(max_rhs, inner.rhs_l2)
+            trace.eps_solver = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + max_rhs)
+            w_next = ScalarField(
+                data.grid, (1.0 - cfg.rho) * w.values + cfg.rho * W.values)
+            norm_next = h1_seminorm(w_next)
+            increment = cfg.rho * defect
         in_ball = None
         if data.ball_radius is not None:
-            in_ball = h1_seminorm(w_new) <= data.ball_radius + trace.eps_solver
+            in_ball = norm_next <= data.ball_radius + trace.eps_solver
         trace.records.append(IterationRecord(
-            m=m, grad_norm_w=h1_seminorm(w), grad_norm_W=h1_seminorm(W),
-            increment=inc, slack=slack, inner_iterations=inner.iterations,
-            rhs_l2=inner.rhs_l2, in_ball=in_ball,
+            m=m, grad_norm_w=norm_w, grad_norm_W=norm_W, increment=increment,
+            slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
+            inner_iterations=inner.iterations, rhs_l2=inner.rhs_l2,
+            in_ball=in_ball,
         ))
-        w = w_new
-        # defect <= tol implies the relaxed increment is below tol as well;
-        # gating on the defect keeps the reported fixed-point residual tight
-        if defect <= cfg.outer_tol:
-            # one unrelaxed application pins the reported solution to the map
-            W, inner = inner_solve(w, data, run_cfg)
-            slack = estimate_check(w, W, data, cfg.delta)
-            trace.records.append(IterationRecord(
-                m=m + 1, grad_norm_w=h1_seminorm(w), grad_norm_W=h1_seminorm(W),
-                increment=h1_seminorm(
-                    ScalarField(data.grid, W.values - w.values)),
-                slack=slack, inner_iterations=inner.iterations,
-                rhs_l2=inner.rhs_l2,
-                in_ball=(h1_seminorm(W) <= data.ball_radius + trace.eps_solver
-                         if data.ball_radius is not None else None),
-            ))
+        if final:
             trace.converged = True
             trace.residual = fixed_point_residual(W, data, cfg.delta, k=k)
             return W, trace
+        w, norm_w = w_next, norm_next
+        # defect <= tol implies the relaxed increment is below tol as well;
+        # gating on the defect keeps the reported fixed-point residual tight
+        final = defect <= cfg.outer_tol
+        if not final and m + 1 >= cfg.max_outer:
+            break
     raise MaxOuterIterations(
         f"no convergence within {cfg.max_outer} outer iterations "
         f"(last increment {trace.records[-1].increment:g} > {cfg.outer_tol:g})",

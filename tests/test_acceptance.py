@@ -25,7 +25,13 @@ from quadgrad.constants import (
     z_delta,
     zeros_y,
 )
-from quadgrad.grid import Grid, ScalarField, field_from_expression, hminus1_norm
+from quadgrad.grid import (
+    Grid,
+    ScalarField,
+    field_from_expression,
+    hminus1_norm,
+    read_field_csv,
+)
 from quadgrad.nonlinearity import (
     HModel,
     transform_forward,
@@ -46,6 +52,8 @@ from quadgrad.validate import (
 )
 
 INV_SQRT12 = 0.288675134594812882254574390251
+REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench", "reference")
 
 CATALOG = [
     HModel(kind="zero", gamma_cert=0.5, c0_cert=0.2),
@@ -210,6 +218,15 @@ def test_criterion_05_ball_invariance(run_1d, run_2d):
     ok1, d1 = _ball_and_residual(exp1, diag1, traces1, t1, "1d")
     ok2, d2 = _ball_and_residual(exp2, diag2, traces2, t2, "2d")
     report(5, ok1 and ok2, d1 + "; " + d2)
+
+
+def test_benchmark_solutions_match_reference(run_1d, run_2d):
+    # the committed benchmark references pin both solutions to 1e-12
+    for label, (exp, w, _, _, _) in (("1d", run_1d), ("2d", run_2d)):
+        ref = read_field_csv(
+            os.path.join(REFERENCE_DIR, f"solution_w_{label}.csv"), exp.grid)
+        dev = float(np.max(np.abs(w.values - ref.values)))
+        assert dev <= 1e-12, f"{label}: max |w - w_ref| = {dev:.3e}"
 
 
 def test_criterion_06_estimate_chain(run_1d, run_2d):

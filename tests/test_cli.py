@@ -65,6 +65,21 @@ class TestExitCodes:
                      "--out", out]) == 3
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("grid", "n", ["abc"]),
+        ("grid", "n", 128),
+        ("problem", "alpha", None),
+        ("solver", "k_schedule", "5"),
+    ], ids=["n-not-int", "n-not-list", "alpha-null", "k_schedule-string"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, block, key, value):
+        cfg = load_benchmark("benchmark_1d.json")
+        target = {"grid": cfg["problem"]["grid"], "problem": cfg["problem"],
+                  "solver": cfg["solver"]}[block]
+        target[key] = value
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_solve_nonconvergence(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config",
@@ -205,6 +220,13 @@ class TestVerifyCommand:
         with open(os.path.join(out, "verify_report.json")) as fh:
             payload = json.load(fh)
         assert all(c["ok"] for c in payload["checks"])
+
+    def test_benchmark_2d_symmetry_at_cancelling_seed(self, capsys):
+        # this seed draws a pair whose <Au, v> nearly cancels; the symmetry
+        # check must measure its error against the rounding scale instead
+        assert main(["verify", "--config", config_path("benchmark_2d.json"),
+                     "--seed", "2086932655"]) == 0
+        assert "[PASS] operator symmetry" in capsys.readouterr().out
 
     def test_corrupted_matrix_reported(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_2d.json")

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from quadgrad import kernels
 from quadgrad.errors import DomainError, FieldValidationError, IterativeSolveFailure
 from quadgrad.grid import (
     DiffusionOperator,
@@ -200,18 +199,42 @@ class TestOperator:
             cg_solve(op.apply, np.ones(32), tol=1e-14, maxiter=2)
         assert err.value.residual is not None
 
-    def test_numpy_and_selected_kernels_agree(self, rng):
-        v = rng.standard_normal(40)
-        coef = rng.uniform(0.5, 2.0, 41)
-        ref = kernels.apply_diffusion_1d_numpy(v, coef, 25.0)
-        out = kernels.apply_diffusion_1d(v, coef, 25.0)
-        assert np.allclose(out, ref, rtol=1e-14, atol=1e-15)
-        v2 = rng.standard_normal((9, 11))
-        cx = rng.uniform(0.5, 2.0, (10, 11))
-        cy = rng.uniform(0.5, 2.0, (9, 12))
-        ref2 = kernels.apply_diffusion_2d_numpy(v2, cx, cy, 4.0, 9.0)
-        out2 = kernels.apply_diffusion_2d(v2, cx, cy, 4.0, 9.0)
-        assert np.allclose(out2, ref2, rtol=1e-14, atol=1e-15)
+    @pytest.mark.parametrize("extents, shape", [((1.0,), (13,)),
+                                                ((1.0, 2.0), (6, 5))],
+                             ids=["1d", "2d"])
+    def test_apply_matches_assembled_matrix(self, rng, extents, shape):
+        # per-cell diagonal coefficient; the dense operator must equal
+        # sum_a D_a^T diag(c_a) D_a with D_a the axis-a gradient matrix
+        g = Grid(extents, shape)
+        cells = tuple(n + 1 for n in shape)
+        diag = rng.uniform(0.5, 2.0, cells + (g.dim,))
+        A = MatrixField(g, diag[..., None] * np.eye(g.dim), alpha=0.5)
+        op = DiffusionOperator(A)
+        units = np.eye(int(np.prod(shape))).reshape((-1,) + shape)
+        dense = np.stack([op.apply(e).ravel() for e in units], axis=1)
+        grads = [gradient(ScalarField(g, e)).components for e in units]
+        ref = np.zeros_like(dense)
+        for axis, coef in enumerate(A.edge_coefficients()):
+            D = np.stack([comps[axis].ravel() for comps in grads], axis=1)
+            ref += D.T @ (coef.ravel()[:, None] * D)
+        np.testing.assert_allclose(dense, ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("A", [
+        MatrixField.identity(Grid((1.0,), (128,))),
+        MatrixField(Grid((1.0, 1.0), (64, 64)), np.diag([1.0, 1.25]), alpha=1.0),
+    ], ids=["benchmark_1d", "benchmark_2d"])
+    def test_symmetry_check_catches_planted_asymmetry(self, A):
+        op = DiffusionOperator(A)
+
+        class Skewed:
+            grid = A.grid
+
+            def apply(self, v):
+                av = op.apply(v)
+                return av + 1e-12 * np.roll(av, 1, axis=0)
+
+        res = check_operator_symmetry(Skewed(), np.random.default_rng(0))
+        assert not res.ok, res.line()
 
 
 class TestSobolevEstimator:

@@ -90,6 +90,22 @@ def _require(block: dict, key, context):
     return block[key]
 
 
+def _object(value, name) -> dict:
+    """A config block that must be a JSON object; anything else is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _numbers(value, name) -> tuple:
+    """A list of numbers, as a tuple; anything else is a ConfigError."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 def _number(value, name, convert=float):
     """A numeric config entry, converted once; anything else is a ConfigError."""
     try:
@@ -106,17 +122,14 @@ def _solver_knobs(sspec: dict) -> dict:
     knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
                              type(f.default))
              for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
-    schedule = sspec.get("k_schedule", ())
-    if not isinstance(schedule, (list, tuple)) or not all(
-            isinstance(k, (int, float)) and not isinstance(k, bool)
-            for k in schedule):
-        raise ConfigError(
-            f"solver.k_schedule must be a list of numbers, got {schedule!r}")
-    knobs["k_schedule"] = tuple(schedule)
+    knobs["k_schedule"] = _numbers(sspec.get("k_schedule", ()),
+                                   "solver.k_schedule")
     return knobs
 
 
 def _resolve_path(base_dir, path):
+    if not isinstance(path, str):
+        raise ConfigError(f"file path must be a string, got {path!r}")
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     if not os.path.exists(full):
         raise ConfigError(f"referenced file does not exist: {full}")
@@ -124,17 +137,20 @@ def _resolve_path(base_dir, path):
 
 
 def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object with 'csv' or 'expr'")
+    _object(spec, name)
     if "csv" in spec:
         return read_field_csv(_resolve_path(base_dir, spec["csv"]), grid)
     if "expr" in spec:
-        return field_from_expression(grid, spec["expr"])
+        expr = _object(spec["expr"], f"{name}.expr")
+        try:
+            return field_from_expression(grid, expr)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed {name}.expr: {exc!r}") from exc
     raise ConfigError(f"{name} needs either a 'csv' path or an 'expr' entry")
 
 
 def _build_matrix_field(spec, grid, alpha) -> MatrixField:
-    kind = spec.get("kind", "identity")
+    kind = _object(spec, "problem.A").get("kind", "identity")
     try:
         if kind == "identity":
             return MatrixField(grid, float(spec.get("scale", 1.0)) * np.eye(grid.dim),
@@ -149,14 +165,14 @@ def _build_matrix_field(spec, grid, alpha) -> MatrixField:
                     f"diagonal coefficient needs {grid.dim} entries, got {len(entries)}"
                 )
             return MatrixField(grid, np.diag(entries), alpha=alpha)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed coefficient matrix spec: {exc}") from exc
     raise ConfigError(f"unknown coefficient matrix kind {kind!r}")
 
 
 def _build_model(spec, grid, base_dir, gamma, c0, alpha,
                  enforce_certificate=True) -> HModel:
-    kind = _require(spec, "kind", "problem.H")
+    kind = _require(_object(spec, "problem.H"), "kind", "problem.H")
     try:
         if kind == "zero":
             model = HModel(kind="zero", gamma_cert=gamma, c0_cert=c0)
@@ -189,7 +205,8 @@ def _check_declared_norms(declared: dict, computed: dict):
         if key not in computed:
             raise ConfigError(f"declared norm {key!r} is not a known norm")
         ref = computed[key]
-        if abs(float(value) - ref) > 0.01 * max(abs(ref), 1e-300):
+        value = _number(value, f"constants.declared_norms.{key}")
+        if abs(value - ref) > 0.01 * max(abs(ref), 1e-300):
             raise ConfigError(
                 f"declared norm {key} = {value:g} deviates more than 1% from "
                 f"the field-derived value {ref:g}"
@@ -213,8 +230,12 @@ def build_experiment(cfg: dict, base_dir: str = ".",
             cfg["problem"]["grid"]["n"] = overrides["n"]
         for key, val in overrides.get("solver", {}).items():
             cfg.setdefault("solver", {})[key] = val
-    problem = _require(cfg, "problem", "top-level")
-    gspec = _require(problem, "grid", "problem")
+    _object(cfg, "config")
+    problem = _object(_require(cfg, "problem", "top-level"), "problem")
+    gspec = _object(_require(problem, "grid", "problem"), "problem.grid")
+    sspec = _object(cfg.get("solver", {}), "solver")
+    cspec = _object(cfg.get("constants", {}), "constants")
+    rspec = _object(cfg.get("report", {}), "report")
     try:
         grid = Grid(tuple(_require(gspec, "extents", "problem.grid")),
                     tuple(_require(gspec, "n", "problem.grid")))
@@ -225,7 +246,6 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                                    f"problem.{key}")
                            for key in ("alpha", "gamma", "c0", "q"))
     N = _number(_require(problem, "N", "problem"), "problem.N", int)
-    sspec = cfg.get("solver", {})
     knobs = _solver_knobs(sspec) if for_solve else None
 
     A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
@@ -236,7 +256,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     model = _build_model(_require(problem, "H", "problem"), grid, base_dir,
                          gamma, c0, alpha, enforce_certificate=for_solve)
 
-    pair = problem.get("exponent_pair", {})
+    pair = _object(problem.get("exponent_pair", {}), "problem.exponent_pair")
     sobolev_exp = pair.get("sobolev")
     f_exp = pair.get("f_norm")
     if N >= 3:
@@ -248,7 +268,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raise ConfigError(
             "N < 3 requires problem.exponent_pair with 'sobolev' and 'f_norm'"
         )
-    sobolev_exp, f_exp = float(sobolev_exp), float(f_exp)
+    sobolev_exp = _number(sobolev_exp, "problem.exponent_pair.sobolev")
+    f_exp = _number(f_exp, "problem.exponent_pair.f_norm")
 
     norms = {
         "f_N2": lp_norm(f, f_exp),
@@ -256,10 +277,11 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         "a0_N2": lp_norm(a0, f_exp),
         "a0_q": lp_norm(a0, q),
     }
-    declared = cfg.get("constants", {}).get("declared_norms", {})
+    declared = _object(cspec.get("declared_norms", {}),
+                       "constants.declared_norms")
     _check_declared_norms(declared, norms)
 
-    cn_spec = str(cfg.get("constants", {}).get("C_N", "estimate"))
+    cn_spec = str(cspec.get("C_N", "estimate"))
     if cn_spec == "estimate":
         est = estimate_sobolev_constant(grid, sobolev_exp)
         C_N = est.value
@@ -292,9 +314,9 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     if constants is not None:
         report = critical_report(
             constants, C_N_source=cn_source,
-            tol=_number(cfg.get("constants", {}).get("root_tol", DEFAULT_ROOT_TOL),
+            tol=_number(cspec.get("root_tol", DEFAULT_ROOT_TOL),
                         "constants.root_tol"),
-            y_deltas=cfg.get("report", {}).get("y_deltas", ()),
+            y_deltas=_numbers(rspec.get("y_deltas", ()), "report.y_deltas"),
         )
         theta, G = report.theta, report.G
 
@@ -343,12 +365,17 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         theta=theta, G=G, ball_radius=ball_radius,
     )
 
+    out_dir = rspec.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
+
     return Experiment(
-        raw=cfg, base_dir=base_dir, seed=int(cfg.get("seed", DEFAULT_SEED)),
+        raw=cfg, base_dir=base_dir,
+        seed=_number(cfg.get("seed", DEFAULT_SEED), "seed", int),
         grid=grid, data=data, solver_cfg=solver_cfg,
         problem_constants=constants, report=report, delta_mode=delta_mode,
-        n_ladder=tuple(cfg.get("report", {}).get("n_ladder", ())),
-        out_dir=cfg.get("report", {}).get("out_dir"),
+        n_ladder=_numbers(rspec.get("n_ladder", ()), "report.n_ladder"),
+        out_dir=out_dir,
         constants_error=str(constants_error) if constants_error else None,
         norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},

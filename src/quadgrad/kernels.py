@@ -1,10 +1,14 @@
-"""The divergence-form stencil, written once for every grid dimension.
+"""The divergence-form stencil and its sine basis, for every grid dimension.
 
 The operator application is the innermost loop of every conjugate-gradient
 iteration, which in turn sits inside semismooth Newton inside the fixed-point
-outer loop, so it dominates runtime.  Its index tuples are therefore built
-once per grid shape (``stencil_plan``) and each application is one
-zero-padded copy plus slice differences per axis.
+outer loop.  Its index tuples are therefore built once per grid shape
+(``stencil_plan``) and each application is one zero-padded copy plus slice
+differences per axis.
+
+The orthonormal sine matrices (``sine_basis``, cached per axis length)
+diagonalize the stencil for constant coefficients; ``sine_transform`` applies
+one per axis as dense matrix products.
 """
 
 from __future__ import annotations
@@ -75,3 +79,29 @@ def apply_diffusion(v, axes, plan):
         else:
             out += term
     return out
+
+
+@lru_cache(maxsize=32)
+def sine_basis(n):
+    """Orthonormal DST-I matrix of order n: symmetric and its own inverse.
+
+    Column k (1-based) is the Dirichlet eigenvector sin(pi j k / (n+1)) of the
+    3-point stencil on n interior nodes, with eigenvalue
+    (2 sin(pi k / (2(n+1))) / h)^2 for spacing h.
+    """
+    k = np.arange(1, n + 1)
+    basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(k, k))
+    basis.setflags(write=False)
+    return basis
+
+
+def sine_transform(v, bases):
+    """Multiplies v by ``bases[a]`` along every axis a.
+
+    Each product contracts the leading axis and appends the transformed one,
+    so after one product per axis the axes are back in their order.
+    """
+    for basis in bases:
+        n = basis.shape[0]
+        v = (v.reshape(n, -1).T @ basis).reshape(v.shape[1:] + (n,))
+    return v

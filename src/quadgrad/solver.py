@@ -5,8 +5,13 @@ Structure of one solve at truncation height k:
   inner:  given the current iterate w, freeze the nonnegative coefficient
           b = truncate(K_delta(x, w, Dw), k) and solve the monotone semilinear
           problem  -div(A DW) + b * sign_k(W) = rhs(w)  by damped semismooth
-          Newton (unique solution, start-independent);
-  outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, declared
+          Newton (unique solution, start-independent).  Each Newton step
+          solves operator-plus-diagonal by conjugate gradients preconditioned
+          with the exact sine-transform inverse of the mean-coefficient
+          operator (``DiffusionOperator.fast_inverse``);
+  outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, each inner
+          solve warm-started from the previous inner solution W, which
+          consecutive iterates barely move once the iteration settles; declared
           converged when the energy increment drops below outer_tol; the
           existence argument behind the scheme is non-constructive, so
           non-convergence within the budget is an honestly reported outcome,
@@ -188,7 +193,8 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
 
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
-    plus a nonnegative diagonal, solved matrix-free by conjugate gradients.
+    plus a nonnegative diagonal, solved matrix-free by conjugate gradients
+    preconditioned with the operator's mean-coefficient inverse.
     """
     delta, k = cfg.delta, cfg.k
     b = zeroth_order_coefficient(data, w.values, delta, k)
@@ -214,7 +220,7 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         # forcing term: tighten the linear solve as the residual approaches
         # the target, so the Newton floor sits below it
         step_tol = min(cfg.cg_tol, max(1e-15, 0.01 * target / res))
-        step = cg_solve(jac, -r, tol=step_tol)
+        step = cg_solve(jac, -r, tol=step_tol, precond=op.fast_inverse)
         t = 1.0
         for _ in range(40):
             W_trial = W + t * step
@@ -331,6 +337,9 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
 def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None):
     """Relaxed Picard iteration on the inner solution map, started at zero.
 
+    Every inner solve after the first starts Newton from the previous inner
+    solution.
+
     Returns (w_k, trace); raises MaxOuterIterations carrying the partial trace
     when the increment never drops below outer_tol.
     """
@@ -346,8 +355,10 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     norm_w = h1_seminorm(w)
     max_rhs = 0.0
     final = False
+    W = None
     for m in range(cfg.max_outer + 1):
-        W, inner = inner_solve(w, data, run_cfg)
+        W, inner = inner_solve(w, data, run_cfg,
+                               x0=None if W is None else W.values)
         norm_W = h1_seminorm(W)
         defect = h1_seminorm(ScalarField(data.grid, W.values - w.values))
         if final:

@@ -229,6 +229,15 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
         assert dev <= 1e-12, f"{label}: max |w - w_ref| = {dev:.3e}"
 
 
+def test_warm_started_newton_steps_per_picard(run_1d):
+    # each inner solve starts from the previous inner solution, which
+    # consecutive Picard iterates barely move
+    traces = run_1d[3]
+    records = [r for t in traces for r in t.records]
+    newton = sum(r.inner_iterations for r in records)
+    assert newton / len(records) <= 1.5, f"{newton}/{len(records)}"
+
+
 def test_criterion_06_estimate_chain(run_1d, run_2d):
     worst = np.inf
     total = 0

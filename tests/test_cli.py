@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +78,33 @@ class TestExitCodes:
         target = {"grid": cfg["problem"]["grid"], "problem": cfg["problem"],
                   "solver": cfg["solver"]}[block]
         target[key] = value
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("problem",), 5),
+        (("solver",), 5),
+        (("constants",), 5),
+        (("report",), 5),
+        (("problem", "A"), 5),
+        (("problem", "H"), 5),
+        (("problem", "f"), {"expr": 5}),
+        (("report", "n_ladder"), 5),
+        (("report", "out_dir"), 5),
+        (("seed",), "abc"),
+        (("problem", "f"), {"csv": 5}),
+        (("problem", "a0"), {"expr": {"kind": "constant"}}),
+        (("problem", "A"), {"kind": "diagonal", "entries": 5}),
+    ], ids=["problem", "solver", "constants", "report", "A", "H", "f-expr",
+            "n_ladder", "out_dir", "seed", "csv-path", "expr-key",
+            "A-entries"])
+    def test_mistyped_entry_exits_2(self, tmp_path, capsys, path, value):
+        cfg = load_benchmark("benchmark_1d.json")
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
@@ -309,3 +338,15 @@ class TestDeclaredNorms:
         cfg["constants"]["declared_norms"] = {"f_Hm1": 0.3}
         assert main(["check", "--config", write_cfg(tmp_path, cfg)]) == 2
         assert "deviates" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only declared dependency, although scipy may be installed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadgrad.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -237,6 +237,54 @@ class TestOperator:
         assert not res.ok, res.line()
 
 
+class TestFastInverse:
+    @pytest.mark.parametrize("extents, shape, diag", [
+        ((1.0,), (128,), None),
+        ((1.0, 1.0), (64, 64), (1.0, 1.25)),
+        ((1.0, 2.0), (24, 40), None),
+    ], ids=["1d-identity", "2d-diagonal", "2d-nonsquare"])
+    def test_exact_for_constant_coefficients(self, rng, extents, shape, diag):
+        g = Grid(extents, shape)
+        A = MatrixField.identity(g) if diag is None \
+            else MatrixField(g, np.diag(diag), alpha=min(diag))
+        op = DiffusionOperator(A)
+        r = rng.standard_normal(shape)
+        np.testing.assert_allclose(op.apply(op.fast_inverse(r)), r, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(r)))
+
+    def test_riesz_lift_matches_plain_cg(self, rng):
+        g = Grid((1.0, 2.0), (24, 40))
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        lap = DiffusionOperator(MatrixField.identity(g))
+        ref = cg_solve(lap.apply, f.values, tol=1e-14)
+        z = riesz_representative(f).values
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_preconditioned_cg_matches_plain_cg(self, rng):
+        # per-cell diagonal A with contrast 10 plus a nonnegative diagonal:
+        # the mean-coefficient inverse is only a preconditioner here
+        g = Grid((1.0, 1.5), (30, 20))
+        cells = tuple(n + 1 for n in g.shape)
+        entries = rng.uniform(1.0, 10.0, cells + (g.dim,))
+        op = DiffusionOperator(
+            MatrixField(g, entries[..., None] * np.eye(g.dim), alpha=1.0))
+        shift = rng.uniform(0.0, 50.0, g.shape)
+        applies = {"plain": 0, "pcg": 0}
+
+        def counted(key):
+            def jac(v):
+                applies[key] += 1
+                return op.apply(v) + shift * v
+            return jac
+
+        rhs = rng.standard_normal(g.shape)
+        plain = cg_solve(counted("plain"), rhs, tol=1e-13)
+        pcg = cg_solve(counted("pcg"), rhs, tol=1e-13,
+                       precond=op.fast_inverse)
+        assert np.max(np.abs(pcg - plain)) <= 1e-10 * np.max(np.abs(plain))
+        assert applies["pcg"] < applies["plain"]
+
+
 class TestSobolevEstimator:
     def test_returned_ratio_is_self_consistent(self):
         g = Grid((1.0,), (64,))

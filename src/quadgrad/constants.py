@@ -13,8 +13,10 @@ these the engine derives
                       whose sign controls the a priori gradient bound,
   * delta0, Z_d0   -- the unique parameter where the profile acquires a double
                       zero, and the location of that zero (the energy-ball
-                      radius used by the solver),
-  * Y_delta^-/+    -- the two distinct zeros of the profile below delta0.
+                      radius used by the solver), both in closed form,
+  * Y_delta^-/+    -- the two distinct zeros of the profile below delta0,
+                      found by bisection to the relative tolerance `root_tol`
+                      (the only quantity that tolerance affects).
 
 All functions are pure; `compute_theta` keeps exact rational arithmetic when
 fed `fractions.Fraction` inputs.
@@ -23,7 +25,7 @@ fed `fractions.Fraction` inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -171,18 +173,8 @@ def delta1(c: ProblemConstants) -> float:
 
 
 def compute_G(c: ProblemConstants, theta: float) -> float:
-    """Growth constant of the zeroth-order correction envelope.
-
-    Evaluated as the single closed-form expression; `delta1(c)**theta *
-    c_lambda_bound(theta)` is the equivalent two-step route (cross-checked in
-    the test suite to 1e-14 relative).
-    """
-    num = c.alpha - c.C_N**2 * c.norm_a0_N2
-    if num <= 0:
-        raise NonpositiveDelta1(
-            f"alpha - C_N^2*|a0| = {num:g} <= 0: growth constant undefined"
-        )
-    return (num / (c.C_N**2 * c.norm_f_N2)) ** theta * c_lambda_bound(theta)
+    """Growth constant delta1^theta * C(theta) of the correction envelope."""
+    return delta1(c) ** theta * c_lambda_bound(theta)
 
 
 def leftover_coercivity(delta: float, c: ProblemConstants) -> float:
@@ -200,19 +192,14 @@ def check_smallness(c: ProblemConstants, theta: float, G: float):
     """Evaluate both smallness conditions with their margins.
 
     The first condition demands strictly positive leftover coercivity at
-    delta = gamma; the second bounds the dual norm of f by the depth of the
-    profile minimum at gamma (non-strict).  Returns (A1, A3) verdicts.
+    delta = gamma; the second asks that the profile minimum at gamma be
+    nonpositive, and its margin is minus that minimum (minus |f|_dual when
+    the first condition fails).  Returns (A1, A3) verdicts.
     """
     m1 = leftover_coercivity(c.gamma, c)
-    a1 = SmallnessVerdict(m1 > 0.0, m1)
-    if m1 <= 0.0:
-        rhs = 0.0
-    else:
-        denom = ((1.0 + theta) * G * c.C_N ** (2.0 + theta) * c.norm_a0_q) ** (1.0 / theta)
-        rhs = theta / (1.0 + theta) * m1 ** ((1.0 + theta) / theta) / denom
-    m3 = rhs - c.norm_f_Hm1
-    a3 = SmallnessVerdict(m3 >= 0.0, m3)
-    return a1, a3
+    # 0.0 - x rather than -x: an exactly zero margin stays +0.0
+    m3 = 0.0 - (phi_at_min(c.gamma, c, theta, G) if m1 > 0.0 else c.norm_f_Hm1)
+    return SmallnessVerdict(m1 > 0.0, m1), SmallnessVerdict(m3 >= 0.0, m3)
 
 
 def phi(delta: float, X: float, c: ProblemConstants, theta: float, G: float) -> float:
@@ -247,73 +234,61 @@ def z_delta(delta: float, c: ProblemConstants, theta: float, G: float) -> float:
     return (L / ((1.0 + theta) * curv)) ** (1.0 / theta)
 
 
+def _depth_scale(c: ProblemConstants, theta: float, G: float) -> float:
+    """D = ((1+theta)*G*C^(2+theta)*|a0|_q)^(1/theta) of the profile minimum."""
+    return ((1.0 + theta) * G * c.C_N ** (2.0 + theta) * c.norm_a0_q) ** (1.0 / theta)
+
+
 def phi_at_min(delta: float, c: ProblemConstants, theta: float, G: float) -> float:
-    """Closed-form minimum value of the profile (no minimizer evaluation)."""
+    """Closed-form minimum |f|_dual - theta/(1+theta)*L_delta^((1+theta)/theta)/D."""
     L = _leftover_or_raise(delta, c)
-    denom = ((1.0 + theta) * G * c.C_N ** (2.0 + theta) * c.norm_a0_q) ** (1.0 / theta)
-    return c.norm_f_Hm1 - theta / (1.0 + theta) * L ** ((1.0 + theta) / theta) / denom
+    return c.norm_f_Hm1 - theta / (1.0 + theta) * L ** ((1.0 + theta) / theta) \
+        / _depth_scale(c, theta, G)
 
 
 def solve_delta0(c: ProblemConstants, theta: float, G: float,
                  tol: float = DEFAULT_ROOT_TOL):
-    """Bisect for the parameter at which the profile minimum crosses zero.
+    """Closed-form parameter at which the profile minimum crosses zero.
 
-    The map delta -> min Phi_delta is continuous and increasing, negative (or
-    zero) at gamma when both smallness conditions hold and strictly positive
-    at delta1, so plain bisection is unconditionally safe.  Returns
-    (delta0, Z_delta0) with |min Phi_delta0| <= tol * max(1, |f|_dual).
+    The minimum (see `phi_at_min`) vanishes at the slope
+    L* = ((1+theta)/theta * |f|_dual * D)^(theta/(1+theta)), and L_delta is
+    affine in delta, so delta0 = (alpha - C_N^2*|a0|_{N/2} - L*) /
+    (C_N^2*|f|_{N/2}), at least gamma.  delta0 is then rounded up by single
+    ulps until the minimum is nonnegative, so the profile at delta0 has no two
+    distinct zeros.  Returns (delta0, Z_delta0).  The minimum at gamma may
+    exceed zero by tol * max(1, |f|_dual) before the second smallness
+    condition counts as failed; delta0 is gamma when it is nonnegative.
     """
     a1, a3 = check_smallness(c, theta, G)
-    scale = max(1.0, c.norm_f_Hm1)
     if not a1.holds:
         raise SmallnessViolated(
             f"first smallness condition fails: margin {a1.margin:g} <= 0"
         )
-    lo, hi = c.gamma, delta1(c)
-    f_lo = phi_at_min(lo, c, theta, G)
-    f_hi = phi_at_min(hi, c, theta, G)
-    if f_lo > tol * scale:
+    f_gamma = -a3.margin  # the profile minimum at gamma
+    if f_gamma > tol * max(1.0, c.norm_f_Hm1):
         raise SmallnessViolated(
             f"second smallness condition fails: profile minimum at gamma is "
-            f"{f_lo:g} > 0"
+            f"{f_gamma:g} > 0"
         )
-    if f_hi <= 0.0:
+    if c.norm_f_Hm1 <= 0.0:
         raise BracketError(
-            f"profile minimum at delta1 is {f_hi:g} <= 0 although it must equal "
-            "the (positive) dual norm of f; constants are corrupted"
+            f"dual norm of f is {c.norm_f_Hm1:g} <= 0, so the profile minimum "
+            "never turns positive; constants are corrupted"
         )
-    if f_lo >= 0.0:
-        return lo, z_delta(lo, c, theta, G)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = phi_at_min(mid, c, theta, G)
-        if abs(f_mid) <= tol * scale:
-            return mid, z_delta(mid, c, theta, G)
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # Newton polish on the envelope: d/d(delta) of the minimum value is
-    # exactly C_N^2 |f| Z_delta (the minimizer is stationary), which drives
-    # the residual down to evaluation roundoff when bisection is ulp-limited
-    best = lo
-    f_best = phi_at_min(best, c, theta, G)
-    d = best
-    for _ in range(4):
-        zd = z_delta(d, c, theta, G)
-        slope = c.C_N**2 * c.norm_f_N2 * zd
-        if slope <= 0.0:
-            break
-        d_new = d - phi_at_min(d, c, theta, G) / slope
-        if not (c.gamma <= d_new < delta1(c)):
-            break
-        f_new = phi_at_min(d_new, c, theta, G)
-        if abs(f_new) < abs(f_best):
-            best, f_best = d_new, f_new
-        d = d_new
-    return best, z_delta(best, c, theta, G)
+    if f_gamma >= 0.0:
+        return c.gamma, z_delta(c.gamma, c, theta, G)
+    L_star = ((1.0 + theta) / theta * c.norm_f_Hm1 * _depth_scale(c, theta, G)) \
+        ** (theta / (1.0 + theta))
+    d0 = max(c.gamma, (c.alpha - c.C_N**2 * c.norm_a0_N2 - L_star)
+             / (c.C_N**2 * c.norm_f_N2))
+    for _ in range(64):
+        if phi_at_min(d0, c, theta, G) >= 0.0:
+            return d0, z_delta(d0, c, theta, G)
+        d0 = float(np.nextafter(d0, math.inf))
+    raise BracketError(
+        f"profile minimum still negative at delta = {d0!r}, 64 ulps above "
+        "its closed form; constants are corrupted"
+    )
 
 
 def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,
@@ -386,21 +361,8 @@ class CriticalReport:
         return self.smallness_A1.holds and self.smallness_A3.holds
 
     def to_dict(self):
-        d = {
-            "theta": self.theta,
-            "c_theta": self.c_theta,
-            "G": self.G,
-            "delta1": self.delta1,
-            "delta0": self.delta0,
-            "Z_delta0": self.Z_delta0,
-            "smallness_A1": {"holds": self.smallness_A1.holds,
-                             "margin": self.smallness_A1.margin},
-            "smallness_A3": {"holds": self.smallness_A3.holds,
-                             "margin": self.smallness_A3.margin},
-            "root_tol": self.root_tol,
-            "C_N": self.C_N,
-            "C_N_source": self.C_N_source,
-        }
+        d = asdict(self)
+        del d["y_zeros"]
         if self.y_zeros:
             d["y_zeros"] = {
                 str(k): [v if math.isfinite(v) else None for v in pair]

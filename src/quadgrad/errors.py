@@ -9,10 +9,6 @@ class ExponentOutOfRange(QuadgradError):
     """An integrability/growth exponent violates its admissible range."""
 
 
-class NonpositiveDelta1(QuadgradError):
-    """The coercivity left over after absorbing the zeroth-order norm is <= 0."""
-
-
 class DomainError(QuadgradError):
     """A scalar argument lies outside the domain of the formula."""
 
@@ -23,6 +19,13 @@ class DeltaOutOfRange(QuadgradError):
 
 class SmallnessViolated(QuadgradError):
     """One of the two smallness conditions on the data fails."""
+
+
+class NonpositiveDelta1(SmallnessViolated):
+    """The coercivity left over after absorbing the zeroth-order norm is <= 0.
+
+    The first smallness condition then fails too.
+    """
 
 
 class BracketError(QuadgradError):

@@ -240,13 +240,6 @@ def h1_seminorm(v: ScalarField) -> float:
     return float(np.sqrt(total * v.grid.node_measure))
 
 
-def grad_inner(u: ScalarField, v: ScalarField) -> float:
-    cu = gradient(u).components
-    cv = gradient(v).components
-    total = sum(float(np.sum(a * b)) for a, b in zip(cu, cv))
-    return total * u.grid.node_measure
-
-
 class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays."""
 
@@ -282,9 +275,6 @@ class DiffusionOperator:
         """
         spectrum = kernels.sine_transform(r, self._bases)
         return kernels.sine_transform(spectrum * self._inv_eig, self._bases)
-
-    def __call__(self, v):
-        return self.apply(v)
 
 
 def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,

@@ -77,6 +77,12 @@ class SolverConfig:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if self.k <= 0:
             raise DomainError(f"truncation height must be positive, got {self.k}")
+        for name in ("outer_tol", "inner_tol", "cg_tol"):
+            if not (getattr(self, name) > 0):
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("max_outer", "max_inner"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import config_path, load_benchmark
 from quadgrad.cli import main
@@ -17,6 +20,18 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return path
+
+
+def _entry_paths(node, prefix=()):
+    """Key/index paths of every entry below a JSON object, nested ones too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _entry_paths(child, prefix + (key,))
+
+
+_CONFIG_PATHS = list(_entry_paths(load_benchmark("benchmark_1d.json")))
 
 
 @pytest.fixture
@@ -72,7 +87,13 @@ class TestExitCodes:
         ("grid", "n", 128),
         ("problem", "alpha", None),
         ("solver", "k_schedule", "5"),
-    ], ids=["n-not-int", "n-not-list", "alpha-null", "k_schedule-string"])
+        ("solver", "cg_tol", -1.0),
+        ("solver", "cg_tol", 0),
+        ("solver", "max_outer", -1),
+        ("solver", "inner_tol", float("nan")),
+    ], ids=["n-not-int", "n-not-list", "alpha-null", "k_schedule-string",
+            "cg_tol-negative", "cg_tol-zero", "max_outer-negative",
+            "inner_tol-nan"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, block, key, value):
         cfg = load_benchmark("benchmark_1d.json")
         target = {"grid": cfg["problem"]["grid"], "problem": cfg["problem"],
@@ -108,6 +129,33 @@ class TestExitCodes:
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "constants", "solve",
+                                         "verify"])
+    def test_nonpositive_delta1_exits_3(self, tmp_path, capsys, command):
+        # alpha - C_N^2 |a0|_{N/2} <= 0: no substitution range, so the first
+        # smallness condition fails as well
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["a0"]["expr"]["value"] = 10.0
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("smallness violation:") and "Traceback" not in err
+
+    # 1e308 entries overflow in the field norms before validation rejects them
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(_CONFIG_PATHS),
+           value=st.sampled_from([5, "x", None, [], {}, -1.0, True, 0, 1e308]))
+    def test_mutated_config_keeps_exit_contract(self, path, value):
+        cfg = load_benchmark("benchmark_1d.json")
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            code = main(["solve", "--config", write_cfg(tmp, cfg)])
+        assert code in {0, 2, 3, 4, 5}
 
     def test_solve_nonconvergence(self, tmp_path):
         out = os.path.join(tmp_path, "out")

@@ -280,6 +280,17 @@ class TestDoubleZero:
             assert c.gamma <= d0 < delta1(c)
             assert abs(phi(d0, zd0, c, theta, G)) <= 1e-12 * max(1.0, c.norm_f_Hm1)
 
+    def test_closed_form_root_is_rounded_up(self, rng):
+        # delta0 sits on the nonnegative side of the root (so zeros_y refuses
+        # it) and the profile at its minimizer vanishes to roundoff
+        for _ in range(5000):
+            c = random_admissible_constants(rng)
+            theta = c.theta
+            G = compute_G(c, theta)
+            d0, zd0 = solve_delta0(c, theta, G)
+            assert phi_at_min(d0, c, theta, G) >= 0.0
+            assert abs(phi(d0, zd0, c, theta, G)) <= 1e-14 * max(1.0, c.norm_f_Hm1)
+
     def test_smallness_failure_raises(self, rng):
         c = random_admissible_constants(rng)
         theta = c.theta
@@ -353,6 +364,13 @@ class TestReport:
         assert set(d["y_zeros"]) == {"0.6"}
         ym, yp = d["y_zeros"]["0.6"]
         assert 0.0 < ym < d["Z_delta0"] < yp
+
+    def test_dict_lists_every_field(self, benchmark_constants):
+        rep = critical_report(benchmark_constants)
+        d = rep.to_dict()
+        assert set(d) == set(rep.__dataclass_fields__) - {"y_zeros"}
+        assert d["smallness_A3"] == {"holds": True,
+                                     "margin": rep.smallness_A3.margin}
 
     def test_degenerate_norms_rejected_distinctly(self):
         with pytest.raises(DomainError, match="f must not vanish"):

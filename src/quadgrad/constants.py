@@ -253,11 +253,12 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
     The minimum (see `phi_at_min`) vanishes at the slope
     L* = ((1+theta)/theta * |f|_dual * D)^(theta/(1+theta)), and L_delta is
     affine in delta, so delta0 = (alpha - C_N^2*|a0|_{N/2} - L*) /
-    (C_N^2*|f|_{N/2}), at least gamma.  delta0 is then rounded up by single
-    ulps until the minimum is nonnegative, so the profile at delta0 has no two
-    distinct zeros.  Returns (delta0, Z_delta0).  The minimum at gamma may
-    exceed zero by tol * max(1, |f|_dual) before the second smallness
-    condition counts as failed; delta0 is gamma when it is nonnegative.
+    (C_N^2*|f|_{N/2}), at least gamma.  delta0 is then rounded up to the
+    first float (up to bisection) where the minimum is nonnegative, so the
+    profile at delta0 has no two distinct zeros.  Returns (delta0, Z_delta0).
+    The minimum at gamma may exceed zero by tol * max(1, |f|_dual) before the
+    second smallness condition counts as failed; delta0 is gamma when it is
+    nonnegative.
     """
     a1, a3 = check_smallness(c, theta, G)
     if not a1.holds:
@@ -279,16 +280,27 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
         return c.gamma, z_delta(c.gamma, c, theta, G)
     L_star = ((1.0 + theta) / theta * c.norm_f_Hm1 * _depth_scale(c, theta, G)) \
         ** (theta / (1.0 + theta))
-    d0 = max(c.gamma, (c.alpha - c.C_N**2 * c.norm_a0_N2 - L_star)
-             / (c.C_N**2 * c.norm_f_N2))
-    for _ in range(64):
-        if phi_at_min(d0, c, theta, G) >= 0.0:
-            return d0, z_delta(d0, c, theta, G)
-        d0 = float(np.nextafter(d0, math.inf))
-    raise BracketError(
-        f"profile minimum still negative at delta = {d0!r}, 64 ulps above "
-        "its closed form; constants are corrupted"
-    )
+    d1 = delta1(c)
+    d0 = max(c.gamma, d1 - L_star / (c.C_N**2 * c.norm_f_N2))
+    # round up: one ulp of delta moves L_delta by far less than one of its own
+    # ulps when delta0 << delta1, so double the step until the minimum is
+    # nonnegative (it is |f|_dual > 0 at delta1), then bisect the last step
+    lo, hi, step = d0, d0, math.ulp(d0)
+    while phi_at_min(hi, c, theta, G) < 0.0:
+        if hi >= d1:
+            raise BracketError(
+                f"profile minimum still negative at delta1 = {d1!r}; "
+                "constants are corrupted"
+            )
+        lo, hi, step = hi, min(d0 + step, d1), 2.0 * step
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if phi_at_min(mid, c, theta, G) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi, z_delta(hi, c, theta, G)
 
 
 def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,

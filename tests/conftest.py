@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -51,11 +52,22 @@ def golden_minimize(fn, lo, hi, tol=1e-11):
     return 0.5 * (a + b)
 
 
-def random_admissible_constants(rng):
+def growth_constant_mp(c):
+    """G = delta1^theta * max(1, 2^(1+theta)/(theta*e)) with mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        th = mpmath.mpf(c.theta)
+        C2 = mpmath.mpf(c.C_N) ** 2
+        d1 = (c.alpha - C2 * c.norm_a0_N2) / (C2 * c.norm_f_N2)
+        return float(d1**th * max(1, 2 ** (1 + th) / (th * mpmath.e)))
+
+
+def random_admissible_constants(rng, wide=False):
     """Constant sets passing both smallness conditions by construction.
 
     Scales are kept moderate so the root-finding tolerances of the acceptance
-    criteria are attainable in double precision.
+    criteria are attainable in double precision.  `wide` draws delta1/gamma
+    log-uniformly from [10^0.1, 10^4] instead of [1.2, 4], so delta0 can sit
+    far below delta1.
     """
     N, q = ADMISSIBLE_NQ[rng.integers(len(ADMISSIBLE_NQ))]
     theta = compute_theta(N, q)
@@ -64,7 +76,7 @@ def random_admissible_constants(rng):
     gamma = rng.uniform(0.1, 2.0)
     c0 = rng.uniform(0.0, 2.0)
     na_p = rng.uniform(0.0, 0.8) * alpha / C_N**2
-    d1 = gamma * rng.uniform(1.2, 4.0)
+    d1 = gamma * (10.0 ** rng.uniform(0.1, 4.0) if wide else rng.uniform(1.2, 4.0))
     nf = (alpha - C_N**2 * na_p) / (C_N**2 * d1)
     G = d1**theta * c_lambda_bound(theta)
     L_gamma = alpha - C_N**2 * na_p - gamma * C_N**2 * nf

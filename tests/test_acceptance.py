@@ -11,12 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import config_path, golden_minimize, load_benchmark, \
-    random_admissible_constants
+from conftest import config_path, golden_minimize, growth_constant_mp, \
+    load_benchmark, random_admissible_constants
 from quadgrad.cli import main
 from quadgrad.config import build_experiment, experiment_from_file
 from quadgrad.constants import (
-    c_lambda_bound,
     compute_G,
     delta1,
     phi,
@@ -100,8 +99,8 @@ def test_criterion_01_constants_engine():
         theta = c.theta
         assert 0.0 < theta < 1.0
         G = compute_G(c, theta)
-        two_step = delta1(c) ** theta * c_lambda_bound(theta)
-        worst_g = max(worst_g, abs(G - two_step) / G)
+        G_ref = growth_constant_mp(c)
+        worst_g = max(worst_g, abs(G - G_ref) / G_ref)
         d = float(rng.uniform(0.0, 1.0)) * delta1(c)
         zd = z_delta(d, c, theta, G)
         xm = golden_minimize(lambda X: phi(d, X, c, theta, G),
@@ -117,7 +116,7 @@ def test_criterion_01_constants_engine():
     elapsed = time.monotonic() - t0
     ok = worst_g <= 1e-14 and worst_phi <= 1e-12 and worst_root <= 1e-12 \
         and elapsed < 5.0
-    report(1, ok, f"G-routes {worst_g:.2e}, min-form {worst_phi:.2e}, "
+    report(1, ok, f"G vs mpmath {worst_g:.2e}, min-form {worst_phi:.2e}, "
                   f"root value {worst_root:.2e}, {elapsed:.2f}s")
 
 

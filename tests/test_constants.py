@@ -30,7 +30,12 @@ from quadgrad.errors import (
     SmallnessViolated,
 )
 
-from conftest import constants_triplet, golden_minimize, random_admissible_constants
+from conftest import (
+    constants_triplet,
+    golden_minimize,
+    growth_constant_mp,
+    random_admissible_constants,
+)
 
 # frozen with mpmath at 30 digits
 C_HALF = 2.08104038009155558543260977327
@@ -112,9 +117,8 @@ class TestGrowthConstant:
         for _ in range(100):
             c = random_admissible_constants(rng)
             theta = c.theta
-            direct = compute_G(c, theta)
-            two_step = delta1(c) ** theta * c_lambda_bound(theta)
-            assert direct == pytest.approx(two_step, rel=1e-14)
+            assert compute_G(c, theta) == pytest.approx(
+                growth_constant_mp(c), rel=1e-14, abs=0.0)
 
     def test_nonpositive_leftover(self):
         c = _mk(na_p=1.2)  # C_N^2 * na_p exceeds alpha
@@ -282,9 +286,11 @@ class TestDoubleZero:
 
     def test_closed_form_root_is_rounded_up(self, rng):
         # delta0 sits on the nonnegative side of the root (so zeros_y refuses
-        # it) and the profile at its minimizer vanishes to roundoff
-        for _ in range(5000):
-            c = random_admissible_constants(rng)
+        # it) and the profile at its minimizer vanishes to roundoff; the wide
+        # sets put delta0 up to 10^4 below delta1, where one ulp of delta
+        # moves L_delta by far less than one ulp of its own
+        for i in range(7000):
+            c = random_admissible_constants(rng, wide=i >= 5000)
             theta = c.theta
             G = compute_G(c, theta)
             d0, zd0 = solve_delta0(c, theta, G)

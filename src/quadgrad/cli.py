@@ -22,20 +22,12 @@ from . import validate
 from .config import Experiment, build_experiment, experiment_from_file
 from .constants import critical_report, phi_at_min, z_delta, zeros_y
 from .errors import (
-    BracketError,
     CertificateError,
     ConfigError,
-    DeltaOutOfRange,
-    DomainError,
-    ExponentOutOfRange,
     FieldValidationError,
-    IterativeSolveFailure,
     MaxOuterIterations,
-    NewtonStall,
-    NoTwoZeros,
     QuadgradError,
     SmallnessViolated,
-    TransformOverflowError,
 )
 from .grid import ScalarField, write_field_csv
 from .nonlinearity import transform_inverse
@@ -52,10 +44,12 @@ EXIT_SMALLNESS = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INVARIANT = 5
 
-_CONFIG_ERRORS = (ConfigError, FieldValidationError, CertificateError,
-                  DomainError, ExponentOutOfRange, DeltaOutOfRange,
-                  BracketError, TransformOverflowError, NewtonStall,
-                  IterativeSolveFailure)
+# exit code and stderr prefix of an error escaping a command; first match wins
+_EXIT_TABLE = (
+    (SmallnessViolated, EXIT_SMALLNESS, "smallness violation"),
+    (MaxOuterIterations, EXIT_NONCONVERGENCE, "solver non-convergence"),
+    (QuadgradError, EXIT_CONFIG, "config error"),
+)
 
 
 def _dump_json(payload, out_dir, name):
@@ -106,7 +100,7 @@ def _write_trace(traces, out_dir):
     with open(os.path.join(out_dir, "trace.jsonl"), "w") as fh:
         for trace in traces:
             for row in trace.records:
-                payload = json.loads(row.to_json())
+                payload = row.to_dict()
                 payload["k"] = trace.k
                 fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -140,8 +134,7 @@ def cmd_solve(args):
         if exc.trace is not None:
             traces.append(exc.trace)
         _write_trace(traces, out_dir)
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        raise
     _write_trace(traces, out_dir)
     _write_diagnostics(diag, out_dir)
     u_vals = transform_inverse(w_star.values, cfg.delta)
@@ -195,11 +188,8 @@ def cmd_sweep(args):
                 row["Z_delta"] = float(z_delta(d, c, theta, G))
                 row["phi_min"] = float(phi_at_min(d, c, theta, G))
                 if d0 is not None and d < d0 and row["phi_min"] < 0:
-                    try:
-                        ym, yp = zeros_y(d, c, theta, G)
-                        row["Y_minus"], row["Y_plus"] = float(ym), float(yp)
-                    except NoTwoZeros:
-                        pass
+                    ym, yp = zeros_y(d, c, theta, G)
+                    row["Y_minus"], row["Y_plus"] = float(ym), float(yp)
                 row["status"] = "ok"
             except QuadgradError as exc:
                 row["status"] = f"failed: {exc}"
@@ -245,13 +235,11 @@ def _equivalence_crosscheck(exp: Experiment):
     """Coarse two-resolution solve: the residual of the reconstructed original
     unknown must shrink under refinement (the two formulations agree in the
     limit)."""
-    base_n = exp.raw["problem"]["grid"]["n"]
-    sspec = exp.raw.get("solver", {})
-    k_final = max(tuple(sspec.get("k_schedule", ())) or (sspec.get("k", 100.0),))
+    k_final = max(exp.knobs["k_schedule"] or (exp.knobs["k"],))
     residuals = []
     try:
         for scale in (4, 2):
-            n_override = [max(8, int(n) // scale) for n in base_n]
+            n_override = [max(8, n // scale) for n in exp.grid.shape]
             coarse = build_experiment(
                 exp.raw, base_dir=exp.base_dir,
                 overrides={"n": n_override,
@@ -267,7 +255,7 @@ def _equivalence_crosscheck(exp: Experiment):
         # check command reports it with its own exit code
         return validate.CheckResult(
             "equivalence cross-check", True, math.nan, f"skipped: {exc}")
-    except (MaxOuterIterations, QuadgradError) as exc:
+    except QuadgradError as exc:
         return validate.CheckResult(
             "equivalence cross-check", False, math.nan, f"solve failed: {exc}")
     ok = residuals[1] < residuals[0]
@@ -279,16 +267,17 @@ def _equivalence_crosscheck(exp: Experiment):
 
 
 def cmd_verify(args):
-    results = []
     try:
         exp = experiment_from_file(args.config, for_solve=False)
     except (FieldValidationError, CertificateError) as exc:
-        results.append(validate.CheckResult(
-            "field invariants", False, math.nan, str(exc)))
-        for res in results:
-            print(res.line())
+        print(validate.CheckResult(
+            "field invariants", False, math.nan, str(exc)).line())
         return EXIT_INVARIANT
-    rng = np.random.default_rng(args.seed if args.seed is not None else exp.seed)
+    seed = exp.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
+    results = []
     data = exp.data
     model, gamma, c0 = data.model, data.gamma, data.c0
 
@@ -351,15 +340,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SmallnessViolated as exc:
-        print(f"smallness violation: {exc}", file=sys.stderr)
-        return EXIT_SMALLNESS
-    except MaxOuterIterations as exc:
-        print(f"solver non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except QuadgradError as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_TABLE
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def console_main():

@@ -18,6 +18,7 @@ fields; declared values in the config are advisory and merely cross-checked
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -67,6 +68,7 @@ class Experiment:
     problem_constants: ProblemConstants | None
     report: CriticalReport | None
     delta_mode: str
+    knobs: dict
     n_ladder: tuple
     out_dir: str | None
     constants_error: str | None = None
@@ -97,21 +99,32 @@ def _object(value, name) -> dict:
     return value
 
 
-def _numbers(value, name) -> tuple:
-    """A list of numbers, as a tuple; anything else is a ConfigError."""
-    if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(value)
-
-
 def _number(value, name, convert=float):
-    """A numeric config entry, converted once; anything else is a ConfigError."""
+    """A finite JSON number, not bool or str, as `convert` (int: integral only)."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and (convert is float or value == int(value))):
+            return convert(value)
+    except OverflowError:  # an integer beyond the double range
+        pass
+    kind = "an integer" if convert is int else "a number"
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _numbers(value, name, convert=float) -> tuple:
+    """A list of numeric entries, each taken by `_number`, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, name, convert) for v in value)
+
+
+def _finite(name, compute, *args):
+    """compute(*args); leaving the double range inside it is a ConfigError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return compute(*args)
+    except FloatingPointError as exc:
+        raise ConfigError(f"{name} leaves the double-precision range ({exc})") from exc
 
 
 def _solver_knobs(sspec: dict) -> dict:
@@ -142,8 +155,11 @@ def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
         return read_field_csv(_resolve_path(base_dir, spec["csv"]), grid)
     if "expr" in spec:
         expr = _object(spec["expr"], f"{name}.expr")
+        for key, value in expr.items():
+            if key != "kind":
+                _number(value, f"{name}.expr.{key}")
         try:
-            return field_from_expression(grid, expr)
+            return _finite(f"{name}.expr", field_from_expression, grid, expr)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed {name}.expr: {exc!r}") from exc
     raise ConfigError(f"{name} needs either a 'csv' path or an 'expr' entry")
@@ -153,13 +169,13 @@ def _build_matrix_field(spec, grid, alpha) -> MatrixField:
     kind = _object(spec, "problem.A").get("kind", "identity")
     try:
         if kind == "identity":
-            return MatrixField(grid, float(spec.get("scale", 1.0)) * np.eye(grid.dim),
-                               alpha=alpha)
+            scale = _number(spec.get("scale", 1.0), "problem.A.scale")
+            return MatrixField(grid, scale * np.eye(grid.dim), alpha=alpha)
         if kind == "constant":
-            return MatrixField(grid, np.array(spec["matrix"], dtype=float),
-                               alpha=alpha)
+            matrix = [_numbers(row, "problem.A.matrix") for row in spec["matrix"]]
+            return MatrixField(grid, np.array(matrix), alpha=alpha)
         if kind == "diagonal":
-            entries = [float(v) for v in spec["entries"]]
+            entries = _numbers(spec["entries"], "problem.A.entries")
             if len(entries) != grid.dim:
                 raise ConfigError(
                     f"diagonal coefficient needs {grid.dim} entries, got {len(entries)}"
@@ -177,16 +193,15 @@ def _build_model(spec, grid, base_dir, gamma, c0, alpha,
         if kind == "zero":
             model = HModel(kind="zero", gamma_cert=gamma, c0_cert=c0)
         elif kind == "shape_times_quadratic":
-            model = HModel(
-                kind=kind, coeff=float(_require(spec, "coeff", "problem.H")),
-                shape=spec.get("shape", "tanh"), gamma_cert=gamma, c0_cert=c0,
-            )
+            coeff = _number(_require(spec, "coeff", "problem.H"), "problem.H.coeff")
+            model = HModel(kind=kind, coeff=coeff, shape=spec.get("shape", "tanh"),
+                           gamma_cert=gamma, c0_cert=c0)
         elif kind == "mu_gradsq":
             mu_spec = _require(spec, "mu", "problem.H")
             if isinstance(mu_spec, dict):
                 mu = _build_scalar_field(mu_spec, grid, base_dir, "H.mu").values
             else:
-                mu = float(mu_spec)
+                mu = _number(mu_spec, "problem.H.mu")
             model = HModel(kind=kind, mu=mu, gamma_cert=gamma, c0_cert=c0)
         else:
             raise ConfigError(f"unknown nonlinearity kind {kind!r}")
@@ -218,11 +233,14 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                      for_solve: bool = True) -> Experiment:
     """Assemble and validate an experiment from a config dict.
 
-    `overrides` may replace the grid resolution ({"n": [..]}) and solver knobs
-    without editing the document, which the refinement studies rely on.  With
-    ``for_solve=False`` the substitution parameter is not resolved, so
-    constants-only commands can inspect configs whose smallness conditions
-    fail.
+    Every entry is checked, whatever the command.  `overrides` may replace the
+    grid resolution ({"n": [..]}) and solver knobs without editing the
+    document, which the refinement studies rely on.  ``solver_cfg`` is built
+    whenever delta is known: an explicit value, or delta0 of admissible data.
+    ``for_solve`` adds the two checks only a solve needs: delta0 mode refuses
+    inadmissible data with ``SmallnessViolated``, and the nonlinearity must
+    meet its growth certificate.  Without them, constants-only commands and
+    ``verify`` can inspect configs that fail either.
     """
     if overrides:
         cfg = json.loads(json.dumps(cfg))
@@ -237,16 +255,30 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     cspec = _object(cfg.get("constants", {}), "constants")
     rspec = _object(cfg.get("report", {}), "report")
     try:
-        grid = Grid(tuple(_require(gspec, "extents", "problem.grid")),
-                    tuple(_require(gspec, "n", "problem.grid")))
-    except (FieldValidationError, TypeError, ValueError) as exc:
+        grid = Grid(_numbers(_require(gspec, "extents", "problem.grid"),
+                             "problem.grid.extents"),
+                    _numbers(_require(gspec, "n", "problem.grid"),
+                             "problem.grid.n", int))
+    except FieldValidationError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     alpha, gamma, c0, q = (_number(_require(problem, key, "problem"),
                                    f"problem.{key}")
                            for key in ("alpha", "gamma", "c0", "q"))
     N = _number(_require(problem, "N", "problem"), "problem.N", int)
-    knobs = _solver_knobs(sspec) if for_solve else None
+    knobs = _solver_knobs(sspec)
+    delta_spec = sspec.get("delta", "delta0")
+    if delta_spec != "delta0":
+        delta = _number(delta_spec, "solver.delta")
+        if delta < gamma:
+            raise DomainError(
+                f"solver.delta = {delta:g} lies below gamma = {gamma:g}"
+            )
+    seed = _number(cfg.get("seed", DEFAULT_SEED), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    root_tol = _number(cspec.get("root_tol", DEFAULT_ROOT_TOL), "constants.root_tol")
+    y_deltas = _numbers(rspec.get("y_deltas", ()), "report.y_deltas")
 
     A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
     f = _build_scalar_field(_require(problem, "f", "problem"), grid, base_dir, "f")
@@ -257,49 +289,34 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                          gamma, c0, alpha, enforce_certificate=for_solve)
 
     pair = _object(problem.get("exponent_pair", {}), "problem.exponent_pair")
-    sobolev_exp = pair.get("sobolev")
-    f_exp = pair.get("f_norm")
-    if N >= 3:
-        if sobolev_exp is None:
-            sobolev_exp = 2.0 * N / (N - 2)
-        if f_exp is None:
-            f_exp = N / 2.0
-    elif sobolev_exp is None or f_exp is None:
+    if N < 3 and not {"sobolev", "f_norm"} <= pair.keys():
         raise ConfigError(
-            "N < 3 requires problem.exponent_pair with 'sobolev' and 'f_norm'"
-        )
-    sobolev_exp = _number(sobolev_exp, "problem.exponent_pair.sobolev")
-    f_exp = _number(f_exp, "problem.exponent_pair.f_norm")
+            "N < 3 requires problem.exponent_pair with 'sobolev' and 'f_norm'")
+    sobolev_exp = _number(pair.get("sobolev", 2.0 * N / (N - 2) if N >= 3 else None),
+                          "problem.exponent_pair.sobolev")
+    f_exp = _number(pair.get("f_norm", N / 2.0), "problem.exponent_pair.f_norm")
 
-    norms = {
-        "f_N2": lp_norm(f, f_exp),
-        "f_Hm1": hminus1_norm(f),
-        "a0_N2": lp_norm(a0, f_exp),
-        "a0_q": lp_norm(a0, q),
-    }
+    norms = {key: _finite(f"norm {key}", norm, *args) for key, norm, *args in (
+        ("f_N2", lp_norm, f, f_exp), ("f_Hm1", hminus1_norm, f),
+        ("a0_N2", lp_norm, a0, f_exp), ("a0_q", lp_norm, a0, q))}
     declared = _object(cspec.get("declared_norms", {}),
                        "constants.declared_norms")
     _check_declared_norms(declared, norms)
 
     cn_spec = str(cspec.get("C_N", "estimate"))
     if cn_spec == "estimate":
-        est = estimate_sobolev_constant(grid, sobolev_exp)
-        C_N = est.value
-        cn_source = "estimate"
+        C_N = estimate_sobolev_constant(grid, sobolev_exp).value
     elif cn_spec.startswith("literature:"):
         try:
-            C_N = float(cn_spec.split(":", 1)[1])
+            C_N = _number(float(cn_spec.split(":", 1)[1]), "constants.C_N")
         except ValueError as exc:
             raise ConfigError(f"malformed C_N spec {cn_spec!r}") from exc
-        cn_source = cn_spec
     else:
         raise ConfigError(
             f"constants.C_N must be 'estimate' or 'literature:<value>', got {cn_spec!r}"
         )
 
-    constants = None
-    report = None
-    constants_error = None
+    constants = report = constants_error = None
     try:
         constants = ProblemConstants(
             N=N, alpha=alpha, gamma=gamma, c0=c0, q=q,
@@ -312,44 +329,30 @@ def build_experiment(cfg: dict, base_dir: str = ".",
 
     theta = G = 0.0
     if constants is not None:
-        report = critical_report(
-            constants, C_N_source=cn_source,
-            tol=_number(cspec.get("root_tol", DEFAULT_ROOT_TOL),
-                        "constants.root_tol"),
-            y_deltas=_numbers(rspec.get("y_deltas", ()), "report.y_deltas"),
-        )
+        report = critical_report(constants, C_N_source=cn_spec, tol=root_tol,
+                                 y_deltas=y_deltas)
         theta, G = report.theta, report.G
 
-    delta_spec = sspec.get("delta", "delta0")
-    ball_radius = None
-    solver_cfg = None
-    if not for_solve:
-        delta_mode = "none"
-    elif delta_spec == "delta0":
-        if constants is None:
-            raise ConfigError(
-                f"solver.delta = 'delta0' needs admissible constants: {constants_error}"
-            )
-        a1, a3 = report.smallness_A1, report.smallness_A3
-        if not a1.holds:
-            raise SmallnessViolated(
-                f"first smallness condition fails: margin {a1.margin:g} <= 0")
-        if not a3.holds:
+    admissible = report is not None and report.admissible
+    ball_radius = solver_cfg = None
+    if delta_spec == "delta0":
+        if admissible:
+            solver_cfg = SolverConfig(delta=report.delta0, **knobs)
+            ball_radius = report.Z_delta0
+        elif for_solve:
+            if constants is None:
+                raise ConfigError("solver.delta = 'delta0' needs admissible "
+                                  f"constants: {constants_error}")
+            a1, a3 = report.smallness_A1, report.smallness_A3
+            if not a1.holds:
+                raise SmallnessViolated(
+                    f"first smallness condition fails: margin {a1.margin:g} <= 0")
             raise SmallnessViolated(
                 "second smallness condition fails: profile minimum at gamma "
                 f"is {-a3.margin:g} > 0")
-        delta_mode = "delta0"
-        solver_cfg = SolverConfig(delta=report.delta0, **knobs)
-        ball_radius = report.Z_delta0
     else:
-        delta = _number(delta_spec, "solver.delta")
-        delta_mode = "explicit"
-        if delta < gamma:
-            raise DomainError(
-                f"solver.delta = {delta:g} lies below gamma = {gamma:g}"
-            )
         solver_cfg = SolverConfig(delta=delta, **knobs)
-        if report is not None and report.admissible:
+        if admissible:
             if delta < report.delta0:
                 try:
                     ball_radius, _ = zeros_y(delta, constants, theta, G)
@@ -370,12 +373,11 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
 
     return Experiment(
-        raw=cfg, base_dir=base_dir,
-        seed=_number(cfg.get("seed", DEFAULT_SEED), "seed", int),
-        grid=grid, data=data, solver_cfg=solver_cfg,
-        problem_constants=constants, report=report, delta_mode=delta_mode,
+        raw=cfg, base_dir=base_dir, seed=seed, grid=grid, data=data,
+        solver_cfg=solver_cfg, problem_constants=constants, report=report,
+        delta_mode="delta0" if delta_spec == "delta0" else "explicit",
+        knobs=knobs, out_dir=out_dir,
         n_ladder=_numbers(rspec.get("n_ladder", ()), "report.n_ladder"),
-        out_dir=out_dir,
         constants_error=str(constants_error) if constants_error else None,
         norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, MaxOuterIterations, NewtonStall
+from .errors import DomainError, MaxOuterIterations, NewtonStall, TransformOverflowError
 from .grid import (
     DiffusionOperator,
     Grid,
@@ -138,17 +138,14 @@ class IterationRecord:
     rhs_l2: float
     in_ball: bool | None
 
+    def to_dict(self):
+        """The trace row: every field, with ``slack`` as ``estimate_slack``."""
+        row = asdict(self)
+        row["estimate_slack"] = row.pop("slack")
+        return row
+
     def to_json(self):
-        return json.dumps({
-            "m": self.m,
-            "grad_norm_w": self.grad_norm_w,
-            "grad_norm_W": self.grad_norm_W,
-            "increment": self.increment,
-            "estimate_slack": self.slack,
-            "inner_iterations": self.inner_iterations,
-            "rhs_l2": self.rhs_l2,
-            "in_ball": self.in_ball,
-        }, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass
@@ -203,8 +200,14 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     preconditioned with the operator's mean-coefficient inverse.
     """
     delta, k = cfg.delta, cfg.k
-    b = zeroth_order_coefficient(data, w.values, delta, k)
-    rhs = transformed_rhs(data, w.values, delta)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            b = zeroth_order_coefficient(data, w.values, delta, k)
+            rhs = transformed_rhs(data, w.values, delta)
+    except FloatingPointError as exc:
+        raise TransformOverflowError(
+            "the transformed coefficients K_delta(w) and rhs(w) overflow double "
+            f"precision at delta = {delta:g} ({exc})") from exc
     rhs_l2 = float(np.sqrt(np.sum(rhs * rhs)))
     W = np.zeros(data.grid.shape) if x0 is None else np.array(x0, dtype=float)
     op = data.op

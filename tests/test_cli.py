@@ -34,6 +34,16 @@ def _entry_paths(node, prefix=()):
 _CONFIG_PATHS = list(_entry_paths(load_benchmark("benchmark_1d.json")))
 
 
+def mutated_benchmark(path, value):
+    """benchmark_1d with the entry at the key/index `path` set to `value`."""
+    cfg = load_benchmark("benchmark_1d.json")
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
 @pytest.fixture
 def small_1d(tmp_path):
     cfg = load_benchmark("benchmark_1d.json")
@@ -91,9 +101,14 @@ class TestExitCodes:
         ("solver", "cg_tol", 0),
         ("solver", "max_outer", -1),
         ("solver", "inner_tol", float("nan")),
+        ("problem", "alpha", True),
+        ("problem", "alpha", "1.0"),
+        ("problem", "N", 3.7),
+        ("grid", "n", [48.5]),
     ], ids=["n-not-int", "n-not-list", "alpha-null", "k_schedule-string",
             "cg_tol-negative", "cg_tol-zero", "max_outer-negative",
-            "inner_tol-nan"])
+            "inner_tol-nan", "alpha-bool", "alpha-string", "N-fraction",
+            "n-fraction"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, block, key, value):
         cfg = load_benchmark("benchmark_1d.json")
         target = {"grid": cfg["problem"]["grid"], "problem": cfg["problem"],
@@ -117,9 +132,10 @@ class TestExitCodes:
         (("problem", "f"), {"csv": 5}),
         (("problem", "a0"), {"expr": {"kind": "constant"}}),
         (("problem", "A"), {"kind": "diagonal", "entries": 5}),
+        (("seed",), -1),
     ], ids=["problem", "solver", "constants", "report", "A", "H", "f-expr",
             "n_ladder", "out_dir", "seed", "csv-path", "expr-key",
-            "A-entries"])
+            "A-entries", "seed-negative"])
     def test_mistyped_entry_exits_2(self, tmp_path, capsys, path, value):
         cfg = load_benchmark("benchmark_1d.json")
         target = cfg
@@ -141,9 +157,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("smallness violation:") and "Traceback" not in err
 
-    # 1e308 entries overflow in the field norms before validation rejects them
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(path=st.sampled_from(_CONFIG_PATHS),
            value=st.sampled_from([5, "x", None, [], {}, -1.0, True, 0, 1e308]))
@@ -156,6 +169,51 @@ class TestExitCodes:
         with tempfile.TemporaryDirectory() as tmp:
             code = main(["solve", "--config", write_cfg(tmp, cfg)])
         assert code in {0, 2, 3, 4, 5}
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["constants", "check", "sweep", "verify"]),
+           path=st.sampled_from(_CONFIG_PATHS),
+           value=st.sampled_from([5, "x", None, [], {}, -1.0, True, 0, 1e308]))
+    def test_mutated_config_keeps_exit_contract_in_every_command(
+            self, command, path, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_cfg(tmp, mutated_benchmark(path, value))
+            code = main([command, "--config", cfg])
+        assert code in {0, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("path, value", [
+        (("solver", "k_schedule"), 5),
+        (("solver", "delta"), None),
+        (("solver", "rho"), "x"),
+        (("seed",), -1),
+    ], ids=["k_schedule", "delta", "rho", "seed"])
+    def test_verify_rejects_malformed_entry(self, tmp_path, capsys, path,
+                                            value):
+        # malformed input is a config error, not a failed invariant
+        cfg = write_cfg(tmp_path, mutated_benchmark(path, value))
+        assert main(["verify", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and "[FAIL]" not in out
+
+    def test_verify_negative_seed_option_exits_2(self, capsys):
+        assert main(["verify", "--config", config_path("benchmark_1d.json"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("path, quantity", [
+        (("problem", "f", "expr", "amplitude"), "norm f_N2"),
+        (("problem", "a0", "expr", "value"), "norm a0_N2"),
+        (("problem", "grid", "extents", 0), "f.expr"),
+        (("problem", "N"), "exponent_pair.sobolev"),
+        (("solver", "delta"), "K_delta"),
+    ], ids=["f-amplitude", "a0-value", "extents", "N", "delta"])
+    def test_overflowing_entry_names_the_quantity(self, tmp_path, capsys,
+                                                  path, quantity):
+        # RuntimeWarnings are errors in this suite, so none may escape either
+        cfg = write_cfg(tmp_path, mutated_benchmark(path, 1e308))
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and quantity in err
 
     def test_solve_nonconvergence(self, tmp_path):
         out = os.path.join(tmp_path, "out")

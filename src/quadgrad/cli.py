@@ -306,7 +306,7 @@ def cmd_verify(args):
         print(res.line())
     payload = [{"name": r.name, "ok": r.ok, "worst": r.worst, "detail": r.detail}
                for r in results]
-    _dump_json({"checks": payload, "seed": exp.seed},
+    _dump_json({"checks": payload, "seed": seed},
                args.out or exp.out_dir, "verify_report.json")
     return EXIT_OK if all(r.ok for r in results) else EXIT_INVARIANT
 
@@ -324,9 +324,11 @@ def build_parser():
                      ("verify", cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
+        if name == "verify":
+            # only verify samples; it overrides the config's seed
+            p.add_argument("--seed", type=int, default=None)
         if name == "sweep":
             p.add_argument("--mode", choices=("delta", "scales"),
                            default="delta")

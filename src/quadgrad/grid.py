@@ -11,7 +11,8 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
   * the divergence-form operator is assembled weakly as gradient^T followed
     by the per-edge coefficient, which makes
         <op u, v> = <A grad u, grad v>
-    an identity of floating-point sums, not an approximation;
+    an identity of floating-point sums, not an approximation (the stencil
+    takes 1/h^2 into the edge coefficients once, when it is built);
   * the dual norm of a source is the energy norm of its Riesz representative
     with respect to the plain Laplacian (coefficient-independent by the norm
     convention on the solution space);
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +37,8 @@ from .errors import DomainError, FieldValidationError, IterativeSolveFailure
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on a box, interior nodes only."""
+    """Uniform tensor grid on a box, interior nodes only (h and the node
+    measure are computed once per grid)."""
 
     extents: tuple
     shape: tuple
@@ -56,11 +59,11 @@ class Grid:
     def dim(self):
         return len(self.shape)
 
-    @property
+    @cached_property
     def h(self):
         return tuple(e / (n + 1) for e, n in zip(self.extents, self.shape))
 
-    @property
+    @cached_property
     def node_measure(self):
         return float(np.prod(self.h))
 
@@ -210,15 +213,20 @@ def gradient(v: ScalarField) -> VectorField:
                                 for (hi, lo), h in zip(plan.edges, g.h)))
 
 
+def node_average(grad: VectorField):
+    """Central differences at the nodes from a per-edge gradient."""
+    plan = kernels.stencil_plan(grad.grid.shape)
+    return tuple(0.5 * (d[lo] + d[hi])
+                 for d, (hi, lo) in zip(grad.components, plan.nodes))
+
+
 def nodal_gradient(v: ScalarField):
     """Central differences at the nodes (averaged adjacent edge slopes).
 
     Used for pointwise evaluation of the gradient nonlinearity; the energy
     machinery keeps the exact per-edge gradients.
     """
-    plan = kernels.stencil_plan(v.grid.shape)
-    return tuple(0.5 * (d[lo] + d[hi])
-                 for d, (hi, lo) in zip(gradient(v).components, plan.nodes))
+    return node_average(gradient(v))
 
 
 def lp_norm(v: ScalarField, p) -> float:
@@ -233,23 +241,28 @@ def inner_l2(u: ScalarField, v: ScalarField) -> float:
     return float(np.sum(u.values * v.values) * u.grid.node_measure)
 
 
+def energy_norm(grad: VectorField) -> float:
+    """L^2 norm of a per-edge gradient in the shared product measure."""
+    total = sum(float(np.sum(c * c)) for c in grad.components)
+    return float(np.sqrt(total * grad.grid.node_measure))
+
+
 def h1_seminorm(v: ScalarField) -> float:
     """Energy norm: L^2 norm of the per-edge gradient."""
-    comps = gradient(v).components
-    total = sum(float(np.sum(c * c)) for c in comps)
-    return float(np.sqrt(total * v.grid.node_measure))
+    return energy_norm(gradient(v))
 
 
 class DiffusionOperator:
-    """Matrix-free divergence-form operator -div(A grad .) on nodal arrays."""
+    """Matrix-free divergence-form operator -div(A grad .) on nodal arrays.
+
+    The stencil uses the edge coefficients ``coef`` times 1/h^2 per axis."""
 
     def __init__(self, A: MatrixField):
         self.grid = A.grid
         self.coef = A.edge_coefficients()
         self._plan = kernels.stencil_plan(self.grid.shape)
-        inv_h2 = tuple(1.0 / (h * h) for h in self.grid.h)
-        self._axes = tuple(zip(self.coef, inv_h2, self._plan.edges,
-                               self._plan.nodes))
+        scaled = tuple(c / (h * h) for c, h in zip(self.coef, self.grid.h))
+        self._axes = tuple(zip(scaled, self._plan.edges, self._plan.nodes))
         # eigenvalues of the mean-coefficient operator in the sine basis
         g = self.grid
         self._bases = tuple(kernels.sine_basis(n) for n in g.shape)
@@ -289,7 +302,8 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
     if b_norm == 0.0 and x0 is None:
         return x
-    r = rhs - apply_fn(x)
+    # the zero start's residual is rhs itself, with no operator application
+    r = np.array(rhs, dtype=float) if x0 is None else rhs - apply_fn(x)
     target = tol * max(b_norm, np.finfo(float).tiny)
     rr = float(np.vdot(r, r).real)
     if np.sqrt(rr) <= target:
@@ -381,10 +395,9 @@ def write_field_csv(field: ScalarField, path):
     g = field.grid
     header = [str(n) for n in g.shape] + [repr(h) for h in g.h]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for val in field.values.ravel(order="C"):
-            writer.writerow([repr(float(val))])
+        csv.writer(fh).writerow(header)
+        # one bare value per row, ended by the csv module's "\r\n"
+        fh.write("".join(f"{v!r}\r\n" for v in field.values.ravel().tolist()))
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

@@ -66,14 +66,15 @@ def zero_padded(v, plan):
 def apply_diffusion(v, axes, plan):
     """(2d+1)-point divergence-form stencil.
 
-    ``axes`` holds one (edge coefficient, 1/h^2, edge index, node index) tuple
-    per axis; the axis terms are summed in axis order starting from the first.
+    ``axes`` holds one (edge coefficient over h^2, edge index, node index)
+    tuple per axis; the axis terms are summed in axis order from the first.
     """
     ext = zero_padded(v, plan)
     out = None
-    for coef, inv_h2, (hi, lo), (nhi, nlo) in axes:
-        flux = coef * (ext[hi] - ext[lo])
-        term = (flux[nlo] - flux[nhi]) * inv_h2
+    for coef, (hi, lo), (nhi, nlo) in axes:
+        flux = ext[hi] - ext[lo]
+        flux *= coef
+        term = flux[nlo] - flux[nhi]
         if out is None:
             out = term
         else:

@@ -65,13 +65,15 @@ _CORE_COEFFS = [1.0 / ((j + 2.0) * (j + 1.0)) for j in range(18)]
 def _entropy_core(x):
     """(1+x)*log1p(x) - x for x >= 0, accurate (and nonnegative) near zero."""
     x = np.asarray(x, dtype=float)
-    direct = (1.0 + x) * np.log1p(x) - x
-    # below x ~ 0.1 the direct form cancels; a short alternating series is exact
-    acc = np.zeros_like(x)
+    out = np.asarray((1.0 + x) * np.log1p(x) - x)
+    # below x ~ 0.1 the direct form cancels; a short series replaces it there
+    small = x < 0.1
+    xs = x[small]
+    acc = np.zeros_like(xs)
     for c in reversed(_CORE_COEFFS):
-        acc = c - x * acc
-    series = x * x * acc
-    return np.where(x < 0.1, series, direct)
+        acc = c - xs * acc
+    out[small] = xs * xs * acc
+    return out
 
 
 def g_delta(t, delta):

@@ -11,7 +11,8 @@ Structure of one solve at truncation height k:
           operator (``DiffusionOperator.fast_inverse``);
   outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, each inner
           solve warm-started from the previous inner solution W, which
-          consecutive iterates barely move once the iteration settles; declared
+          consecutive iterates barely move once the iteration settles; the
+          edge gradients of W and W - w are carried to every energy; declared
           converged when the energy increment drops below outer_tol; the
           existence argument behind the scheme is non-constructive, so
           non-convergence within the budget is an honestly reported outcome,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,9 +40,12 @@ from .grid import (
     Grid,
     MatrixField,
     ScalarField,
+    VectorField,
     cg_solve,
+    energy_norm,
+    gradient,
     h1_seminorm,
-    nodal_gradient,
+    node_average,
 )
 from .nonlinearity import (
     HModel,
@@ -83,6 +87,9 @@ class SolverConfig:
         for name in ("max_outer", "max_inner"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        ks = tuple(self.k_schedule)
+        if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise DomainError(f"truncation schedule must be positive and increase, got {ks}")
 
 
 @dataclass
@@ -114,16 +121,18 @@ class SolveData:
         if self._node_A is None:
             self._node_A = self.A.node_values()
 
-    def node_quadratic_forms(self, w_vals):
-        """A(x) Dw.Dw and |Dw|^2 at the nodes, central-difference gradient."""
-        comps = nodal_gradient(ScalarField(self.grid, w_vals))
+    def node_quadratic_forms(self, w_vals, grad=None):
+        """A(x) Dw.Dw and |Dw|^2 at the nodes, central-difference gradient;
+        ``grad`` is w's edge gradient if held.  A is diagonal (see
+        ``MatrixField.edge_coefficients``), so only its diagonal enters."""
+        if grad is None:
+            grad = gradient(ScalarField(self.grid, w_vals))
+        comps = node_average(grad)
         grad_sq = sum(c * c for c in comps)
         na = self._node_A
-        d = self.grid.dim
         a_quad = np.zeros(self.grid.shape)
-        for i in range(d):
-            for j in range(d):
-                a_quad += na[..., i, j] * comps[i] * comps[j]
+        for i, c in enumerate(comps):
+            a_quad += na[..., i, i] * c * c
         return a_quad, grad_sq
 
 
@@ -140,7 +149,7 @@ class IterationRecord:
 
     def to_dict(self):
         """The trace row: every field, with ``slack`` as ``estimate_slack``."""
-        row = asdict(self)
+        row = dict(vars(self))
         row["estimate_slack"] = row.pop("slack")
         return row
 
@@ -169,9 +178,10 @@ def transformed_rhs(data: SolveData, w_vals, delta):
         + a0 * g_delta(w_vals, delta) * sign(w_vals)
 
 
-def zeroth_order_coefficient(data: SolveData, w_vals, delta, k):
-    """b = truncate(K_delta(x, w, Dw), k), validated nonnegative."""
-    a_quad, grad_sq = data.node_quadratic_forms(w_vals)
+def zeroth_order_coefficient(data: SolveData, w_vals, delta, k, grad=None):
+    """b = truncate(K_delta(x, w, Dw), k), validated nonnegative; ``grad``
+    is the per-edge gradient of w, if already computed."""
+    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
     kv = k_delta_field(w_vals, a_quad, grad_sq, delta, data.model)
     b = truncate(kv, k)
     floor = -1e-12 * (data.c0 + delta) * max(float(np.max(a_quad)), 1.0)
@@ -191,18 +201,19 @@ class InnerResult:
 
 
 def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
-                x0=None):
+                x0=None, grad=None):
     """Solve -div(A DW) + b sign_k(W) = rhs(w) by damped semismooth Newton.
 
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
     plus a nonnegative diagonal, solved matrix-free by conjugate gradients
-    preconditioned with the operator's mean-coefficient inverse.
+    preconditioned with the operator's mean-coefficient inverse.  ``grad`` is
+    the per-edge gradient of w when the caller carries it.
     """
     delta, k = cfg.delta, cfg.k
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = zeroth_order_coefficient(data, w.values, delta, k)
+            b = zeroth_order_coefficient(data, w.values, delta, k, grad)
             rhs = transformed_rhs(data, w.values, delta)
     except FloatingPointError as exc:
         raise TransformOverflowError(
@@ -213,11 +224,14 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     op = data.op
 
     def residual_vec(v):
-        return op.apply(v) + b * np.clip(k * v, -1.0, 1.0) - rhs
+        r = op.apply(v)
+        r += b * np.clip(k * v, -1.0, 1.0)
+        r -= rhs
+        return r
 
     target = cfg.inner_tol * max(rhs_l2, 1e-300)
     r = residual_vec(W)
-    res = float(np.sqrt(np.sum(r * r)))
+    res = float(np.sqrt(np.vdot(r, r)))
     for it in range(cfg.max_inner):
         if res <= target:
             return ScalarField(data.grid, W), InnerResult(it, res, rhs_l2)
@@ -234,7 +248,7 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         for _ in range(40):
             W_trial = W + t * step
             r_trial = residual_vec(W_trial)
-            res_trial = float(np.sqrt(np.sum(r_trial * r_trial)))
+            res_trial = float(np.sqrt(np.vdot(r_trial, r_trial)))
             if res_trial <= (1.0 - 1e-4 * t) * res:
                 W, r, res = W_trial, r_trial, res_trial
                 break
@@ -347,7 +361,10 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     """Relaxed Picard iteration on the inner solution map, started at zero.
 
     Every inner solve after the first starts Newton from the previous inner
-    solution.
+    solution.  Each iteration takes the per-edge gradients of W and W - w
+    once; every energy and, by linearity, the gradient of the relaxed iterate
+    (for the next K_delta) come from them.  The defect is differenced before
+    its gradient, so it stays accurate relative to itself as it vanishes.
 
     Returns (w_k, trace); raises MaxOuterIterations carrying the partial trace
     when the increment never drops below outer_tol.
@@ -361,15 +378,18 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     run_cfg = replace(cfg, k=k)
     trace = IterationTrace(k=k)
     w = ScalarField.zeros(data.grid)
-    norm_w = h1_seminorm(w)
+    grad_w = gradient(w)
+    norm_w = energy_norm(grad_w)
     max_rhs = 0.0
     final = False
     W = None
     for m in range(cfg.max_outer + 1):
         W, inner = inner_solve(w, data, run_cfg,
-                               x0=None if W is None else W.values)
-        norm_W = h1_seminorm(W)
-        defect = h1_seminorm(ScalarField(data.grid, W.values - w.values))
+                               x0=None if W is None else W.values, grad=grad_w)
+        grad_W = gradient(W)
+        grad_D = gradient(ScalarField(data.grid, W.values - w.values))
+        norm_W = energy_norm(grad_W)
+        defect = energy_norm(grad_D)
         if final:
             # one unrelaxed application pins the reported solution to the map
             norm_next, increment = norm_W, defect
@@ -378,7 +398,11 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             trace.eps_solver = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + max_rhs)
             w_next = ScalarField(
                 data.grid, (1.0 - cfg.rho) * w.values + cfg.rho * W.values)
-            norm_next = h1_seminorm(w_next)
+            # D w_next = DW - (1 - rho) D(W - w): the gradient is linear
+            grad_next = VectorField(data.grid, tuple(
+                gW - (1.0 - cfg.rho) * gD
+                for gW, gD in zip(grad_W.components, grad_D.components)))
+            norm_next = energy_norm(grad_next)
             increment = cfg.rho * defect
         in_ball = None
         if data.ball_radius is not None:
@@ -393,7 +417,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             trace.converged = True
             trace.residual = fixed_point_residual(W, data, cfg.delta, k=k)
             return W, trace
-        w, norm_w = w_next, norm_next
+        w, grad_w, norm_w = w_next, grad_next, norm_next
         # defect <= tol implies the relaxed increment is below tol as well;
         # gating on the defect keeps the reported fixed-point residual tight
         final = defect <= cfg.outer_tol
@@ -422,8 +446,6 @@ class LadderDiagnostics:
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     """Solve along the truncation schedule and collect diagnostics."""
     schedule = tuple(cfg.k_schedule) or (cfg.k,)
-    if any(k2 <= k1 for k1, k2 in zip(schedule, schedule[1:])):
-        raise DomainError(f"truncation schedule must increase, got {schedule}")
     n_ladder = tuple(n_ladder)
     solutions = []
     traces = []

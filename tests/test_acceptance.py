@@ -228,6 +228,16 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
         assert dev <= 1e-12, f"{label}: max |w - w_ref| = {dev:.3e}"
 
 
+def test_benchmark_iteration_counts(run_1d, run_2d):
+    # a change that only saves work must leave the trajectory where it is
+    for run, picard, newton in ((run_1d, [46, 42, 42, 42], 176),
+                                (run_2d, [54, 39, 38, 38], 178)):
+        traces = run[3]
+        assert [len(t.records) for t in traces] == picard
+        assert sum(r.inner_iterations
+                   for t in traces for r in t.records) == newton
+
+
 def test_warm_started_newton_steps_per_picard(run_1d):
     # each inner solve starts from the previous inner solution, which
     # consecutive Picard iterates barely move

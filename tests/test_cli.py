@@ -195,6 +195,32 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err.startswith("config error:") and "[FAIL]" not in out
 
+    @pytest.mark.parametrize("command", ["constants", "check", "sweep",
+                                         "verify", "solve"])
+    @pytest.mark.parametrize("index, value", [(1, 5.0), (0, 1e308)],
+                             ids=["repeated", "huge-first"])
+    def test_non_increasing_schedule_exits_2(self, tmp_path, capsys, command,
+                                             index, value):
+        cfg = mutated_benchmark(("solver", "k_schedule", index), value)
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: truncation schedule")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "sweep",
+                                         "solve"])
+    def test_seed_option_only_where_sampled(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path("benchmark_1d.json"),
+                  "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_verify_records_the_seed_used(self, tmp_path, capsys):
+        assert main(["verify", "--config", config_path("benchmark_1d.json"),
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+        with open(os.path.join(tmp_path, "verify_report.json")) as fh:
+            assert json.load(fh)["seed"] == 5
+
     def test_verify_negative_seed_option_exits_2(self, capsys):
         assert main(["verify", "--config", config_path("benchmark_1d.json"),
                      "--seed", "-1"]) == 2

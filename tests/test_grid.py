@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 
@@ -192,6 +194,29 @@ class TestOperator:
         with pytest.raises(FieldValidationError):
             MatrixField(g, np.diag([1.0, 0.2]), alpha=0.5)
 
+    def test_zero_start_cg_saves_one_apply(self, rng):
+        # the zero start's residual is rhs itself: same iterates, no apply
+        g = Grid((1.0, 1.3), (10, 12))
+        cells = np.zeros((11, 13, 2, 2))
+        cells[..., 0, 0] = rng.uniform(1.0, 2.0, (11, 13))
+        cells[..., 1, 1] = rng.uniform(1.0, 3.0, (11, 13))
+        op = DiffusionOperator(MatrixField(g, cells, alpha=1.0))
+        rhs = rng.standard_normal(g.shape)
+        applies = []
+
+        def counted(v):
+            applies.append(1)
+            return op.apply(v)
+
+        runs = []
+        for x0 in (None, np.zeros(g.shape)):
+            applies.clear()
+            x = cg_solve(counted, rhs, tol=1e-12, x0=x0, precond=op.fast_inverse)
+            runs.append((x, len(applies)))
+        (x_none, n_none), (x_zero, n_zero) = runs
+        assert np.array_equal(x_none, x_zero)
+        assert n_none == n_zero - 1
+
     def test_cg_failure_reported(self):
         g = Grid((1.0,), (32,))
         op = DiffusionOperator(MatrixField.identity(g))
@@ -358,6 +383,22 @@ class TestFieldIO:
         assert np.array_equal(back.values, f.values)
         with pytest.raises(FieldValidationError):
             read_field_csv(path, grid=Grid((1.0, 2.0), (5, 9)))
+
+    def test_bytes_match_csv_module(self, tmp_path, rng):
+        # one value per csv row, written by the csv module, is the format
+        g = Grid((1.0, 2.0), (5, 8))
+        vals = rng.standard_normal((5, 8))
+        vals[0, :4] = (-0.0, 1e-300, 123456789.0, -5e-324)
+        f = ScalarField(g, vals)
+        path = os.path.join(tmp_path, "field.csv")
+        write_field_csv(f, path)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow([str(n) for n in g.shape] + [repr(h) for h in g.h])
+        for val in f.values.ravel():
+            writer.writerow([repr(float(val))])
+        with open(path, "rb") as fh:
+            assert fh.read() == buf.getvalue().encode()
 
     def test_malformed_header(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from quadgrad.constants import c_lambda_bound
 from quadgrad.errors import CertificateError, DomainError, TransformOverflowError
 from quadgrad.nonlinearity import (
+    _CORE_COEFFS,
     HModel,
+    _entropy_core,
     f_hat,
     g_delta,
     k_delta,
@@ -39,6 +41,16 @@ EXTREMAL = HModel(kind="shape_times_quadratic", shape="sign", coeff=0.5,
 MU = HModel(kind="mu_gradsq", mu=0.15, gamma_cert=0.5, c0_cert=0.3)
 
 CATALOG = [ZERO, TANH, EXTREMAL, MU]
+
+
+def entropy_core_both_branches(x):
+    """(1+x)log1p(x) - x with the series evaluated on every entry."""
+    x = np.asarray(x, dtype=float)
+    direct = (1.0 + x) * np.log1p(x) - x
+    acc = np.zeros_like(x)
+    for c in reversed(_CORE_COEFFS):
+        acc = c - x * acc
+    return np.where(x < 0.1, x * x * acc, direct)
 
 
 class TestSign:
@@ -114,6 +126,27 @@ class TestCorrectionTerm:
                 scale = max(1.0, ref)
                 worst = max(worst, abs(mine - ref) / scale)
         assert worst <= 5e-15
+
+    def test_core_matches_both_branch_form(self, rng):
+        # the series runs only where it is used; every value stays the same
+        x = np.concatenate([rng.uniform(0.0, 0.2, 400), rng.uniform(0.0, 40.0, 80),
+                            [0.0, 0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0)]])
+        rng.shuffle(x)
+        for arr in (x, x.reshape(4, -1), np.array([]), np.array([0.5]),
+                    np.array([0.05])):
+            out = _entropy_core(arr)
+            assert out.shape == arr.shape
+            assert np.array_equal(out, entropy_core_both_branches(arr))
+        for v in (0.0, 0.05, 0.1, 0.3, 7.0):
+            out = _entropy_core(np.array(v))
+            assert out.shape == ()
+            assert out == entropy_core_both_branches(np.array(v))
+            for d in (0.5, 3.0):
+                ref = entropy_core_both_branches(d * abs(v)) / d
+                scalar = g_delta(v, d)
+                assert type(scalar) is float and scalar == ref
+                assert g_delta(np.array(v), d) == ref
+        assert g_delta(np.array([]), 0.5).shape == (0,)
 
     def test_substitution_identity_pointwise(self):
         # algebraic identity: t + g*sign(t) equals the substitution image of t

@@ -1,14 +1,17 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import load_benchmark
+from quadgrad import solver
 from quadgrad.config import build_experiment
 from quadgrad.errors import DomainError, MaxOuterIterations, NewtonStall
 from quadgrad.grid import Grid, ScalarField, h1_seminorm
 from quadgrad.nonlinearity import sign_k, truncate
 from quadgrad.solver import (
+    IterationRecord,
     SolverConfig,
     estimate_check,
     fixed_point_residual,
@@ -205,8 +208,8 @@ class TestContinuation:
         assert np.all(diag.tail_energy == 0.0)
 
     def test_schedule_must_increase(self):
-        exp = make_exp(k_schedule=[10.0, 5.0])
         with pytest.raises(DomainError):
+            exp = make_exp(k_schedule=[10.0, 5.0])
             k_continuation(exp.data, exp.solver_cfg)
 
     def test_saturated_truncation_reproduces_solution(self):
@@ -337,6 +340,41 @@ class TestVariableCoefficient2D:
         assert A.node_values().shape == (10, 12, 2, 2)
         res = check_integration_by_parts(A, rng)
         assert res.ok, res.line()
+
+
+class TestOuterLoopEnergies:
+    @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
+    def test_reported_energies_are_the_fields_energies(self, monkeypatch,
+                                                       dim, n):
+        # the loop takes its energies from carried edge gradients
+        exp = make_exp(n=n, dim=dim)
+        pairs = []
+        inner = solver.inner_solve
+
+        def recording(w, *args, **kwargs):
+            W, info = inner(w, *args, **kwargs)
+            pairs.append((w, W))
+            return W, info
+
+        monkeypatch.setattr(solver, "inner_solve", recording)
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        assert trace.converged and len(pairs) == len(trace.records)
+        rho = exp.solver_cfg.rho
+        for rec, (w, W) in zip(trace.records, pairs):
+            defect = h1_seminorm(ScalarField(exp.grid, W.values - w.values))
+            step = defect if rec is trace.records[-1] else rho * defect
+            for got, want in ((rec.grad_norm_w, h1_seminorm(w)),
+                              (rec.grad_norm_W, h1_seminorm(W)),
+                              (rec.increment, step)):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_trace_row_is_the_dataclass_row(self):
+        rec = IterationRecord(m=3, grad_norm_w=0.1, grad_norm_W=np.float64(0.2),
+                              increment=1e-11, slack=-0.0, inner_iterations=1,
+                              rhs_l2=2.5, in_ball=None)
+        row = asdict(rec)
+        row["estimate_slack"] = row.pop("slack")
+        assert rec.to_json() == json.dumps(row, sort_keys=True)
 
 
 class TestRemarkMode:

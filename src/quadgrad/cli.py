@@ -25,9 +25,9 @@ from .errors import (
     CertificateError,
     ConfigError,
     FieldValidationError,
-    MaxOuterIterations,
     QuadgradError,
     SmallnessViolated,
+    SolverFailure,
 )
 from .grid import ScalarField, write_field_csv
 from .nonlinearity import transform_inverse
@@ -47,7 +47,7 @@ EXIT_INVARIANT = 5
 # exit code and stderr prefix of an error escaping a command; first match wins
 _EXIT_TABLE = (
     (SmallnessViolated, EXIT_SMALLNESS, "smallness violation"),
-    (MaxOuterIterations, EXIT_NONCONVERGENCE, "solver non-convergence"),
+    (SolverFailure, EXIT_NONCONVERGENCE, "solver non-convergence"),
     (QuadgradError, EXIT_CONFIG, "config error"),
 )
 
@@ -129,11 +129,8 @@ def cmd_solve(args):
     data, cfg = exp.data, exp.solver_cfg
     try:
         w_star, diag, traces = k_continuation(data, cfg, n_ladder=exp.n_ladder)
-    except MaxOuterIterations as exc:
-        traces = list(getattr(exc, "partial_traces", []) or [])
-        if exc.trace is not None:
-            traces.append(exc.trace)
-        _write_trace(traces, out_dir)
+    except SolverFailure as exc:
+        _write_trace(exc.traces + [exc.trace], out_dir)
         raise
     _write_trace(traces, out_dir)
     _write_diagnostics(diag, out_dir)
@@ -240,21 +237,23 @@ def _equivalence_crosscheck(exp: Experiment):
     try:
         for scale in (4, 2):
             n_override = [max(8, n // scale) for n in exp.grid.shape]
-            coarse = build_experiment(
-                exp.raw, base_dir=exp.base_dir,
-                overrides={"n": n_override,
-                           "solver": {"rho": 0.5, "outer_tol": 1e-9,
-                                      "max_outer": 500, "k_schedule": [],
-                                      "k": k_final}},
-            )
+            try:
+                coarse = build_experiment(
+                    exp.raw, base_dir=exp.base_dir,
+                    overrides={"n": n_override,
+                               "solver": {"rho": 0.5, "outer_tol": 1e-9,
+                                          "max_outer": 500, "k_schedule": [],
+                                          "k": k_final}},
+                )
+            except (SmallnessViolated, FieldValidationError) as exc:
+                # inadmissible data is a verdict, not an invariant violation
+                # (the check command reports it with its own exit code); a
+                # field read from CSV is fixed to its own grid
+                return validate.CheckResult(
+                    "equivalence cross-check", True, math.nan, f"skipped: {exc}")
             w, _, _ = k_continuation(coarse.data, coarse.solver_cfg)
             residuals.append(
                 original_residual(w, coarse.data, coarse.solver_cfg.delta))
-    except SmallnessViolated as exc:
-        # inadmissible data is a verdict, not an invariant violation; the
-        # check command reports it with its own exit code
-        return validate.CheckResult(
-            "equivalence cross-check", True, math.nan, f"skipped: {exc}")
     except QuadgradError as exc:
         return validate.CheckResult(
             "equivalence cross-check", False, math.nan, f"solve failed: {exc}")

@@ -32,6 +32,7 @@ from .constants import (
     zeros_y,
 )
 from .errors import (
+    CertificateError,
     ConfigError,
     DomainError,
     ExponentOutOfRange,
@@ -160,7 +161,8 @@ def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
                 _number(value, f"{name}.expr.{key}")
         try:
             return _finite(f"{name}.expr", field_from_expression, grid, expr)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, FieldValidationError) as exc:
+            # FieldValidationError: a kind outside the expression catalog
             raise ConfigError(f"malformed {name}.expr: {exc!r}") from exc
     raise ConfigError(f"{name} needs either a 'csv' path or an 'expr' entry")
 
@@ -205,7 +207,8 @@ def _build_model(spec, grid, base_dir, gamma, c0, alpha,
             model = HModel(kind=kind, mu=mu, gamma_cert=gamma, c0_cert=c0)
         else:
             raise ConfigError(f"unknown nonlinearity kind {kind!r}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, CertificateError) as exc:
+        # CertificateError: a shape outside the catalog, or gamma/c0 out of range
         raise ConfigError(f"malformed nonlinearity spec: {exc}") from exc
     if enforce_certificate and not model.analytic_certificate_ok(alpha):
         raise ConfigError(

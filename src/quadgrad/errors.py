@@ -48,29 +48,28 @@ class FieldValidationError(QuadgradError):
     """A grid field violates its structural invariants (finiteness, symmetry, SPD)."""
 
 
-class IterativeSolveFailure(QuadgradError):
+class SolverFailure(QuadgradError):
+    """A solve stopped short of its tolerance: reported, never retried."""
+
+    def __init__(self, message, residual=None, iterations=None, trace=None):
+        super().__init__(message)
+        self.residual = residual      # of the loop that gave up
+        self.iterations = iterations  # that loop's iterations
+        self.trace = trace            # failing level's partial IterationTrace
+        self.traces = []              # finished levels' IterationTraces
+        self.diagnostics = None       # their LadderDiagnostics
+
+
+class IterativeSolveFailure(SolverFailure):
     """Conjugate gradients failed to reach the requested residual."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
-
-class NewtonStall(QuadgradError):
+class NewtonStall(SolverFailure):
     """Semismooth Newton line search exhausted before reaching tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class MaxOuterIterations(QuadgradError):
+class MaxOuterIterations(SolverFailure):
     """Fixed-point iteration did not converge within the iteration budget."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class ConfigError(QuadgradError):

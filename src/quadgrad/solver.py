@@ -27,14 +27,14 @@ discrete inequality when the constants are the discrete ones.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, MaxOuterIterations, NewtonStall, TransformOverflowError
+from .errors import (DomainError, MaxOuterIterations, NewtonStall, SolverFailure,
+                     TransformOverflowError)
 from .grid import (
     DiffusionOperator,
     Grid,
@@ -153,9 +153,6 @@ class IterationRecord:
         row["estimate_slack"] = row.pop("slack")
         return row
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
 class IterationTrace:
@@ -166,9 +163,6 @@ class IterationTrace:
     converged: bool = False
     residual: float | None = None
     eps_solver: float = 0.0
-
-    def rows(self):
-        return [r.to_json() for r in self.records]
 
 
 def transformed_rhs(data: SolveData, w_vals, delta):
@@ -255,14 +249,14 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
             t *= 0.5
         else:
             raise NewtonStall(
-                f"line search exhausted at residual {res:g}", residual=res
-            )
+                f"line search exhausted at residual {res:g}", residual=res,
+                iterations=it)
     if res <= target:
         return ScalarField(data.grid, W), InnerResult(cfg.max_inner, res, rhs_l2)
     raise NewtonStall(
         f"inner Newton out of budget ({cfg.max_inner} iterations) at residual "
         f"{res:g} (target {target:g})", residual=res,
-    )
+        iterations=cfg.max_inner)
 
 
 def estimate_check(w: ScalarField, W: ScalarField, data: SolveData,
@@ -366,8 +360,9 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     (for the next K_delta) come from them.  The defect is differenced before
     its gradient, so it stays accurate relative to itself as it vanishes.
 
-    Returns (w_k, trace); raises MaxOuterIterations carrying the partial trace
-    when the increment never drops below outer_tol.
+    Returns (w_k, trace).  Raises MaxOuterIterations when the increment never
+    drops below outer_tol; it and any SolverFailure of an inner solve leave
+    with ``trace``, this level's partial trace, attached.
     """
     if cfg.delta < data.gamma:
         raise DomainError(
@@ -384,8 +379,12 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     final = False
     W = None
     for m in range(cfg.max_outer + 1):
-        W, inner = inner_solve(w, data, run_cfg,
-                               x0=None if W is None else W.values, grad=grad_w)
+        try:
+            W, inner = inner_solve(w, data, run_cfg,
+                                   x0=None if W is None else W.values, grad=grad_w)
+        except SolverFailure as exc:
+            exc.trace = trace
+            raise
         grad_W = gradient(W)
         grad_D = gradient(ScalarField(data.grid, W.values - w.values))
         norm_W = energy_norm(grad_W)
@@ -444,7 +443,11 @@ class LadderDiagnostics:
 
 
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
-    """Solve along the truncation schedule and collect diagnostics."""
+    """Solve along the truncation schedule and collect diagnostics.
+
+    A SolverFailure leaves with the finished heights' ``traces`` and
+    ``diagnostics`` attached, next to the failing height's partial ``trace``.
+    """
     schedule = tuple(cfg.k_schedule) or (cfg.k,)
     n_ladder = tuple(n_ladder)
     solutions = []
@@ -459,9 +462,8 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     for kidx, k in enumerate(schedule):
         try:
             w_k, trace = outer_fixed_point(data, cfg, k=k)
-        except MaxOuterIterations as exc:
-            exc.diagnostics = diag
-            exc.partial_traces = traces
+        except SolverFailure as exc:
+            exc.traces, exc.diagnostics = traces, diag
             raise
         solutions.append(w_k)
         traces.append(trace)

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_path, load_benchmark
+from quadgrad import cli, errors
 from quadgrad.cli import main
-from quadgrad.grid import read_field_csv
+from quadgrad.config import experiment_from_file
+from quadgrad.grid import Grid, field_from_expression, read_field_csv, write_field_csv
 from quadgrad.nonlinearity import transform_inverse
+from quadgrad.solver import k_continuation
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -186,7 +189,13 @@ class TestExitCodes:
         (("solver", "delta"), None),
         (("solver", "rho"), "x"),
         (("seed",), -1),
-    ], ids=["k_schedule", "delta", "rho", "seed"])
+        (("problem", "f", "expr", "kind"), "bogus"),
+        (("problem", "a0", "expr", "kind"), "bogus"),
+        (("problem", "H"), {"kind": "mu_gradsq",
+                            "mu": {"expr": {"kind": "bogus"}}}),
+        (("problem", "H", "shape"), "cubic"),
+    ], ids=["k_schedule", "delta", "rho", "seed", "f-kind", "a0-kind",
+            "mu-kind", "H-shape"])
     def test_verify_rejects_malformed_entry(self, tmp_path, capsys, path,
                                             value):
         # malformed input is a config error, not a failed invariant
@@ -250,6 +259,49 @@ class TestExitCodes:
             rows = [json.loads(line) for line in fh]
         assert len(rows) == 6  # complete trace of the exhausted budget
         assert all(row["increment"] > 1e-12 for row in rows)
+
+    def test_inner_failure_exits_4_with_trace(self, tmp_path, capsys):
+        # one Newton step per inner solve finishes the first level, then
+        # runs out of budget in a later one
+        cfg = write_cfg(tmp_path, mutated_benchmark(("solver", "max_inner"), 1))
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 4
+        assert capsys.readouterr().err.startswith("solver non-convergence:")
+        exp = experiment_from_file(cfg)
+        with pytest.raises(errors.NewtonStall) as err:
+            k_continuation(exp.data, exp.solver_cfg, n_ladder=exp.n_ladder)
+        finished, partial = err.value.traces, err.value.trace
+        assert finished and all(t.converged for t in finished)
+        with open(os.path.join(out, "trace.jsonl")) as fh:
+            rows = [json.loads(line) for line in fh]
+        assert len(rows) == sum(len(t.records) for t in finished) \
+            + len(partial.records)
+        assert rows[-1]["k"] == partial.k
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("kind", [errors.QuadgradError,
+                                  *_subclasses(errors.QuadgradError)],
+                         ids=lambda kind: kind.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, kind):
+    # a new error class must not fall through to "config error" unnoticed
+    def fail(args):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "cmd_constants", fail)
+    code = main(["constants", "--config", "unused.json"])
+    if issubclass(kind, errors.SmallnessViolated):
+        want = 3, "smallness violation: boom"
+    elif issubclass(kind, errors.SolverFailure):
+        want = 4, "solver non-convergence: boom"
+    else:
+        want = 2, "config error: boom"
+    assert (code, capsys.readouterr().err.strip()) == want
 
 
 class TestConstantsCommand:
@@ -403,6 +455,17 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 5
         text = capsys.readouterr().out
         assert "[FAIL] growth certificate" in text
+
+    def test_verify_with_f_from_csv(self, tmp_path, capsys):
+        # a CSV field has no coarse version, so the cross-check is skipped
+        cfg = load_benchmark("benchmark_1d.json")
+        grid = Grid((1.0,), tuple(cfg["problem"]["grid"]["n"]))
+        write_field_csv(field_from_expression(grid, cfg["problem"]["f"]["expr"]),
+                        os.path.join(tmp_path, "f.csv"))
+        cfg["problem"]["f"] = {"csv": "f.csv"}
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+        text = capsys.readouterr().out
+        assert "[PASS] equivalence cross-check" in text and "skipped" in text
 
 
 class TestMuFromFile:

@@ -194,8 +194,8 @@ class TestOuterIteration:
         with pytest.raises(MaxOuterIterations) as err:
             outer_fixed_point(exp.data, exp.solver_cfg)
         assert len(err.value.trace.records) == 3
-        rows = err.value.trace.rows()
-        assert all(json.loads(r)["increment"] > 0 for r in rows)
+        rows = [r.to_dict() for r in err.value.trace.records]
+        assert all(r["increment"] > 0 for r in rows)
 
 
 class TestContinuation:
@@ -243,6 +243,29 @@ class TestContinuation:
         with pytest.raises(MaxOuterIterations) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
         assert hasattr(err.value, "diagnostics")
+
+    def test_inner_failure_carries_finished_and_partial_traces(
+            self, monkeypatch):
+        # stall the third inner solve of the second height
+        calls = []
+
+        def stalling(w, data, cfg, **kw):
+            calls.append(cfg.k)
+            if calls.count(25.0) == 3:
+                raise NewtonStall("stalled", residual=1.0, iterations=40)
+            return inner_solve(w, data, cfg, **kw)
+
+        monkeypatch.setattr(solver, "inner_solve", stalling)
+        exp = make_exp(n=48, k_schedule=[5.0, 25.0])
+        with pytest.raises(NewtonStall) as err:
+            k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
+        exc = err.value
+        assert [t.k for t in exc.traces] == [5.0] and exc.traces[0].converged
+        assert len(exc.traces[0].records) == calls.count(5.0)
+        assert exc.trace.k == 25.0 and len(exc.trace.records) == 2
+        assert not exc.trace.converged
+        assert exc.diagnostics.residuals == [exc.traces[0].residual]
+        assert (exc.residual, exc.iterations) == (1.0, 40)
 
 
 class TestTruncationMonotonicity:
@@ -374,7 +397,8 @@ class TestOuterLoopEnergies:
                               rhs_l2=2.5, in_ball=None)
         row = asdict(rec)
         row["estimate_slack"] = row.pop("slack")
-        assert rec.to_json() == json.dumps(row, sort_keys=True)
+        assert json.dumps(rec.to_dict(), sort_keys=True) \
+            == json.dumps(row, sort_keys=True)
 
 
 class TestRemarkMode:

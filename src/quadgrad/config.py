@@ -153,7 +153,12 @@ def _resolve_path(base_dir, path):
 def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
     _object(spec, name)
     if "csv" in spec:
-        return read_field_csv(_resolve_path(base_dir, spec["csv"]), grid)
+        path = _resolve_path(base_dir, spec["csv"])
+        try:
+            return read_field_csv(path, grid)
+        except FieldValidationError as exc:
+            # a malformed file, or one written on another grid
+            raise ConfigError(f"{name}.csv: {exc}") from exc
     if "expr" in spec:
         expr = _object(spec["expr"], f"{name}.expr")
         for key, value in expr.items():

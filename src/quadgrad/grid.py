@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -255,11 +255,16 @@ def h1_seminorm(v: ScalarField) -> float:
 class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays.
 
-    The stencil uses the edge coefficients ``coef`` times 1/h^2 per axis."""
+    The stencil uses the edge coefficients ``coef`` times 1/h^2 per axis.
+    ``inverse_is_exact`` says whether each axis's edge coefficients are all
+    equal, which makes ``fast_inverse`` the stencil's exact inverse (true of
+    every A a config can build); CG then carries the stencil's image of its
+    search direction instead of applying the stencil (``cg_solve(exact=)``)."""
 
     def __init__(self, A: MatrixField):
         self.grid = A.grid
         self.coef = A.edge_coefficients()
+        self.inverse_is_exact = all(np.all(c == c.flat[0]) for c in self.coef)
         self._plan = kernels.stencil_plan(self.grid.shape)
         scaled = tuple(c / (h * h) for c, h in zip(self.coef, self.grid.h))
         self._axes = tuple(zip(scaled, self._plan.edges, self._plan.nodes))
@@ -281,52 +286,75 @@ class DiffusionOperator:
         """Exact inverse of the mean-coefficient operator, by sine transforms.
 
         Each axis's edge coefficients are replaced by their mean, which makes
-        the operator diagonal in the product sine basis.  For a constant A
-        (every coefficient a config can build) this is the exact inverse of
-        the operator; for a per-cell A it is the spectrally equivalent
-        preconditioner of Concus & Golub (SIAM J. Numer. Anal. 10, 1973).
+        the operator diagonal in the product sine basis.  When they are
+        already equal (``inverse_is_exact``; every coefficient a config can
+        build) this is the exact inverse of the operator; for a per-cell A it
+        is the spectrally equivalent preconditioner of Concus & Golub (SIAM
+        J. Numer. Anal. 10, 1973).
         """
         spectrum = kernels.sine_transform(r, self._bases)
         return kernels.sine_transform(spectrum * self._inv_eig, self._bases)
 
 
 def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
-             x0=None, precond=None):
-    """Conjugate gradients on nodal arrays, relative-residual stopping rule.
+             x0=None, precond=None, shift=None, exact=False,
+             full_output=False):
+    """Conjugate gradients for (L + diag(shift)) x = rhs on nodal arrays.
 
-    ``precond`` applies a symmetric positive-definite approximate inverse
-    (preconditioned CG); without it this is plain CG.  Either way the rule
-    is on the unpreconditioned residual, |r| <= tol |rhs|.
+    ``apply_fn`` applies L; ``shift`` is a nonnegative diagonal (none by
+    default).  ``precond`` applies a symmetric positive-definite approximate
+    inverse of L (preconditioned CG); without it this is plain CG.  With
+    ``exact`` it is L's exact inverse, so L z = r for every preconditioned
+    residual and the image of the search direction p = z + beta p is carried
+    as L p = r + beta L p (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981):
+    the loop then never calls ``apply_fn``.  The stopping rule is on the
+    unpreconditioned residual, |r| <= tol |rhs|.  Returns x, or
+    (x, iterations) with ``full_output``.
     """
+    def done(x, iterations):
+        return (x, iterations) if full_output else x
+
+    def operator(v):
+        return apply_fn(v) if shift is None else apply_fn(v) + shift * v
+
     b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
     if b_norm == 0.0 and x0 is None:
-        return x
+        return done(x, 0)
     # the zero start's residual is rhs itself, with no operator application
-    r = np.array(rhs, dtype=float) if x0 is None else rhs - apply_fn(x)
+    r = np.array(rhs, dtype=float) if x0 is None else rhs - operator(x)
     target = tol * max(b_norm, np.finfo(float).tiny)
     rr = float(np.vdot(r, r).real)
     if np.sqrt(rr) <= target:
-        return x
+        return done(x, 0)
     if precond is None:
         def precond(v):
             return v
     z = precond(r)
     p = z.copy()
+    lp = r.copy() if exact else None
     rz = float(np.vdot(r, z).real)
     if maxiter is None:
         maxiter = 20 * rhs.size + 100
-    for _ in range(maxiter):
-        ap = apply_fn(p)
+    for it in range(1, maxiter + 1):
+        if not exact:
+            ap = operator(p)
+        else:
+            ap = lp if shift is None else shift * p + lp
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
         r -= alpha * ap
         rr = float(np.vdot(r, r).real)
         if np.sqrt(rr) <= target:
-            return x
+            return done(x, it)
         z = precond(r)
         rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p *= beta
+        p += z
+        if exact:
+            lp *= beta
+            lp += r
         rz = rz_new
     raise IterativeSolveFailure(
         f"conjugate gradients stalled at relative residual "
@@ -336,13 +364,18 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
     )
 
 
+@lru_cache(maxsize=32)
+def laplacian(grid: Grid) -> DiffusionOperator:
+    """The plain Laplacian of a grid, built once per grid."""
+    return DiffusionOperator(MatrixField.identity(grid))
+
+
 def riesz_representative(f: ScalarField) -> ScalarField:
     """Solve the plain Poisson problem with source f (the dual-norm lift).
 
     The solve is exact, by sine transforms.
     """
-    lap = DiffusionOperator(MatrixField.identity(f.grid))
-    return ScalarField(f.grid, lap.fast_inverse(f.values))
+    return ScalarField(f.grid, laplacian(f.grid).fast_inverse(f.values))
 
 
 def hminus1_norm(f: ScalarField) -> float:
@@ -370,7 +403,7 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
     """
     if p <= 2:
         raise DomainError(f"estimator requires p > 2, got {p}")
-    lap = DiffusionOperator(MatrixField.identity(grid))
+    lap = laplacian(grid)
     bump = ScalarField.from_function(
         grid, lambda *xs: np.prod(
             [np.sin(np.pi * x / e) for x, e in zip(xs, grid.extents)], axis=0)
@@ -404,15 +437,20 @@ def read_field_csv(path, grid: Grid | None = None) -> ScalarField:
     """Read a field CSV; reconstructs the grid from the header if not given."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        flat = np.array([float(row[0]) for row in reader if row])
+        header = next(reader, [])
+        try:
+            flat = np.array([float(row[0]) for row in reader if row])
+        except ValueError as exc:
+            raise FieldValidationError(f"field file {path}: {exc}") from exc
     dim, odd = divmod(len(header), 2)
-    if dim == 0 or odd:
+    try:
+        if dim == 0 or odd:
+            raise ValueError("expected nx[,ny],hx[,hy]")
+        shape = tuple(int(n) for n in header[:dim])
+        h = tuple(float(hi) for hi in header[dim:])
+    except ValueError as exc:
         raise FieldValidationError(
-            f"malformed field header {header!r}: expected nx[,ny],hx[,hy]"
-        )
-    shape = tuple(int(n) for n in header[:dim])
-    h = tuple(float(hi) for hi in header[dim:])
+            f"malformed field header {header!r} in {path}: {exc}") from exc
     extents = tuple(hi * (n + 1) for hi, n in zip(h, shape))
     file_grid = Grid(extents, shape)
     if grid is not None:

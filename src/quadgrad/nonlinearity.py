@@ -62,10 +62,13 @@ def remainder(s, n):
 _CORE_COEFFS = [1.0 / ((j + 2.0) * (j + 1.0)) for j in range(18)]
 
 
-def _entropy_core(x):
-    """(1+x)*log1p(x) - x for x >= 0, accurate (and nonnegative) near zero."""
+def _entropy_core(x, one_p=None, log1p_x=None):
+    """(1+x)*log1p(x) - x for x >= 0, accurate (and nonnegative) near zero;
+    ``one_p`` = 1 + x and ``log1p_x`` = log1p(x) when already computed."""
     x = np.asarray(x, dtype=float)
-    out = np.asarray((1.0 + x) * np.log1p(x) - x)
+    if one_p is None:
+        one_p, log1p_x = 1.0 + x, np.log1p(x)
+    out = np.asarray(one_p * log1p_x - x)
     # below x ~ 0.1 the direct form cancels; a short series replaces it there
     small = x < 0.1
     xs = x[small]
@@ -226,6 +229,20 @@ def k_delta_signed(A, t, zeta, delta, model: HModel):
     return -float(h_val)
 
 
+def _point_terms(t, delta):
+    """delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t), each once."""
+    t = np.asarray(t, dtype=float)
+    x = delta * np.abs(t)
+    return x, 1.0 + x, np.log1p(x), np.sign(t)
+
+
+def _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model):
+    """k_delta over nodal arrays from the pointwise terms of t."""
+    s = log1p_x / delta * sgn
+    h_val = model.evaluate(s, a_quad / one_p**2, grad_sq / one_p**2)
+    return delta / one_p * a_quad - one_p * h_val * sgn
+
+
 def k_delta_field(t, a_quad, grad_sq, delta, model: HModel):
     """Vectorized k_delta over nodal arrays.
 
@@ -233,8 +250,17 @@ def k_delta_field(t, a_quad, grad_sq, delta, model: HModel):
     """
     if delta <= 0:
         raise DomainError(f"substitution parameter must be positive, got {delta}")
-    t = np.asarray(t, dtype=float)
-    one_p = 1.0 + delta * np.abs(t)
-    s = np.log1p(delta * np.abs(t)) / delta * np.sign(t)
-    h_val = model.evaluate(s, a_quad / one_p**2, grad_sq / one_p**2)
-    return delta / one_p * a_quad - one_p * h_val * np.sign(t)
+    _, one_p, log1p_x, sgn = _point_terms(t, delta)
+    return _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model)
+
+
+def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
+    """``k_delta_field``, ``g_delta``, 1 + delta|t| and sign(t) over nodal
+    arrays, with delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t)
+    evaluated once; each result equals its separate evaluation bit for bit.
+    """
+    if delta <= 0:
+        raise DomainError(f"substitution parameter must be positive, got {delta}")
+    x, one_p, log1p_x, sgn = _point_terms(t, delta)
+    k = _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model)
+    return k, _entropy_core(x, one_p, log1p_x) / delta, one_p, sgn

@@ -8,7 +8,8 @@ Structure of one solve at truncation height k:
           Newton (unique solution, start-independent).  Each Newton step
           solves operator-plus-diagonal by conjugate gradients preconditioned
           with the exact sine-transform inverse of the mean-coefficient
-          operator (``DiffusionOperator.fast_inverse``);
+          operator (``DiffusionOperator.fast_inverse``); where that inverse
+          is the operator's own, CG applies no stencil;
   outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, each inner
           solve warm-started from the previous inner solution W, which
           consecutive iterates barely move once the iteration settles; the
@@ -56,6 +57,7 @@ from .nonlinearity import (
     sign_k,
     transform_forward,
     transform_inverse,
+    transformed_terms,
     truncate,
 )
 
@@ -144,6 +146,7 @@ class IterationRecord:
     increment: float
     slack: float
     inner_iterations: int
+    cg_iterations: int
     rhs_l2: float
     in_ball: bool | None
 
@@ -165,19 +168,21 @@ class IterationTrace:
     eps_solver: float = 0.0
 
 
+def _rhs_from(data: SolveData, w_vals, one_p, g, sgn):
+    """(1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w) from its pointwise
+    terms 1 + delta|w|, g_delta(w) and sign(w)."""
+    f, a0 = data.f.values, data.a0.values
+    return one_p * f + a0 * w_vals + a0 * g * sgn
+
+
 def transformed_rhs(data: SolveData, w_vals, delta):
     """(1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w) at the nodes."""
-    f, a0 = data.f.values, data.a0.values
-    return (1.0 + delta * np.abs(w_vals)) * f + a0 * w_vals \
-        + a0 * g_delta(w_vals, delta) * sign(w_vals)
+    return _rhs_from(data, w_vals, 1.0 + delta * np.abs(w_vals),
+                     g_delta(w_vals, delta), sign(w_vals))
 
 
-def zeroth_order_coefficient(data: SolveData, w_vals, delta, k, grad=None):
-    """b = truncate(K_delta(x, w, Dw), k), validated nonnegative; ``grad``
-    is the per-edge gradient of w, if already computed."""
-    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
-    kv = k_delta_field(w_vals, a_quad, grad_sq, delta, data.model)
-    b = truncate(kv, k)
+def _nonnegative(data: SolveData, b, a_quad, delta):
+    """b validated nonnegative up to roundoff, then clipped at zero."""
     floor = -1e-12 * (data.c0 + delta) * max(float(np.max(a_quad)), 1.0)
     if float(np.min(b)) < floor:
         raise DomainError(
@@ -187,11 +192,30 @@ def zeroth_order_coefficient(data: SolveData, w_vals, delta, k, grad=None):
     return np.maximum(b, 0.0)
 
 
+def zeroth_order_coefficient(data: SolveData, w_vals, delta, k, grad=None):
+    """b = truncate(K_delta(x, w, Dw), k), validated nonnegative; ``grad``
+    is the per-edge gradient of w, if already computed."""
+    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
+    kv = k_delta_field(w_vals, a_quad, grad_sq, delta, data.model)
+    return _nonnegative(data, truncate(kv, k), a_quad, delta)
+
+
+def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
+    """``zeroth_order_coefficient`` and ``transformed_rhs`` of one iterate,
+    bit for bit, from one pointwise pass (``transformed_terms``)."""
+    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
+    kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta,
+                                          data.model)
+    return (_nonnegative(data, truncate(kv, k), a_quad, delta),
+            _rhs_from(data, w_vals, one_p, g, sgn))
+
+
 @dataclass
 class InnerResult:
     iterations: int
     residual: float
     rhs_l2: float
+    cg_iterations: int
 
 
 def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
@@ -201,14 +225,17 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
     plus a nonnegative diagonal, solved matrix-free by conjugate gradients
-    preconditioned with the operator's mean-coefficient inverse.  ``grad`` is
-    the per-edge gradient of w when the caller carries it.
+    preconditioned with the operator's mean-coefficient inverse.  When that
+    inverse is exact (``DiffusionOperator.inverse_is_exact``) CG carries the
+    operator's image of its search direction and applies no stencil; the
+    stencil is applied once per line-search trial.  ``grad`` is the per-edge
+    gradient of w when the caller carries it.  The result counts the Newton
+    steps and the CG iterations of all of them.
     """
     delta, k = cfg.delta, cfg.k
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = zeroth_order_coefficient(data, w.values, delta, k, grad)
-            rhs = transformed_rhs(data, w.values, delta)
+            b, rhs = inner_coefficients(data, w.values, delta, k, grad)
     except FloatingPointError as exc:
         raise TransformOverflowError(
             "the transformed coefficients K_delta(w) and rhs(w) overflow double "
@@ -226,18 +253,19 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     target = cfg.inner_tol * max(rhs_l2, 1e-300)
     r = residual_vec(W)
     res = float(np.sqrt(np.vdot(r, r)))
+    cg_iterations = 0
     for it in range(cfg.max_inner):
         if res <= target:
-            return ScalarField(data.grid, W), InnerResult(it, res, rhs_l2)
+            return ScalarField(data.grid, W), InnerResult(it, res, rhs_l2,
+                                                          cg_iterations)
         diag = b * k * (np.abs(W) <= 1.0 / k)
-
-        def jac(v, diag=diag):
-            return op.apply(v) + diag * v
-
         # forcing term: tighten the linear solve as the residual approaches
         # the target, so the Newton floor sits below it
         step_tol = min(cfg.cg_tol, max(1e-15, 0.01 * target / res))
-        step = cg_solve(jac, -r, tol=step_tol, precond=op.fast_inverse)
+        step, its = cg_solve(op.apply, -r, tol=step_tol, precond=op.fast_inverse,
+                             shift=diag, exact=op.inverse_is_exact,
+                             full_output=True)
+        cg_iterations += its
         t = 1.0
         for _ in range(40):
             W_trial = W + t * step
@@ -252,7 +280,8 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
                 f"line search exhausted at residual {res:g}", residual=res,
                 iterations=it)
     if res <= target:
-        return ScalarField(data.grid, W), InnerResult(cfg.max_inner, res, rhs_l2)
+        return ScalarField(data.grid, W), InnerResult(cfg.max_inner, res, rhs_l2,
+                                                      cg_iterations)
     raise NewtonStall(
         f"inner Newton out of budget ({cfg.max_inner} iterations) at residual "
         f"{res:g} (target {target:g})", residual=res,
@@ -289,12 +318,13 @@ def fixed_point_residual(v: ScalarField, data: SolveData, delta: float,
     sign, matching the limit equation the truncation ladder approaches.
     """
     a_quad, grad_sq = data.node_quadratic_forms(v.values)
-    kv = k_delta_field(v.values, a_quad, grad_sq, delta, data.model)
+    kv, g, one_p, sgn = transformed_terms(v.values, a_quad, grad_sq, delta,
+                                          data.model)
     if k is None:
-        zo = kv * sign(v.values)
+        zo = kv * sgn
     else:
         zo = truncate(kv, k) * sign_k(v.values, k)
-    rhs = transformed_rhs(data, v.values, delta)
+    rhs = _rhs_from(data, v.values, one_p, g, sgn)
     r = data.op.apply(v.values) + zo - rhs
     r_norm = float(np.sqrt(np.sum(r * r)))
     rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
@@ -409,7 +439,8 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
         trace.records.append(IterationRecord(
             m=m, grad_norm_w=norm_w, grad_norm_W=norm_W, increment=increment,
             slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
-            inner_iterations=inner.iterations, rhs_l2=inner.rhs_l2,
+            inner_iterations=inner.iterations,
+            cg_iterations=inner.cg_iterations, rhs_l2=inner.rhs_l2,
             in_ball=in_ball,
         ))
         if final:

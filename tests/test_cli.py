@@ -250,6 +250,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and quantity in err
 
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "has grid (128,)"),
+        ("64,0.015384615384615385\nabc\n", "could not convert"),
+        ("", "malformed field header"),
+        ("64,h\n0.5\n", "malformed field header"),
+    ], ids=["other-grid", "non-numeric", "empty", "bad-header"])
+    def test_malformed_csv_field_exits_2(self, tmp_path, capsys, command,
+                                         content, message):
+        cfg = load_benchmark("benchmark_1d.json")
+        path = os.path.join(tmp_path, "f.csv")
+        if content is None:
+            # a well-formed file, written on a finer grid than the config's
+            write_field_csv(field_from_expression(Grid((1.0,), (128,)),
+                                                  cfg["problem"]["f"]["expr"]),
+                            path)
+        else:
+            with open(path, "w") as fh:
+                fh.write(content)
+        cfg["problem"]["grid"]["n"] = [64]
+        cfg["problem"]["f"] = {"csv": "f.csv"}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert captured.err.startswith("config error: f.csv: ")
+        assert message in captured.err
+
     def test_solve_nonconvergence(self, tmp_path):
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config",

@@ -16,6 +16,7 @@ from quadgrad.grid import (
     estimate_sobolev_constant,
     field_from_expression,
     gradient,
+    laplacian,
     h1_seminorm,
     hminus1_norm,
     inner_l2,
@@ -277,6 +278,17 @@ class TestFastInverse:
         np.testing.assert_allclose(op.apply(op.fast_inverse(r)), r, rtol=0,
                                    atol=1e-12 * np.max(np.abs(r)))
 
+    def test_laplacian_built_once_per_grid(self, rng):
+        g = Grid((1.0, 2.0), (24, 40))
+        lap = laplacian(g)
+        assert laplacian(Grid((1.0, 2.0), (24, 40))) is lap
+        assert laplacian(Grid((1.0, 2.0), (24, 41))) is not lap
+        fresh = DiffusionOperator(MatrixField.identity(g))
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        assert np.array_equal(riesz_representative(f).values,
+                              fresh.fast_inverse(f.values))
+        assert np.array_equal(lap.apply(f.values), fresh.apply(f.values))
+
     def test_riesz_lift_matches_plain_cg(self, rng):
         g = Grid((1.0, 2.0), (24, 40))
         f = ScalarField(g, rng.standard_normal(g.shape))
@@ -308,6 +320,50 @@ class TestFastInverse:
                        precond=op.fast_inverse)
         assert np.max(np.abs(pcg - plain)) <= 1e-10 * np.max(np.abs(plain))
         assert applies["pcg"] < applies["plain"]
+
+
+    @pytest.mark.parametrize("extents, shape, diag", [
+        ((1.0,), (128,), (1.0,)),
+        ((1.0, 1.5), (40, 24), (1.0, 1.25)),
+    ], ids=["1d", "2d"])
+    def test_exact_inverse_cg_applies_no_stencil(self, rng, extents, shape,
+                                                  diag):
+        # with fast_inverse exact, CG carries L p instead of applying L
+        g = Grid(extents, shape)
+        op = DiffusionOperator(MatrixField(g, np.diag(diag), alpha=min(diag)))
+        assert op.inverse_is_exact
+        shift = rng.uniform(0.0, 50.0, shape)
+        shift[rng.random(shape) < 0.3] = 0.0
+        rhs = rng.standard_normal(shape)
+        applies = []
+
+        def counted(v):
+            applies.append(1)
+            return op.apply(v)
+
+        tol = 1e-13
+        x, iterations = cg_solve(counted, rhs, tol=tol, precond=op.fast_inverse,
+                                 shift=shift, exact=True, full_output=True)
+        assert applies == [] and iterations > 0
+        norm = np.linalg.norm
+        assert norm(rhs - (op.apply(x) + shift * x)) <= 10 * tol * norm(rhs)
+        ref = cg_solve(lambda v: op.apply(v) + shift * v, rhs, tol=tol,
+                       precond=op.fast_inverse)
+        assert norm(x - ref) <= 1e-12 * norm(ref)
+        # the shift argument alone applies the stencil once per iteration
+        applies.clear()
+        y, its = cg_solve(counted, rhs, tol=tol, precond=op.fast_inverse,
+                          shift=shift, full_output=True)
+        assert np.array_equal(y, ref) and len(applies) == its
+
+    def test_inverse_is_exact_only_for_equal_coefficients(self, rng):
+        g = Grid((1.0, 1.0), (8, 6))
+        cells = np.zeros((9, 7, 2, 2))
+        cells[..., 0, 0], cells[..., 1, 1] = 2.0, 3.0
+        assert DiffusionOperator(MatrixField(g, cells, alpha=1.0)).inverse_is_exact
+        cells[4, 3, 1, 1] = 3.5
+        assert not DiffusionOperator(
+            MatrixField(g, cells, alpha=1.0)).inverse_is_exact
 
 
 class TestSobolevEstimator:

@@ -22,6 +22,7 @@ from quadgrad.nonlinearity import (
     sign_k,
     transform_forward,
     transform_inverse,
+    transformed_terms,
     truncate,
 )
 from quadgrad.validate import (
@@ -286,6 +287,20 @@ class TestTransformedGradientTerm:
             val = k_delta(A, t, zeta, 0.5, EXTREMAL)
             scale = (EXTREMAL.c0_cert + 0.5) * float(zeta @ A @ zeta)
             assert abs(val) <= 1e-12 * scale
+
+    def test_one_pass_matches_the_separate_functions(self, rng):
+        t = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-4.0, 1.5, 300)
+        t[::7] = 0.0
+        a_quad = rng.uniform(0.0, 5.0, 300)
+        grad_sq = rng.uniform(0.0, 4.0, 300)
+        for model in CATALOG:
+            for d in (0.5, 3.0):
+                k, g, one_p, sgn = transformed_terms(t, a_quad, grad_sq, d, model)
+                assert np.array_equal(
+                    k, k_delta_field(t, a_quad, grad_sq, d, model))
+                assert np.array_equal(g, g_delta(t, d))
+                assert np.array_equal(one_p, 1.0 + d * np.abs(t))
+                assert np.array_equal(sgn, sign(t))
 
     def test_vanishes_on_zero_set(self):
         A = np.eye(2)

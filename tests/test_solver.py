@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,13 +8,15 @@ from conftest import load_benchmark
 from quadgrad import solver
 from quadgrad.config import build_experiment
 from quadgrad.errors import DomainError, MaxOuterIterations, NewtonStall
-from quadgrad.grid import Grid, ScalarField, h1_seminorm
+from quadgrad.grid import (Grid, MatrixField, ScalarField, cg_solve, gradient,
+                           h1_seminorm)
 from quadgrad.nonlinearity import sign_k, truncate
 from quadgrad.solver import (
     IterationRecord,
     SolverConfig,
     estimate_check,
     fixed_point_residual,
+    inner_coefficients,
     inner_solve,
     k_continuation,
     norm_identity_gap,
@@ -365,6 +367,60 @@ class TestVariableCoefficient2D:
         assert res.ok, res.line()
 
 
+class TestNewtonCG:
+    @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("per_cell", [False, True],
+                             ids=["constant", "per-cell"])
+    def test_stencil_applies_only_without_exact_inverse(
+            self, rng, monkeypatch, dim, n, per_cell):
+        exp = make_exp(n=n, dim=dim)
+        data = exp.data
+        if per_cell:
+            cells = tuple(m + 1 for m in exp.grid.shape)
+            entries = rng.uniform(1.0, 2.0, cells + (dim,))
+            A = MatrixField(exp.grid, entries[..., None] * np.eye(dim), alpha=1.0)
+            data = replace(data, A=A, op=None, _node_A=None)
+        assert data.op.inverse_is_exact is not per_cell
+        applies = []
+
+        def counting_cg(apply_fn, *args, **kwargs):
+            def counted(v):
+                applies.append(1)
+                return apply_fn(v)
+            return cg_solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "cg_solve", counting_cg)
+        _, trace = outer_fixed_point(data, exp.solver_cfg)
+        assert trace.converged and trace.residual <= 1e-8
+        cg_iterations = sum(r.cg_iterations for r in trace.records)
+        assert cg_iterations >= sum(r.inner_iterations for r in trace.records)
+        # every Newton CG starts from zero: one apply per iteration, or none
+        assert len(applies) == (cg_iterations if per_cell else 0)
+
+
+class TestInnerCoefficients:
+    @pytest.mark.parametrize("name, n", [("benchmark_1d.json", [40]),
+                                         ("benchmark_2d.json", [12, 10])],
+                             ids=["1d", "2d"])
+    def test_one_pass_matches_the_separate_functions(self, rng, name, n):
+        exp = build_experiment(load_benchmark(name), overrides={"n": n})
+        data, delta = exp.data, exp.solver_cfg.delta
+        shape = exp.grid.shape
+        # delta|w| from 1e-3 to 10, both signs, a fifth of the nodes zero
+        w = rng.choice([-1.0, 1.0], shape) \
+            * 10.0 ** rng.uniform(-3.0, 1.0, shape) / delta
+        w[rng.random(shape) < 0.2] = 0.0
+        x = delta * np.abs(w)
+        assert np.any(x == 0) and np.any((x > 0) & (x < 0.1)) and np.any(x > 0.1)
+        grad = gradient(ScalarField(exp.grid, w))
+        for k in (5.0, 1e5):
+            for g in (None, grad):
+                b, rhs = inner_coefficients(data, w, delta, k, g)
+                assert np.array_equal(
+                    b, zeroth_order_coefficient(data, w, delta, k, g))
+                assert np.array_equal(rhs, transformed_rhs(data, w, delta))
+
+
 class TestOuterLoopEnergies:
     @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
     def test_reported_energies_are_the_fields_energies(self, monkeypatch,
@@ -394,7 +450,7 @@ class TestOuterLoopEnergies:
     def test_trace_row_is_the_dataclass_row(self):
         rec = IterationRecord(m=3, grad_norm_w=0.1, grad_norm_W=np.float64(0.2),
                               increment=1e-11, slack=-0.0, inner_iterations=1,
-                              rhs_l2=2.5, in_ball=None)
+                              cg_iterations=4, rhs_l2=2.5, in_ball=None)
         row = asdict(rec)
         row["estimate_slack"] = row.pop("slack")
         assert json.dumps(rec.to_dict(), sort_keys=True) \

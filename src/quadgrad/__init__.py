@@ -46,20 +46,19 @@ from .nonlinearity import (
     f_hat,
     g_delta,
     k_delta,
-    k_delta_field,
     k_delta_signed,
     remainder,
     sign,
     sign_k,
     transform_forward,
     transform_inverse,
+    transformed_terms,
     truncate,
 )
 from .solver import (
     IterationTrace,
     SolveData,
     SolverConfig,
-    estimate_check,
     fixed_point_residual,
     inner_solve,
     k_continuation,

@@ -22,7 +22,6 @@ from . import validate
 from .config import Experiment, build_experiment, experiment_from_file
 from .constants import critical_report, phi_at_min, z_delta, zeros_y
 from .errors import (
-    CertificateError,
     ConfigError,
     FieldValidationError,
     QuadgradError,
@@ -193,10 +192,9 @@ def cmd_sweep(args):
             rows.append(row)
         fields = ["delta", "Z_delta", "phi_min", "Y_minus", "Y_plus", "status"]
     else:
-        scales = np.array(args.scales, dtype=float)
-        for sf in scales:
-            for sa in scales:
-                row = {"f_scale": float(sf), "a0_scale": float(sa)}
+        for sf in args.scales:
+            for sa in args.scales:
+                row = {"f_scale": sf, "a0_scale": sa}
                 try:
                     scaled = critical_report(replace(
                         c, norm_f_N2=c.norm_f_N2 * sf, norm_f_Hm1=c.norm_f_Hm1 * sf,
@@ -279,7 +277,7 @@ def _equivalence_crosscheck(exp: Experiment):
 def cmd_verify(args):
     try:
         exp = experiment_from_file(args.config, for_solve=False)
-    except (FieldValidationError, CertificateError) as exc:
+    except FieldValidationError as exc:
         print(validate.CheckResult(
             "field invariants", False, math.nan, str(exc)).line())
         return EXIT_INVARIANT
@@ -321,6 +319,18 @@ def cmd_verify(args):
     return EXIT_OK if all(r.ok for r in results) else EXIT_INVARIANT
 
 
+def _positive(convert):
+    """argparse type: ``convert`` of the text, refused unless finite and > 0."""
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quadgrad",
@@ -342,8 +352,8 @@ def build_parser():
         if name == "sweep":
             p.add_argument("--mode", choices=("delta", "scales"),
                            default="delta")
-            p.add_argument("--points", type=int, default=41)
-            p.add_argument("--scales", type=float, nargs="+",
+            p.add_argument("--points", type=_positive(int), default=41)
+            p.add_argument("--scales", type=_positive(float), nargs="+",
                            default=[0.25, 0.5, 1.0, 2.0, 4.0])
     return parser
 

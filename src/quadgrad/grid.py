@@ -220,15 +220,6 @@ def node_average(grad: VectorField):
                  for d, (hi, lo) in zip(grad.components, plan.nodes))
 
 
-def nodal_gradient(v: ScalarField):
-    """Central differences at the nodes (averaged adjacent edge slopes).
-
-    Used for pointwise evaluation of the gradient nonlinearity; the energy
-    machinery keeps the exact per-edge gradients.
-    """
-    return node_average(gradient(v))
-
-
 def lp_norm(v: ScalarField, p) -> float:
     """L^p norm with nodal midpoint quadrature, p >= 1."""
     p = float(p)
@@ -297,9 +288,9 @@ class DiffusionOperator:
 
 
 def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
-             x0=None, precond=None, shift=None, exact=False,
-             full_output=False):
-    """Conjugate gradients for (L + diag(shift)) x = rhs on nodal arrays.
+             precond=None, shift=None, exact=False):
+    """Conjugate gradients for (L + diag(shift)) x = rhs on nodal arrays,
+    started from x = 0.
 
     ``apply_fn`` applies L; ``shift`` is a nonnegative diagonal (none by
     default).  ``precond`` applies a symmetric positive-definite approximate
@@ -307,26 +298,17 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
     ``exact`` it is L's exact inverse, so L z = r for every preconditioned
     residual and the image of the search direction p = z + beta p is carried
     as L p = r + beta L p (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981):
-    the loop then never calls ``apply_fn``.  The stopping rule is on the
-    unpreconditioned residual, |r| <= tol |rhs|.  Returns x, or
-    (x, iterations) with ``full_output``.
+    the loop then never calls ``apply_fn``; otherwise it calls it once per
+    iteration.  The stopping rule is on the unpreconditioned residual,
+    |r| <= tol |rhs|.  Returns (x, iterations).
     """
-    def done(x, iterations):
-        return (x, iterations) if full_output else x
-
-    def operator(v):
-        return apply_fn(v) if shift is None else apply_fn(v) + shift * v
-
     b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    if b_norm == 0.0 and x0 is None:
-        return done(x, 0)
-    # the zero start's residual is rhs itself, with no operator application
-    r = np.array(rhs, dtype=float) if x0 is None else rhs - operator(x)
     target = tol * max(b_norm, np.finfo(float).tiny)
-    rr = float(np.vdot(r, r).real)
-    if np.sqrt(rr) <= target:
-        return done(x, 0)
+    x = np.zeros_like(rhs)
+    if b_norm == 0.0 or b_norm <= target:
+        return x, 0
+    # the zero start's residual is rhs itself, with no operator application
+    r = np.array(rhs, dtype=float)
     if precond is None:
         def precond(v):
             return v
@@ -338,15 +320,13 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
         maxiter = 20 * rhs.size + 100
     for it in range(1, maxiter + 1):
         if not exact:
-            ap = operator(p)
-        else:
-            ap = lp if shift is None else shift * p + lp
+            lp = apply_fn(p)
+        ap = lp if shift is None else lp + shift * p
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
         r -= alpha * ap
-        rr = float(np.vdot(r, r).real)
-        if np.sqrt(rr) <= target:
-            return done(x, it)
+        if np.sqrt(np.vdot(r, r).real) <= target:
+            return x, it
         z = precond(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
@@ -356,12 +336,11 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
             lp *= beta
             lp += r
         rz = rz_new
+    res = float(np.sqrt(np.vdot(r, r).real))
     raise IterativeSolveFailure(
         f"conjugate gradients stalled at relative residual "
-        f"{np.sqrt(rr) / b_norm:g} after {maxiter} iterations",
-        residual=float(np.sqrt(rr)),
-        iterations=maxiter,
-    )
+        f"{res / b_norm:g} after {maxiter} iterations",
+        residual=res, iterations=maxiter)
 
 
 @lru_cache(maxsize=32)

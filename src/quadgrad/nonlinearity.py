@@ -229,38 +229,20 @@ def k_delta_signed(A, t, zeta, delta, model: HModel):
     return -float(h_val)
 
 
-def _point_terms(t, delta):
-    """delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t), each once."""
-    t = np.asarray(t, dtype=float)
-    x = delta * np.abs(t)
-    return x, 1.0 + x, np.log1p(x), np.sign(t)
-
-
-def _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model):
-    """k_delta over nodal arrays from the pointwise terms of t."""
-    s = log1p_x / delta * sgn
-    h_val = model.evaluate(s, a_quad / one_p**2, grad_sq / one_p**2)
-    return delta / one_p * a_quad - one_p * h_val * sgn
-
-
-def k_delta_field(t, a_quad, grad_sq, delta, model: HModel):
-    """Vectorized k_delta over nodal arrays.
+def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
+    """Array evaluation of ``k_delta``, with ``g_delta``, 1 + delta|t| and
+    sign(t), over nodal arrays.
 
     ``a_quad`` = A(x) Dw.Dw and ``grad_sq`` = |Dw|^2 evaluated at the nodes.
+    delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t) are evaluated once;
+    the second result equals ``g_delta(t, delta)`` bit for bit.
     """
     if delta <= 0:
         raise DomainError(f"substitution parameter must be positive, got {delta}")
-    _, one_p, log1p_x, sgn = _point_terms(t, delta)
-    return _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model)
-
-
-def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
-    """``k_delta_field``, ``g_delta``, 1 + delta|t| and sign(t) over nodal
-    arrays, with delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t)
-    evaluated once; each result equals its separate evaluation bit for bit.
-    """
-    if delta <= 0:
-        raise DomainError(f"substitution parameter must be positive, got {delta}")
-    x, one_p, log1p_x, sgn = _point_terms(t, delta)
-    k = _k_delta_from(one_p, log1p_x, sgn, a_quad, grad_sq, delta, model)
+    t = np.asarray(t, dtype=float)
+    x = delta * np.abs(t)
+    one_p, log1p_x, sgn = 1.0 + x, np.log1p(x), np.sign(t)
+    h_val = model.evaluate(log1p_x / delta * sgn, a_quad / one_p**2,
+                           grad_sq / one_p**2)
+    k = delta / one_p * a_quad - one_p * h_val * sgn
     return k, _entropy_core(x, one_p, log1p_x) / delta, one_p, sgn

@@ -50,10 +50,7 @@ from .grid import (
 )
 from .nonlinearity import (
     HModel,
-    g_delta,
-    k_delta_field,
     remainder,
-    sign,
     sign_k,
     transform_forward,
     transform_inverse,
@@ -175,39 +172,23 @@ def _rhs_from(data: SolveData, w_vals, one_p, g, sgn):
     return one_p * f + a0 * w_vals + a0 * g * sgn
 
 
-def transformed_rhs(data: SolveData, w_vals, delta):
-    """(1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w) at the nodes."""
-    return _rhs_from(data, w_vals, 1.0 + delta * np.abs(w_vals),
-                     g_delta(w_vals, delta), sign(w_vals))
-
-
-def _nonnegative(data: SolveData, b, a_quad, delta):
-    """b validated nonnegative up to roundoff, then clipped at zero."""
+def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
+    """The frozen coefficients of one inner problem, from one pointwise pass
+    (``transformed_terms``): b = truncate(K_delta(x, w, Dw), k), validated
+    nonnegative up to roundoff and then clipped at zero, and the right-hand
+    side (1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w).  ``grad`` is the
+    per-edge gradient of w, if already computed."""
+    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
+    kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta,
+                                          data.model)
+    b = truncate(kv, k)
     floor = -1e-12 * (data.c0 + delta) * max(float(np.max(a_quad)), 1.0)
     if float(np.min(b)) < floor:
         raise DomainError(
             f"zeroth-order coefficient dips to {float(np.min(b)):g} < 0: "
             f"delta = {delta:g} below the growth constant gamma = {data.gamma:g}?"
         )
-    return np.maximum(b, 0.0)
-
-
-def zeroth_order_coefficient(data: SolveData, w_vals, delta, k, grad=None):
-    """b = truncate(K_delta(x, w, Dw), k), validated nonnegative; ``grad``
-    is the per-edge gradient of w, if already computed."""
-    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
-    kv = k_delta_field(w_vals, a_quad, grad_sq, delta, data.model)
-    return _nonnegative(data, truncate(kv, k), a_quad, delta)
-
-
-def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
-    """``zeroth_order_coefficient`` and ``transformed_rhs`` of one iterate,
-    bit for bit, from one pointwise pass (``transformed_terms``)."""
-    a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
-    kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta,
-                                          data.model)
-    return (_nonnegative(data, truncate(kv, k), a_quad, delta),
-            _rhs_from(data, w_vals, one_p, g, sgn))
+    return np.maximum(b, 0.0), _rhs_from(data, w_vals, one_p, g, sgn)
 
 
 @dataclass
@@ -263,8 +244,7 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         # the target, so the Newton floor sits below it
         step_tol = min(cfg.cg_tol, max(1e-15, 0.01 * target / res))
         step, its = cg_solve(op.apply, -r, tol=step_tol, precond=op.fast_inverse,
-                             shift=diag, exact=op.inverse_is_exact,
-                             full_output=True)
+                             shift=diag, exact=op.inverse_is_exact)
         cg_iterations += its
         t = 1.0
         for _ in range(40):
@@ -288,19 +268,14 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         iterations=cfg.max_inner)
 
 
-def estimate_check(w: ScalarField, W: ScalarField, data: SolveData,
-                   delta: float) -> float:
-    """Slack of the a priori energy estimate: profile bound minus alpha|DW|.
+def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
+    """Slack of the a priori energy estimate, profile bound minus alpha|DW|,
+    from the energies dw = |Dw| of the input and dW = |DW| of the output.
 
     Nonnegative (up to solver tolerance) for every exact inner solve because
     the discrete Hoelder and Sobolev steps are exact with the discrete
     constants.
     """
-    return _estimate_slack(h1_seminorm(w), h1_seminorm(W), data, delta)
-
-
-def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
-    """``estimate_check`` from the energies |Dw| and |DW|."""
     bound = data.norm_f_Hm1 \
         + delta * data.C_N**2 * data.norm_f_N2 * dw \
         + data.C_N**2 * data.norm_a0_N2 * dw
@@ -325,12 +300,7 @@ def fixed_point_residual(v: ScalarField, data: SolveData, delta: float,
     else:
         zo = truncate(kv, k) * sign_k(v.values, k)
     rhs = _rhs_from(data, v.values, one_p, g, sgn)
-    r = data.op.apply(v.values) + zo - rhs
-    r_norm = float(np.sqrt(np.sum(r * r)))
-    rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    if rhs_norm == 0.0:
-        return r_norm
-    return r_norm / rhs_norm
+    return _relative_norm(data.op.apply(v.values) + zo - rhs, rhs)
 
 
 def original_residual(w: ScalarField, data: SolveData, delta: float) -> float:
@@ -339,12 +309,14 @@ def original_residual(w: ScalarField, data: SolveData, delta: float) -> float:
     a_quad, grad_sq = data.node_quadratic_forms(u_vals)
     h_vals = data.model.evaluate(u_vals, a_quad, grad_sq)
     rhs = h_vals + data.f.values + data.a0.values * u_vals
-    r = data.op.apply(u_vals) - rhs
+    return _relative_norm(data.op.apply(u_vals) - rhs, rhs)
+
+
+def _relative_norm(r, rhs) -> float:
+    """|r| / |rhs|, or |r| when rhs vanishes."""
     r_norm = float(np.sqrt(np.sum(r * r)))
     rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    if rhs_norm == 0.0:
-        return r_norm
-    return r_norm / rhs_norm
+    return r_norm / rhs_norm if rhs_norm else r_norm
 
 
 def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):

@@ -12,7 +12,7 @@ NaN margin, which fails unless it is +inf, without a floating-point warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -30,7 +30,7 @@ from .grid import (
     lp_norm,
     riesz_representative,
 )
-from .nonlinearity import HModel, g_delta, k_delta_field, sign
+from .nonlinearity import HModel, g_delta, sign, transformed_terms
 
 REL_SLACK = 1e-12
 
@@ -60,6 +60,14 @@ def _quad_forms(mats, zetas):
     return np.einsum("ni,nij,nj->n", zetas, mats, zetas)
 
 
+def _sampled_model(model: HModel, rng, n) -> HModel:
+    """The model with one mu per sample, drawn from its nodal values when mu
+    is a field; a scalar mu draws nothing."""
+    if np.ndim(model.mu) == 0:
+        return model
+    return replace(model, mu=rng.choice(np.ravel(model.mu), n))
+
+
 def _sample_k_values(model, rng, n, dim, delta, gamma):
     mats = random_spd_matrices(rng, n, dim)
     zetas = rng.standard_normal((n, dim)) * rng.uniform(0.0, 3.0, (n, 1))
@@ -68,7 +76,8 @@ def _sample_k_values(model, rng, n, dim, delta, gamma):
     t[rng.random(n) < 0.05] = 0.0
     a_quad = _quad_forms(mats, zetas)
     grad_sq = np.einsum("ni,ni->n", zetas, zetas)
-    kv = k_delta_field(t, a_quad, grad_sq, delta, model)
+    kv = transformed_terms(t, a_quad, grad_sq, delta,
+                           _sampled_model(model, rng, n))[0]
     return kv, a_quad, t
 
 
@@ -148,7 +157,7 @@ def check_certificate(model: HModel, gamma, c0, rng, n=10_000, dim=2,
     s[rng.random(n) < 0.05] = 0.0
     a_quad = _quad_forms(mats, xis)
     xi_sq = np.einsum("ni,ni->n", xis, xis)
-    hs = model.evaluate(s, a_quad, xi_sq) * sign(s)
+    hs = _sampled_model(model, rng, n).evaluate(s, a_quad, xi_sq) * sign(s)
     slack = REL_SLACK * np.maximum(gamma, c0 + 1.0) * a_quad
     worst = float(min(np.min(gamma * a_quad + slack - hs),
                       np.min(hs + c0 * a_quad + slack)))

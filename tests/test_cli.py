@@ -449,6 +449,26 @@ class TestSweepCommand:
                for r in rows}
         assert adm[("0.5", "0.5")] == "True"
         assert adm[("8.0", "8.0")] == "False"
+        # every numeric cell is a plain float literal
+        for r in rows:
+            for name in ("f_scale", "a0_scale", "A1_margin", "A3_margin",
+                         "delta0"):
+                if r[col[name]]:
+                    float(r[col[name]])
+
+    @pytest.mark.parametrize("args", [
+        ["--points", "-1"], ["--points", "0"],
+        ["--mode", "scales", "--scales", "nan"],
+        ["--mode", "scales", "--scales", "1.0", "inf"],
+        ["--mode", "scales", "--scales", "0"],
+        ["--mode", "scales", "--scales", "-2"],
+    ], ids=["points-neg", "points-zero", "scales-nan",
+            "scales-inf", "scales-zero", "scales-neg"])
+    def test_bad_arguments_are_usage_errors(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_path("benchmark_1d.json")] + args)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -513,6 +533,26 @@ class TestMuFromFile:
                      "--out", out]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["ball_violation"] is False
+
+    @pytest.mark.parametrize("source", ["expr", "csv"])
+    def test_verify_samples_nodal_mu(self, tmp_path, capsys, source):
+        # the sampled checks draw each sample's mu from the nodal values
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"]["grid"]["n"] = [32, 32]
+        g = Grid((1.0, 1.0), (32, 32))
+        if source == "expr":
+            mu = {"expr": {"kind": "constant", "value": 0.15}}
+        else:
+            write_field_csv(field_from_expression(
+                g, {"kind": "sine_bump", "amplitude": 0.15}),
+                os.path.join(tmp_path, "mu.csv"))
+            mu = {"csv": "mu.csv"}
+        cfg["problem"]["H"] = {"kind": "mu_gradsq", "mu": mu}
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] growth certificate of mu_gradsq" in out
+        assert "[PASS] nonnegativity of gradient term" in out
+        assert "[FAIL]" not in out
 
 
 class TestVerifyDeterminism:

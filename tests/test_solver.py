@@ -9,12 +9,12 @@ from quadgrad import solver
 from quadgrad.config import build_experiment
 from quadgrad.errors import DomainError, MaxOuterIterations, NewtonStall
 from quadgrad.grid import (Grid, MatrixField, ScalarField, cg_solve, gradient,
-                           h1_seminorm)
-from quadgrad.nonlinearity import sign_k, truncate
+                           h1_seminorm, node_average)
+from quadgrad.nonlinearity import (g_delta, k_delta, sign_k, transformed_terms,
+                                   truncate)
 from quadgrad.solver import (
     IterationRecord,
     SolverConfig,
-    estimate_check,
     fixed_point_residual,
     inner_coefficients,
     inner_solve,
@@ -22,8 +22,6 @@ from quadgrad.solver import (
     norm_identity_gap,
     original_residual,
     outer_fixed_point,
-    transformed_rhs,
-    zeroth_order_coefficient,
 )
 
 
@@ -100,7 +98,7 @@ class TestInnerSolve:
         xs = exp.grid.coords()[0]
         steep = ScalarField(exp.grid, 0.5 * np.sin(np.pi * xs))
         with pytest.raises(DomainError, match="zeroth-order coefficient"):
-            zeroth_order_coefficient(exp.data, steep.values, 0.1, 200.0)
+            inner_coefficients(exp.data, steep.values, 0.1, 200.0)
 
     def test_newton_budget_exhaustion(self):
         exp = make_exp(max_inner=0)
@@ -116,8 +114,7 @@ class TestInnerSolve:
         xs = exp.grid.coords()[0]
         w = ScalarField(exp.grid, 0.1 * np.sin(np.pi * xs))
         W, info = inner_solve(w, data, cfg)
-        b = zeroth_order_coefficient(data, w.values, cfg.delta, cfg.k)
-        rhs = transformed_rhs(data, w.values, cfg.delta)
+        b, rhs = inner_coefficients(data, w.values, cfg.delta, cfg.k)
         energy = float(np.sum(W.values * data.op.apply(W.values)))
         zero_pair = float(np.sum(b * sign_k(W.values, cfg.k) * W.values))
         load = float(np.sum(rhs * W.values))
@@ -132,7 +129,8 @@ class TestEstimateCheck:
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
         z = ScalarField.zeros(exp.grid)
-        assert estimate_check(z, z, exp.data, 0.5) == 0.0
+        assert solver._estimate_slack(h1_seminorm(z), h1_seminorm(z),
+                                      exp.data, 0.5) == 0.0
 
     def test_ball_preservation(self):
         # inputs inside the energy ball map to outputs inside the ball
@@ -149,7 +147,9 @@ class TestEstimateCheck:
             W, info = inner_solve(w, data, cfg)
             eps = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2)
             assert h1_seminorm(W) <= Z + eps
-            assert estimate_check(w, W, data, cfg.delta) >= -eps
+            slack = solver._estimate_slack(h1_seminorm(w), h1_seminorm(W),
+                                           data, cfg.delta)
+            assert slack >= -eps
 
 
 class TestOuterIteration:
@@ -168,8 +168,7 @@ class TestOuterIteration:
         exp = make_exp(n=64, f_amp=amp, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5, outer_tol=1e-6)
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
-        from quadgrad.grid import cg_solve
-        lin = cg_solve(exp.data.op.apply, exp.data.f.values, tol=1e-13)
+        lin, _ = cg_solve(exp.data.op.apply, exp.data.f.values, tol=1e-13)
         gap = h1_seminorm(ScalarField(exp.grid, w.values - lin))
         assert gap <= 1e-6
 
@@ -278,8 +277,7 @@ class TestTruncationMonotonicity:
         xs = exp.grid.coords()[0]
         w = 0.2 * np.sin(np.pi * xs)
         a_quad, grad_sq = data.node_quadratic_forms(w)
-        from quadgrad.nonlinearity import k_delta_field
-        K = k_delta_field(w, a_quad, grad_sq, cfg.delta, data.model)
+        K = transformed_terms(w, a_quad, grad_sq, cfg.delta, data.model)[0]
         prev = None
         for k in (0.01, 0.1, 1.0, 10.0):
             tk = truncate(K, k)
@@ -346,8 +344,8 @@ class TestExtremalModel:
         assert all(t.converged for t in traces)
         assert diag.residuals[-1] <= 3.0 * exp.solver_cfg.outer_tol
         assert all(r.in_ball for t in traces for r in t.records)
-        b = zeroth_order_coefficient(exp.data, w.values,
-                                     exp.solver_cfg.delta, 5000.0)
+        b, _ = inner_coefficients(exp.data, w.values,
+                                  exp.solver_cfg.delta, 5000.0)
         assert float(np.min(b)) >= 0.0
 
 
@@ -403,6 +401,8 @@ class TestInnerCoefficients:
                                          ("benchmark_2d.json", [12, 10])],
                              ids=["1d", "2d"])
     def test_one_pass_matches_the_separate_functions(self, rng, name, n):
+        # b against the point reference k_delta at every node, rhs against
+        # g_delta bit for bit
         exp = build_experiment(load_benchmark(name), overrides={"n": n})
         data, delta = exp.data, exp.solver_cfg.delta
         shape = exp.grid.shape
@@ -413,12 +413,18 @@ class TestInnerCoefficients:
         x = delta * np.abs(w)
         assert np.any(x == 0) and np.any((x > 0) & (x < 0.1)) and np.any(x > 0.1)
         grad = gradient(ScalarField(exp.grid, w))
+        zeta = np.stack(node_average(grad), axis=-1)
+        K = np.array([k_delta(data._node_A[i], w[i], zeta[i], delta, data.model)
+                      for i in np.ndindex(shape)]).reshape(shape)
+        f, a0 = data.f.values, data.a0.values
+        rhs_ref = (1.0 + x) * f + a0 * w + a0 * g_delta(w, delta) * np.sign(w)
         for k in (5.0, 1e5):
-            for g in (None, grad):
-                b, rhs = inner_coefficients(data, w, delta, k, g)
-                assert np.array_equal(
-                    b, zeroth_order_coefficient(data, w, delta, k, g))
-                assert np.array_equal(rhs, transformed_rhs(data, w, delta))
+            b, rhs = inner_coefficients(data, w, delta, k)
+            b_grad, rhs_grad = inner_coefficients(data, w, delta, k, grad)
+            assert np.array_equal(b, b_grad) and np.array_equal(rhs, rhs_grad)
+            np.testing.assert_allclose(b, np.maximum(truncate(K, k), 0.0),
+                                       rtol=1e-12, atol=1e-13)
+            assert np.array_equal(rhs, rhs_ref)
 
 
 class TestOuterLoopEnergies:

@@ -1,0 +1,44 @@
+"""The benchmark tracer still attaches to the functions it hooks.
+
+``perfbench/tracer.py`` wraps quadgrad functions by name; a rename or a
+deletion there would silently zero a per-layer counter.  One small traced
+``solve`` checks that the solver, CG and stencil layers are all seen.
+"""
+
+import importlib.util
+import json
+import os
+
+from conftest import load_benchmark
+from quadgrad.cli import main
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_layer_of_a_solve(tmp_path, capsys):
+    cfg = load_benchmark("benchmark_1d.json")
+    cfg["problem"]["grid"]["n"] = [16]
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    tracer = load_tracer()
+    with tracer.Tracer() as tr:
+        assert main(["solve", "--config", path]) == 0
+    capsys.readouterr()
+    counts, _ = tr.metrics()
+    picard, newton = tr.record_totals()
+    assert picard > 0 and newton > 0
+    assert (counts["solver.picard_iters"], counts["solver.newton_steps"]) \
+        == (picard, newton)
+    for label in ("solver.inner_solve", "grid.cg_solve",
+                  "grid.DiffusionOperator.apply"):
+        assert tr.calls(label) > 0, label

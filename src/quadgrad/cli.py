@@ -145,7 +145,7 @@ def cmd_solve(args):
     ball_violation = any(
         rec.in_ball is False for t in traces for rec in t.records)
     slack_violation = any(
-        rec.slack < -eps_solver for t in traces for rec in t.records)
+        rec.estimate_slack < -eps_solver for t in traces for rec in t.records)
     summary = {
         "delta": cfg.delta,
         "delta_mode": exp.delta_mode,
@@ -242,11 +242,16 @@ def _equivalence_crosscheck(exp: Experiment):
             "equivalence cross-check", True, math.nan,
             f"skipped: {', '.join(from_csv)} read from CSV, on the "
             f"{exp.grid.shape} grid only")
+    shapes = [[max(8, n // scale) for n in exp.grid.shape] for scale in (4, 2)]
+    if shapes[0] == shapes[1]:
+        return validate.CheckResult(
+            "equivalence cross-check", True, math.nan,
+            f"skipped: the {exp.grid.shape} grid coarsens to "
+            f"{tuple(shapes[0])} at both scales")
     k_final = max(exp.knobs["k_schedule"] or (exp.knobs["k"],))
     residuals = []
     try:
-        for scale in (4, 2):
-            n_override = [max(8, n // scale) for n in exp.grid.shape]
+        for n_override in shapes:
             try:
                 coarse = build_experiment(
                     exp.raw, base_dir=exp.base_dir,
@@ -287,10 +292,11 @@ def cmd_verify(args):
     rng = np.random.default_rng(seed)
     results = []
     data = exp.data
-    model, gamma, c0 = data.model, data.gamma, data.c0
+    model = data.model
+    gamma, c0 = model.gamma_cert, model.c0_cert
 
     results.append(validate.check_certificate(model, gamma, c0, rng,
-                                              alpha_min=data.alpha))
+                                              alpha_min=data.A.alpha))
     if model.vanishes_at_zero_s:
         results.append(validate.check_h_vanishes_at_zero_gradient(model, rng))
     results.append(validate.check_k_two_sided(model, gamma, c0, rng))
@@ -298,7 +304,7 @@ def cmd_verify(args):
     results.append(validate.check_g_identity(rng))
     results.append(validate.check_g_envelope(rng))
     results.append(validate.check_operator_symmetry(data.op, rng))
-    results.append(validate.check_integration_by_parts(data.A, rng))
+    results.append(validate.check_integration_by_parts(data.op, rng))
     p_star = exp.exponents["sobolev"]
     p_f = exp.exponents["f_norm"]
     results.append(validate.check_holder(exp.grid, (p_f, p_star, p_star), rng))

@@ -173,24 +173,33 @@ def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
 
 
 def _build_matrix_field(spec, grid, alpha) -> MatrixField:
+    """problem.A as its per-axis diagonal entries, the only A the stencil
+    represents; an entry below alpha is left to ``MatrixField``."""
     kind = _object(spec, "problem.A").get("kind", "identity")
+    d = grid.dim
+    if alpha <= 0:
+        raise ConfigError(f"problem.alpha must be positive, got {alpha:g}")
     try:
         if kind == "identity":
-            scale = _number(spec.get("scale", 1.0), "problem.A.scale")
-            return MatrixField(grid, scale * np.eye(grid.dim), alpha=alpha)
-        if kind == "constant":
-            matrix = [_numbers(row, "problem.A.matrix") for row in spec["matrix"]]
-            return MatrixField(grid, np.array(matrix), alpha=alpha)
-        if kind == "diagonal":
+            entries = (_number(spec.get("scale", 1.0), "problem.A.scale"),) * d
+        elif kind == "diagonal":
             entries = _numbers(spec["entries"], "problem.A.entries")
-            if len(entries) != grid.dim:
+            if len(entries) != d:
                 raise ConfigError(
-                    f"diagonal coefficient needs {grid.dim} entries, got {len(entries)}"
-                )
-            return MatrixField(grid, np.diag(entries), alpha=alpha)
+                    f"diagonal coefficient needs {d} entries, got {len(entries)}")
+        elif kind == "constant":
+            matrix = np.array([_numbers(row, "problem.A.matrix")
+                               for row in spec["matrix"]])
+            if matrix.shape != (d, d) or np.any(matrix[~np.eye(d, dtype=bool)]):
+                raise ConfigError(
+                    f"constant coefficient matrix must be diagonal and {d}x{d}, "
+                    f"as the {2 * d + 1}-point stencil requires; got {matrix.tolist()}")
+            entries = np.diag(matrix)
+        else:
+            raise ConfigError(f"unknown coefficient matrix kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed coefficient matrix spec: {exc}") from exc
-    raise ConfigError(f"unknown coefficient matrix kind {kind!r}")
+    return MatrixField(grid, entries, alpha=alpha)
 
 
 def _build_model(spec, grid, base_dir, gamma, c0, alpha,
@@ -370,8 +379,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                 ball_radius = report.Z_delta0
 
     data = SolveData(
-        grid=grid, A=A, f=f, a0=a0, model=model, alpha=alpha, gamma=gamma,
-        c0=c0, norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
+        grid=grid, A=A, f=f, a0=a0, model=model,
+        norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
         norm_a0_N2=norms["a0_N2"], norm_a0_q=norms["a0_q"], C_N=C_N,
         theta=theta, G=G, ball_radius=ball_radius,
     )

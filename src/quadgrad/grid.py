@@ -114,11 +114,12 @@ class VectorField:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Symmetric positive-definite coefficient, constant or one matrix per cell.
+    """Diagonal coercive coefficient A, constant or one per cell.
 
-    ``values`` is either a (d, d) matrix or an array of shape cells + (d, d)
-    with cells = (n+1,) in 1D and (nx+1, ny+1) in 2D.  Validation demands
-    exact symmetry and smallest eigenvalue >= alpha at every cell.
+    The (2d+1)-point stencil represents only a diagonal A, so ``values``
+    holds its per-axis diagonal entries: shape (d,), or cells + (d,) with
+    cells = (n+1,) in 1D and (nx+1, ny+1) in 2D.  Validation demands a
+    declared coercivity alpha > 0 and finite entries, each at least alpha.
     """
 
     grid: Grid
@@ -129,25 +130,18 @@ class MatrixField:
         d = self.grid.dim
         vals = np.array(self.values, dtype=float)
         cells = tuple(n + 1 for n in self.grid.shape)
-        if vals.shape == (d, d):
-            pass
-        elif vals.shape == cells + (d, d):
-            pass
-        else:
+        if vals.shape not in ((d,), cells + (d,)):
             raise FieldValidationError(
-                f"matrix field shape {vals.shape} is neither ({d},{d}) nor "
-                f"{cells + (d, d)}"
+                f"matrix field shape {vals.shape} is neither ({d},) nor "
+                f"{cells + (d,)}"
             )
         if self.alpha <= 0:
             raise FieldValidationError("declared coercivity alpha must be positive")
         if not np.all(np.isfinite(vals)):
             raise FieldValidationError("matrix field contains non-finite values")
-        if not np.array_equal(vals, np.swapaxes(vals, -1, -2)):
-            raise FieldValidationError("matrix field is not exactly symmetric")
-        eig = np.linalg.eigvalsh(vals)
-        if np.min(eig) < self.alpha:
+        if np.min(vals) < self.alpha:
             raise FieldValidationError(
-                f"smallest eigenvalue {np.min(eig):g} falls below declared "
+                f"smallest diagonal entry {np.min(vals):g} falls below declared "
                 f"coercivity {self.alpha:g}"
             )
         vals.setflags(write=False)
@@ -155,38 +149,25 @@ class MatrixField:
 
     @classmethod
     def identity(cls, grid, scale=1.0):
-        return cls(grid, scale * np.eye(grid.dim), alpha=scale)
-
-    @property
-    def is_constant(self):
-        return self.values.shape == (self.grid.dim, self.grid.dim)
+        return cls(grid, np.full(grid.dim, scale), alpha=scale)
 
     def cell_values(self):
+        """The per-axis entries of every cell, shape cells + (d,)."""
         cells = tuple(n + 1 for n in self.grid.shape)
-        if self.is_constant:
-            return np.broadcast_to(self.values, cells + self.values.shape)
-        return self.values
+        return np.broadcast_to(self.values, cells + (self.grid.dim,))
 
     def edge_coefficients(self):
-        """Diagonal coefficient per axis edge, arithmetic cell averages.
+        """Coefficient per axis edge, arithmetic cell averages.
 
         The axis-a entry of each cell is averaged over the cells sharing an
-        axis-a edge.  Only the diagonal entries enter the (2d+1)-point
-        stencil; off-diagonal entries are rejected at assembly time (a wider
-        stencil would be required to represent them).
+        axis-a edge.
         """
         d = self.grid.dim
         cv = self.cell_values()
-        if np.any(cv[..., ~np.eye(d, dtype=bool)] != 0.0):
-            raise FieldValidationError(
-                "operator assembly requires a diagonal coefficient matrix; "
-                "off-diagonal entries are not representable by the "
-                f"{2 * d + 1}-point stencil"
-            )
         plan = kernels.stencil_plan(self.grid.shape)
         coefs = []
         for a in range(d):
-            coef = cv[..., a, a]  # one value per cell
+            coef = cv[..., a]  # one value per cell
             for b in range(d):
                 if b != a:
                     hi, lo = plan.nodes[b]
@@ -195,7 +176,8 @@ class MatrixField:
         return tuple(coefs)
 
     def node_values(self):
-        """Matrix at each interior node, averaging the 2^d adjacent cells."""
+        """Per-axis entries at each interior node, shape n + (d,), averaging
+        the 2^d adjacent cells."""
         cv = self.cell_values()
         sides = (slice(None, -1), slice(1, None))
         # corners in axis order, the first axis varying fastest
@@ -244,7 +226,8 @@ def h1_seminorm(v: ScalarField) -> float:
 
 
 class DiffusionOperator:
-    """Matrix-free divergence-form operator -div(A grad .) on nodal arrays.
+    """Matrix-free divergence-form operator -div(A grad .) on nodal arrays,
+    for the diagonal A of a ``MatrixField``.
 
     The stencil uses the edge coefficients ``coef`` times 1/h^2 per axis.
     ``inverse_is_exact`` says whether each axis's edge coefficients are all

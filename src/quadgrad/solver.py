@@ -93,16 +93,19 @@ class SolverConfig:
 
 @dataclass
 class SolveData:
-    """Grid-level problem data plus the discrete constants feeding the checks."""
+    """Grid-level problem data plus the discrete constants feeding the checks.
+
+    alpha is ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
+    ``model.c0_cert``.  ``op`` (the stencil of A) and ``_node_A`` (A's
+    diagonal at the nodes) are derived from A when the data is built, so
+    ``replace(data, A=...)`` rebuilds both.
+    """
 
     grid: Grid
     A: MatrixField
     f: ScalarField
     a0: ScalarField
     model: HModel
-    alpha: float
-    gamma: float
-    c0: float
     norm_f_N2: float = 0.0
     norm_f_Hm1: float = 0.0
     norm_a0_N2: float = 0.0
@@ -111,19 +114,17 @@ class SolveData:
     theta: float = 0.0
     G: float = 0.0
     ball_radius: float | None = None
-    op: DiffusionOperator = None
-    _node_A: np.ndarray = None
+    op: DiffusionOperator = field(init=False)
+    _node_A: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.op is None:
-            self.op = DiffusionOperator(self.A)
-        if self._node_A is None:
-            self._node_A = self.A.node_values()
+        self.op = DiffusionOperator(self.A)
+        self._node_A = self.A.node_values()
 
     def node_quadratic_forms(self, w_vals, grad=None):
         """A(x) Dw.Dw and |Dw|^2 at the nodes, central-difference gradient;
-        ``grad`` is w's edge gradient if held.  A is diagonal (see
-        ``MatrixField.edge_coefficients``), so only its diagonal enters."""
+        ``grad`` is w's edge gradient if held.  A is diagonal, so the form is
+        the sum over axes of its entry times the squared component."""
         if grad is None:
             grad = gradient(ScalarField(self.grid, w_vals))
         comps = node_average(grad)
@@ -131,7 +132,7 @@ class SolveData:
         na = self._node_A
         a_quad = np.zeros(self.grid.shape)
         for i, c in enumerate(comps):
-            a_quad += na[..., i, i] * c * c
+            a_quad += na[..., i] * c * c
         return a_quad, grad_sq
 
 
@@ -141,17 +142,15 @@ class IterationRecord:
     grad_norm_w: float
     grad_norm_W: float
     increment: float
-    slack: float
+    estimate_slack: float
     inner_iterations: int
     cg_iterations: int
     rhs_l2: float
     in_ball: bool | None
 
     def to_dict(self):
-        """The trace row: every field, with ``slack`` as ``estimate_slack``."""
-        row = dict(vars(self))
-        row["estimate_slack"] = row.pop("slack")
-        return row
+        """The trace row: every field under its own name."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -178,15 +177,16 @@ def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
     nonnegative up to roundoff and then clipped at zero, and the right-hand
     side (1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w).  ``grad`` is the
     per-edge gradient of w, if already computed."""
+    model = data.model
     a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
-    kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta,
-                                          data.model)
+    kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta, model)
     b = truncate(kv, k)
-    floor = -1e-12 * (data.c0 + delta) * max(float(np.max(a_quad)), 1.0)
+    floor = -1e-12 * (model.c0_cert + delta) * max(float(np.max(a_quad)), 1.0)
     if float(np.min(b)) < floor:
         raise DomainError(
             f"zeroth-order coefficient dips to {float(np.min(b)):g} < 0: "
-            f"delta = {delta:g} below the growth constant gamma = {data.gamma:g}?"
+            f"delta = {delta:g} below the growth constant gamma = "
+            f"{model.gamma_cert:g}?"
         )
     return np.maximum(b, 0.0), _rhs_from(data, w_vals, one_p, g, sgn)
 
@@ -282,7 +282,7 @@ def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
     if data.norm_a0_q > 0.0:
         bound += data.G * data.C_N ** (2.0 + data.theta) * data.norm_a0_q \
             * dw ** (1.0 + data.theta)
-    return bound - data.alpha * dW
+    return bound - data.A.alpha * dW
 
 
 def fixed_point_residual(v: ScalarField, data: SolveData, delta: float,
@@ -366,9 +366,10 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     drops below outer_tol; it and any SolverFailure of an inner solve leave
     with ``trace``, this level's partial trace, attached.
     """
-    if cfg.delta < data.gamma:
+    gamma = data.model.gamma_cert
+    if cfg.delta < gamma:
         raise DomainError(
-            f"delta = {cfg.delta:g} below gamma = {data.gamma:g}: the inner "
+            f"delta = {cfg.delta:g} below gamma = {gamma:g}: the inner "
             "zeroth-order coefficient would lose its sign"
         )
     k = float(k if k is not None else cfg.k)
@@ -410,7 +411,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             in_ball = norm_next <= data.ball_radius + trace.eps_solver
         trace.records.append(IterationRecord(
             m=m, grad_norm_w=norm_w, grad_norm_W=norm_W, increment=increment,
-            slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
+            estimate_slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
             inner_iterations=inner.iterations,
             cg_iterations=inner.cg_iterations, rhs_l2=inner.rhs_l2,
             in_ball=in_ball,

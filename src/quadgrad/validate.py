@@ -21,7 +21,6 @@ from .constants import ProblemConstants, c_lambda_bound
 from .grid import (
     DiffusionOperator,
     Grid,
-    MatrixField,
     ScalarField,
     gradient,
     h1_seminorm,
@@ -192,18 +191,16 @@ def check_operator_symmetry(op: DiffusionOperator, rng, pairs=20) -> CheckResult
     return CheckResult("operator symmetry", worst <= 1e-14, worst)
 
 
-def check_integration_by_parts(A: MatrixField, rng, pairs=20) -> CheckResult:
+def check_integration_by_parts(op: DiffusionOperator, rng, pairs=20) -> CheckResult:
     """<op u, v> equals the edge-coefficient energy product to roundoff."""
-    op = DiffusionOperator(A)
-    g = A.grid
-    coef = A.edge_coefficients()
+    g = op.grid
     worst = 0.0
     for _ in range(pairs):
         u = ScalarField(g, rng.standard_normal(g.shape))
         v = ScalarField(g, rng.standard_normal(g.shape))
         lhs = inner_l2(ScalarField(g, op.apply(u.values)), v)
         gu, gv = gradient(u).components, gradient(v).components
-        rhs = sum(float(np.sum(c * a * b)) for c, a, b in zip(coef, gu, gv))
+        rhs = sum(float(np.sum(c * a * b)) for c, a, b in zip(op.coef, gu, gv))
         rhs *= g.node_measure
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return CheckResult("discrete integration by parts", worst <= 1e-12, worst)

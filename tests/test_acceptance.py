@@ -254,7 +254,7 @@ def test_criterion_06_estimate_chain(run_1d, run_2d):
         eps = max(t.eps_solver for t in traces)
         for t in traces:
             for r in t.records:
-                worst = min(worst, r.slack + eps)
+                worst = min(worst, r.estimate_slack + eps)
                 total += 1
     ok = worst >= 0.0
     report(6, ok, f"min slack+eps {worst:.2e} over {total} inner solves")

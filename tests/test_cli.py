@@ -204,6 +204,31 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err.startswith("config error:") and "[FAIL]" not in out
 
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("key, value, verify_exit", [
+        ("alpha", 0.0, 2),
+        ("A", {"kind": "constant", "matrix": [[1.0, 0.0, 0.0],
+                                              [0.0, 1.25, 0.0]]}, 2),
+        ("A", {"kind": "constant", "matrix": [[1.0, 0.2], [0.2, 1.25]]}, 2),
+        ("A", {"kind": "constant", "matrix": [[1.0, 0.1], [0.0, 1.25]]}, 2),
+        ("A", {"kind": "identity", "scale": 0.5}, 5),
+    ], ids=["alpha-zero", "non-square", "symmetric-off-diagonal",
+            "asymmetric", "below-alpha"])
+    def test_coefficient_exit_codes(self, tmp_path, capsys, command, key,
+                                    value, verify_exit):
+        # a malformed A is a config error in every command; a well-formed A
+        # below the declared alpha is a failed invariant in verify
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"][key] = value
+        expected = verify_exit if command == "verify" else 2
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == expected
+        out, err = capsys.readouterr()
+        if expected == 5:
+            assert out.startswith("[FAIL] field invariants")
+        else:
+            assert err.startswith("config error:") and "[FAIL]" not in out
+
     @pytest.mark.parametrize("command", ["constants", "check", "sweep",
                                          "verify", "solve"])
     @pytest.mark.parametrize("index, value", [(1, 5.0), (0, 1e308)],
@@ -490,11 +515,26 @@ class TestVerifyCommand:
         assert "[PASS] operator symmetry" in capsys.readouterr().out
 
     def test_corrupted_matrix_reported(self, tmp_path, capsys):
+        # a well-formed A that breaks the declared coercivity is a failed
+        # invariant, reported as data
         cfg = load_benchmark("benchmark_2d.json")
         cfg["problem"]["A"] = {"kind": "constant",
-                               "matrix": [[1.0, 0.1], [0.0, 1.0]]}
+                               "matrix": [[1.0, 0.0], [0.0, 0.5]]}
         assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 5
-        assert "not exactly symmetric" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] field invariants")
+        assert "smallest diagonal entry 0.5 falls below" in out
+
+    def test_unrefinable_grid_skips_equivalence_crosscheck(self, tmp_path,
+                                                           capsys):
+        # every axis n <= 17 coarsens to the same 8-node grid at both scales,
+        # so there is no refinement to compare
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"]["grid"]["n"] = [16, 16]
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "equivalence cross-check" in line)
+        assert line.startswith("[PASS]") and "skipped" in line
 
     def test_violated_certificate_reported(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_2d.json")

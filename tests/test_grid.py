@@ -182,12 +182,21 @@ class TestOperator:
         rhs = float(np.sum(cells[:, 0] * gu * gu)) * g.node_measure
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
+    def test_offdiagonal_rejected_at_assembly(self):
+        # the stencil takes a diagonal A only; a symmetric off-diagonal
+        # matrix, constant or per cell, is refused before an operator exists
+        g = Grid((1.0, 1.0), (6, 6))
+        sym = np.array([[1.0, 0.2], [0.2, 1.0]])
+        per_cell = np.broadcast_to(sym, (7, 7, 2, 2))
+        for values in (sym, per_cell):
+            with pytest.raises(FieldValidationError,
+                               match=re.escape("is neither (2,) nor (7, 7, 2)")):
+                DiffusionOperator(MatrixField(g, values, alpha=0.5))
+
     def test_matrix_validation(self):
-        # per-axis entries of a diagonal A; a d x d matrix, even a symmetric
-        # one, is refused before it can reach the stencil
+        # per-axis entries of a diagonal A; a d x d matrix is refused
         g = Grid((1.0, 1.0), (6, 6))
         for values, alpha, message in (
-                ([[1.0, 0.2], [0.2, 1.0]], 0.5, "is neither (2,) nor (7, 7, 2)"),
                 ([[1.0, 0.1], [0.0, 1.0]], 0.5, "is neither (2,) nor (7, 7, 2)"),
                 ([1.0, 0.2], 0.5, "smallest diagonal entry 0.2 falls below"),
                 ([1.0, 1.0], 0.0, "alpha must be positive"),

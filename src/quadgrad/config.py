@@ -119,11 +119,12 @@ def _numbers(value, name, convert=float) -> tuple:
     return tuple(_number(v, name, convert) for v in value)
 
 
-def _finite(name, compute, *args):
-    """compute(*args); leaving the double range inside it is a ConfigError."""
+def _finite(name, compute, *args, **kwargs):
+    """compute(*args, **kwargs); leaving the double range inside it is a
+    ConfigError."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return compute(*args)
+            return compute(*args, **kwargs)
     except FloatingPointError as exc:
         raise ConfigError(f"{name} leaves the double-precision range ({exc})") from exc
 
@@ -350,6 +351,15 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                                  y_deltas=y_deltas)
         theta, G = report.theta, report.G
 
+    # building the data builds A's stencil: its 1/h^2 scaling and sine
+    # eigenvalues must stay in the double range
+    data = _finite(
+        "problem.A", SolveData, grid=grid, A=A, f=f, a0=a0, model=model,
+        norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
+        norm_a0_N2=norms["a0_N2"], norm_a0_q=norms["a0_q"], C_N=C_N,
+        theta=theta, G=G,
+    )
+
     admissible = report is not None and report.admissible
     ball_radius = solver_cfg = None
     if delta_spec == "delta0":
@@ -378,12 +388,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
             elif delta == report.delta0:
                 ball_radius = report.Z_delta0
 
-    data = SolveData(
-        grid=grid, A=A, f=f, a0=a0, model=model,
-        norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
-        norm_a0_N2=norms["a0_N2"], norm_a0_q=norms["a0_q"], C_N=C_N,
-        theta=theta, G=G, ball_radius=ball_radius,
-    )
+    data.ball_radius = ball_radius
 
     out_dir = rspec.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

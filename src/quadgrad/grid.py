@@ -8,24 +8,24 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
     with zero extension across the boundary;
   * all integrals, nodal and edge alike, use the same product measure
     prod(h), so the discrete Hoelder inequality is exact;
+  * the coefficient A is a constant diagonal, one entry per axis;
   * the divergence-form operator is assembled weakly as gradient^T followed
-    by the per-edge coefficient, which makes
+    by A's entry for the edge's axis, which makes
         <op u, v> = <A grad u, grad v>
     an identity of floating-point sums, not an approximation (the stencil
-    takes 1/h^2 into the edge coefficients once, when it is built);
+    takes 1/h^2 into the axis coefficients once, when it is built);
   * the dual norm of a source is the energy norm of its Riesz representative
     with respect to the plain Laplacian (coefficient-independent by the norm
     convention on the solution space);
-  * the Laplacian and every constant-coefficient operator are diagonal in the
-    product sine basis, so the Riesz lift and each step of the Sobolev ascent
-    are exact solves (``DiffusionOperator.fast_inverse``), with no iterative
-    tolerance.
+  * every such operator is diagonal in the product sine basis, so the Riesz
+    lift and each step of the Sobolev ascent are exact solves
+    (``DiffusionOperator.fast_inverse``), with no iterative tolerance, and the
+    same inverse preconditions ``cg_solve`` for the operator plus a diagonal.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -99,10 +99,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, fn(*grid.coords()))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -114,11 +110,10 @@ class VectorField:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Diagonal coercive coefficient A, constant or one per cell.
+    """Constant diagonal coercive coefficient A.
 
     The (2d+1)-point stencil represents only a diagonal A, so ``values``
-    holds its per-axis diagonal entries: shape (d,), or cells + (d,) with
-    cells = (n+1,) in 1D and (nx+1, ny+1) in 2D.  Validation demands a
+    holds its d per-axis diagonal entries, shape (d,).  Validation demands a
     declared coercivity alpha > 0 and finite entries, each at least alpha.
     """
 
@@ -129,12 +124,9 @@ class MatrixField:
     def __post_init__(self):
         d = self.grid.dim
         vals = np.array(self.values, dtype=float)
-        cells = tuple(n + 1 for n in self.grid.shape)
-        if vals.shape not in ((d,), cells + (d,)):
+        if vals.shape != (d,):
             raise FieldValidationError(
-                f"matrix field shape {vals.shape} is neither ({d},) nor "
-                f"{cells + (d,)}"
-            )
+                f"matrix field shape {vals.shape} is not ({d},)")
         if self.alpha <= 0:
             raise FieldValidationError("declared coercivity alpha must be positive")
         if not np.all(np.isfinite(vals)):
@@ -150,40 +142,6 @@ class MatrixField:
     @classmethod
     def identity(cls, grid, scale=1.0):
         return cls(grid, np.full(grid.dim, scale), alpha=scale)
-
-    def cell_values(self):
-        """The per-axis entries of every cell, shape cells + (d,)."""
-        cells = tuple(n + 1 for n in self.grid.shape)
-        return np.broadcast_to(self.values, cells + (self.grid.dim,))
-
-    def edge_coefficients(self):
-        """Coefficient per axis edge, arithmetic cell averages.
-
-        The axis-a entry of each cell is averaged over the cells sharing an
-        axis-a edge.
-        """
-        d = self.grid.dim
-        cv = self.cell_values()
-        plan = kernels.stencil_plan(self.grid.shape)
-        coefs = []
-        for a in range(d):
-            coef = cv[..., a]  # one value per cell
-            for b in range(d):
-                if b != a:
-                    hi, lo = plan.nodes[b]
-                    coef = 0.5 * (coef[lo] + coef[hi])
-            coefs.append(np.array(coef))
-        return tuple(coefs)
-
-    def node_values(self):
-        """Per-axis entries at each interior node, shape n + (d,), averaging
-        the 2^d adjacent cells."""
-        cv = self.cell_values()
-        sides = (slice(None, -1), slice(1, None))
-        # corners in axis order, the first axis varying fastest
-        corners = [cv[idx[::-1]]
-                   for idx in itertools.product(sides, repeat=self.grid.dim)]
-        return 0.5 ** self.grid.dim * sum(corners[1:], corners[0])
 
 
 def gradient(v: ScalarField) -> VectorField:
@@ -227,29 +185,23 @@ def h1_seminorm(v: ScalarField) -> float:
 
 class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays,
-    for the diagonal A of a ``MatrixField``.
+    for the constant diagonal A of a ``MatrixField``.
 
-    The stencil uses the edge coefficients ``coef`` times 1/h^2 per axis.
-    ``inverse_is_exact`` says whether each axis's edge coefficients are all
-    equal, which makes ``fast_inverse`` the stencil's exact inverse (true of
-    every A a config can build); CG then carries the stencil's image of its
-    search direction instead of applying the stencil (``cg_solve(exact=)``)."""
+    The stencil uses the per-axis entries ``coef`` of A times 1/h^2.  The
+    operator is diagonal in the product sine basis, which gives
+    ``fast_inverse``."""
 
     def __init__(self, A: MatrixField):
-        self.grid = A.grid
-        self.coef = A.edge_coefficients()
-        self.inverse_is_exact = all(np.all(c == c.flat[0]) for c in self.coef)
-        self._plan = kernels.stencil_plan(self.grid.shape)
-        scaled = tuple(c / (h * h) for c, h in zip(self.coef, self.grid.h))
+        self.grid = g = A.grid
+        self.coef = tuple(A.values)
+        self._plan = kernels.stencil_plan(g.shape)
+        scaled = tuple(c / (h * h) for c, h in zip(self.coef, g.h))
         self._axes = tuple(zip(scaled, self._plan.edges, self._plan.nodes))
-        # eigenvalues of the mean-coefficient operator in the sine basis
-        g = self.grid
         self._bases = tuple(kernels.sine_basis(n) for n in g.shape)
         eig = 0.0
         for a, (coef, n, h) in enumerate(zip(self.coef, g.shape, g.h)):
             k = np.arange(1, n + 1)
-            lam = float(np.mean(coef)) \
-                * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
+            lam = coef * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
             eig = eig + lam.reshape([n if b == a else 1 for b in range(g.dim)])
         self._inv_eig = 1.0 / eig
 
@@ -257,32 +209,20 @@ class DiffusionOperator:
         return kernels.apply_diffusion(v, self._axes, self._plan)
 
     def fast_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Exact inverse of the mean-coefficient operator, by sine transforms.
-
-        Each axis's edge coefficients are replaced by their mean, which makes
-        the operator diagonal in the product sine basis.  When they are
-        already equal (``inverse_is_exact``; every coefficient a config can
-        build) this is the exact inverse of the operator; for a per-cell A it
-        is the spectrally equivalent preconditioner of Concus & Golub (SIAM
-        J. Numer. Anal. 10, 1973).
-        """
+        """Exact inverse of the operator, by sine transforms."""
         spectrum = kernels.sine_transform(r, self._bases)
         return kernels.sine_transform(spectrum * self._inv_eig, self._bases)
 
 
-def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
-             precond=None, shift=None, exact=False):
+def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
     """Conjugate gradients for (L + diag(shift)) x = rhs on nodal arrays,
-    started from x = 0.
+    started from x = 0 and preconditioned with ``inverse``, the exact
+    inverse of L; ``shift`` is a nonnegative diagonal.
 
-    ``apply_fn`` applies L; ``shift`` is a nonnegative diagonal (none by
-    default).  ``precond`` applies a symmetric positive-definite approximate
-    inverse of L (preconditioned CG); without it this is plain CG.  With
-    ``exact`` it is L's exact inverse, so L z = r for every preconditioned
-    residual and the image of the search direction p = z + beta p is carried
-    as L p = r + beta L p (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981):
-    the loop then never calls ``apply_fn``; otherwise it calls it once per
-    iteration.  The stopping rule is on the unpreconditioned residual,
+    Since L z = r for every preconditioned residual z, the image of the
+    search direction p = z + beta p is carried as L p = r + beta L p
+    (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981), so L itself is never
+    applied.  The stopping rule is on the unpreconditioned residual,
     |r| <= tol |rhs|.  Returns (x, iterations).
     """
     b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
@@ -290,34 +230,28 @@ def cg_solve(apply_fn, rhs: np.ndarray, tol: float = 1e-12, maxiter=None,
     x = np.zeros_like(rhs)
     if b_norm == 0.0 or b_norm <= target:
         return x, 0
-    # the zero start's residual is rhs itself, with no operator application
+    # the zero start's residual is rhs itself, and L p = r for p = inverse(r)
     r = np.array(rhs, dtype=float)
-    if precond is None:
-        def precond(v):
-            return v
-    z = precond(r)
+    z = inverse(r)
     p = z.copy()
-    lp = r.copy() if exact else None
+    lp = r.copy()
     rz = float(np.vdot(r, z).real)
     if maxiter is None:
         maxiter = 20 * rhs.size + 100
     for it in range(1, maxiter + 1):
-        if not exact:
-            lp = apply_fn(p)
-        ap = lp if shift is None else lp + shift * p
+        ap = lp + shift * p
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
         r -= alpha * ap
         if np.sqrt(np.vdot(r, r).real) <= target:
             return x, it
-        z = precond(r)
+        z = inverse(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
         p *= beta
         p += z
-        if exact:
-            lp *= beta
-            lp += r
+        lp *= beta
+        lp += r
         rz = rz_new
     res = float(np.sqrt(np.vdot(r, r).real))
     raise IterativeSolveFailure(
@@ -366,10 +300,7 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
     if p <= 2:
         raise DomainError(f"estimator requires p > 2, got {p}")
     lap = laplacian(grid)
-    bump = ScalarField.from_function(
-        grid, lambda *xs: np.prod(
-            [np.sin(np.pi * x / e) for x, e in zip(xs, grid.extents)], axis=0)
-    )
+    bump = field_from_expression(grid, {"kind": "sine_bump"})
     v = bump.values / h1_seminorm(bump)
     ratio = lp_norm(ScalarField(grid, v), p)
     for it in range(1, max_iter + 1):

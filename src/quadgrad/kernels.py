@@ -7,8 +7,8 @@ outer loop.  Its index tuples are therefore built once per grid shape
 differences per axis.
 
 The orthonormal sine matrices (``sine_basis``, cached per axis length)
-diagonalize the stencil for constant coefficients; ``sine_transform`` applies
-one per axis as dense matrix products.
+diagonalize the stencil, whose coefficient is one constant per axis;
+``sine_transform`` applies one per axis as dense matrix products.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def zero_padded(v, plan):
 def apply_diffusion(v, axes, plan):
     """(2d+1)-point divergence-form stencil.
 
-    ``axes`` holds one (edge coefficient over h^2, edge index, node index)
+    ``axes`` holds one (axis coefficient over h^2, edge index, node index)
     tuple per axis; the axis terms are summed in axis order from the first.
     """
     ext = zero_padded(v, plan)

@@ -7,9 +7,8 @@ Structure of one solve at truncation height k:
           problem  -div(A DW) + b * sign_k(W) = rhs(w)  by damped semismooth
           Newton (unique solution, start-independent).  Each Newton step
           solves operator-plus-diagonal by conjugate gradients preconditioned
-          with the exact sine-transform inverse of the mean-coefficient
-          operator (``DiffusionOperator.fast_inverse``); where that inverse
-          is the operator's own, CG applies no stencil;
+          with the operator's exact sine-transform inverse
+          (``DiffusionOperator.fast_inverse``), so CG applies no stencil;
   outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, each inner
           solve warm-started from the previous inner solution W, which
           consecutive iterates barely move once the iteration settles; the
@@ -96,9 +95,8 @@ class SolveData:
     """Grid-level problem data plus the discrete constants feeding the checks.
 
     alpha is ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
-    ``model.c0_cert``.  ``op`` (the stencil of A) and ``_node_A`` (A's
-    diagonal at the nodes) are derived from A when the data is built, so
-    ``replace(data, A=...)`` rebuilds both.
+    ``model.c0_cert``.  ``op``, the stencil of A, is built from A with the
+    data, so ``replace(data, A=...)`` rebuilds it.
     """
 
     grid: Grid
@@ -115,24 +113,21 @@ class SolveData:
     G: float = 0.0
     ball_radius: float | None = None
     op: DiffusionOperator = field(init=False)
-    _node_A: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.op = DiffusionOperator(self.A)
-        self._node_A = self.A.node_values()
 
     def node_quadratic_forms(self, w_vals, grad=None):
-        """A(x) Dw.Dw and |Dw|^2 at the nodes, central-difference gradient;
+        """A Dw.Dw and |Dw|^2 at the nodes, central-difference gradient;
         ``grad`` is w's edge gradient if held.  A is diagonal, so the form is
         the sum over axes of its entry times the squared component."""
         if grad is None:
             grad = gradient(ScalarField(self.grid, w_vals))
         comps = node_average(grad)
         grad_sq = sum(c * c for c in comps)
-        na = self._node_A
         a_quad = np.zeros(self.grid.shape)
-        for i, c in enumerate(comps):
-            a_quad += na[..., i] * c * c
+        for a_ii, c in zip(self.A.values, comps):
+            a_quad += a_ii * c * c
         return a_quad, grad_sq
 
 
@@ -206,10 +201,9 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
     plus a nonnegative diagonal, solved matrix-free by conjugate gradients
-    preconditioned with the operator's mean-coefficient inverse.  When that
-    inverse is exact (``DiffusionOperator.inverse_is_exact``) CG carries the
-    operator's image of its search direction and applies no stencil; the
-    stencil is applied once per line-search trial.  ``grad`` is the per-edge
+    preconditioned with the operator's exact inverse; CG carries the
+    operator's image of its search direction and applies no stencil, so the
+    stencil is applied once per residual evaluation.  ``grad`` is the per-edge
     gradient of w when the caller carries it.  The result counts the Newton
     steps and the CG iterations of all of them.
     """
@@ -243,8 +237,7 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         # forcing term: tighten the linear solve as the residual approaches
         # the target, so the Newton floor sits below it
         step_tol = min(cfg.cg_tol, max(1e-15, 0.01 * target / res))
-        step, its = cg_solve(op.apply, -r, tol=step_tol, precond=op.fast_inverse,
-                             shift=diag, exact=op.inverse_is_exact)
+        step, its = cg_solve(op.fast_inverse, -r, diag, tol=step_tol)
         cg_iterations += its
         t = 1.0
         for _ in range(40):
@@ -441,7 +434,6 @@ class LadderDiagnostics:
     n_ladder: tuple
     tail_energy: np.ndarray        # E[n_idx, k_idx] = |D remainder_n(w_k)|^2
     increments: list               # |D(w_{k_i} - w_{k_i+1})|, len = len(ks)-1
-    truncated_increments: np.ndarray  # per (n, consecutive pair)
     residuals: list                # per-k residual of the truncated equation
     max_abs: list                  # per-k max |w_k|
 
@@ -459,9 +451,7 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     diag = LadderDiagnostics(
         k_schedule=schedule, n_ladder=n_ladder,
         tail_energy=np.zeros((len(n_ladder), len(schedule))),
-        increments=[], truncated_increments=np.zeros(
-            (len(n_ladder), max(len(schedule) - 1, 0))),
-        residuals=[], max_abs=[],
+        increments=[], residuals=[], max_abs=[],
     )
     for kidx, k in enumerate(schedule):
         try:
@@ -480,9 +470,4 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
         delta_w = ScalarField(
             data.grid, solutions[i].values - solutions[i + 1].values)
         diag.increments.append(h1_seminorm(delta_w))
-        for nidx, n in enumerate(n_ladder):
-            tn = ScalarField(data.grid,
-                             truncate(solutions[i].values, n)
-                             - truncate(solutions[i + 1].values, n))
-            diag.truncated_increments[nidx, i] = h1_seminorm(tn)
     return solutions[-1], diag, traces

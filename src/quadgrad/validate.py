@@ -192,7 +192,7 @@ def check_operator_symmetry(op: DiffusionOperator, rng, pairs=20) -> CheckResult
 
 
 def check_integration_by_parts(op: DiffusionOperator, rng, pairs=20) -> CheckResult:
-    """<op u, v> equals the edge-coefficient energy product to roundoff."""
+    """<op u, v> equals the A-weighted energy product to roundoff."""
     g = op.grid
     worst = 0.0
     for _ in range(pairs):

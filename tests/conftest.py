@@ -33,6 +33,15 @@ def load_benchmark(name):
         return json.load(fh)
 
 
+def dense_operator(op):
+    """The matrix of ``op`` on raveled nodal arrays, column j its image of the
+    j-th unit vector: a reference for solves that shares no code with CG or
+    the sine-transform inverse."""
+    shape = op.grid.shape
+    units = np.eye(int(np.prod(shape))).reshape((-1,) + shape)
+    return np.stack([op.apply(e).ravel() for e in units], axis=1)
+
+
 def golden_minimize(fn, lo, hi, tol=1e-11):
     """Golden-section search, independent of any derivative formula."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

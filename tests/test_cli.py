@@ -277,6 +277,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
+    @pytest.mark.parametrize("name", ["benchmark_2d.json", "fail_smallness.json"],
+                             ids=["admissible", "inadmissible"])
+    def test_huge_coefficient_names_problem_a(self, tmp_path, capsys, command,
+                                              name):
+        # a finite A whose stencil scaling 1/h^2 leaves the double range is
+        # malformed input, also on data that fails the smallness conditions;
+        # RuntimeWarnings are errors in this suite, so none may escape either
+        cfg = load_benchmark(name)
+        cfg["problem"]["A"] = {"kind": "identity", "scale": 1e308}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert captured.err.startswith(
+            "config error: problem.A leaves the double-precision range")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
     @pytest.mark.parametrize("content, message", [
         (None, "has grid (128,)"),
         ("64,0.015384615384615385\nabc\n", "could not convert"),

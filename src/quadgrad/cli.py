@@ -113,7 +113,7 @@ def _write_diagnostics(diag, out_dir):
         writer.writerow(["n"] + [repr(k) for k in diag.k_schedule])
         for nidx, n in enumerate(diag.n_ladder):
             writer.writerow([repr(float(n))]
-                            + [repr(v) for v in diag.tail_energy[nidx]])
+                            + [repr(float(v)) for v in diag.tail_energy[nidx]])
     with open(os.path.join(out_dir, "increments.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k_from", "k_to", "increment"])

@@ -297,6 +297,10 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     root_tol = _number(cspec.get("root_tol", DEFAULT_ROOT_TOL), "constants.root_tol")
     y_deltas = _numbers(rspec.get("y_deltas", ()), "report.y_deltas")
+    n_ladder = _numbers(rspec.get("n_ladder", ()), "report.n_ladder")
+    out_dir = rspec.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
 
     A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
     f = _build_scalar_field(_require(problem, "f", "problem"), grid, base_dir, "f")
@@ -390,16 +394,12 @@ def build_experiment(cfg: dict, base_dir: str = ".",
 
     data.ball_radius = ball_radius
 
-    out_dir = rspec.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
-
     return Experiment(
         raw=cfg, base_dir=base_dir, seed=seed, grid=grid, data=data,
         solver_cfg=solver_cfg, problem_constants=constants, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
         knobs=knobs, out_dir=out_dir,
-        n_ladder=_numbers(rspec.get("n_ladder", ()), "report.n_ladder"),
+        n_ladder=n_ladder,
         constants_error=str(constants_error) if constants_error else None,
         norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},

@@ -90,7 +90,7 @@ class ScalarField:
             raise FieldValidationError(
                 f"field shape {vals.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise FieldValidationError("field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -174,7 +174,7 @@ def inner_l2(u: ScalarField, v: ScalarField) -> float:
 
 def energy_norm(grad: VectorField) -> float:
     """L^2 norm of a per-edge gradient in the shared product measure."""
-    total = sum(float(np.sum(c * c)) for c in grad.components)
+    total = sum(float((c * c).sum()) for c in grad.components)
     return float(np.sqrt(total * grad.grid.node_measure))
 
 
@@ -223,11 +223,13 @@ def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
     search direction p = z + beta p is carried as L p = r + beta L p
     (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981), so L itself is never
     applied.  The stopping rule is on the unpreconditioned residual,
-    |r| <= tol |rhs|.  Returns (x, iterations).
+    |r| <= tol |rhs|, relative to this system's right-hand side; a Newton
+    step passes the ratio that makes tol |rhs| its forcing target (see
+    ``solver.inner_solve``).  Returns (x, iterations).
     """
     b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
     target = tol * max(b_norm, np.finfo(float).tiny)
-    x = np.zeros_like(rhs)
+    x = np.zeros(rhs.shape)
     if b_norm == 0.0 or b_norm <= target:
         return x, 0
     # the zero start's residual is rhs itself, and L p = r for p = inverse(r)

@@ -41,14 +41,14 @@ def sign_k(s, k):
     """Lipschitz regularization of sign with knee at |s| = 1/k."""
     if k <= 0:
         raise DomainError(f"regularization slope k must be positive, got {k}")
-    return _as_float(np.clip(np.multiply(k, s), -1.0, 1.0), s)
+    return _as_float(np.minimum(np.maximum(np.multiply(k, s), -1.0), 1.0), s)
 
 
 def truncate(s, k):
     """Truncation at height k: clamp to [-k, k]."""
     if k <= 0:
         raise DomainError(f"truncation height k must be positive, got {k}")
-    return _as_float(np.clip(s, -k, k), s)
+    return _as_float(np.minimum(np.maximum(s, -k), k), s)
 
 
 def remainder(s, n):
@@ -72,8 +72,9 @@ def _entropy_core(x, one_p=None, log1p_x=None):
     # below x ~ 0.1 the direct form cancels; a short series replaces it there
     small = x < 0.1
     xs = x[small]
-    acc = np.zeros_like(xs)
-    for c in reversed(_CORE_COEFFS):
+    # Horner from the last coefficient: c - xs * 0 = c exactly
+    acc = _CORE_COEFFS[-1]
+    for c in reversed(_CORE_COEFFS[:-1]):
         acc = c - xs * acc
     out[small] = xs * xs * acc
     return out
@@ -242,7 +243,8 @@ def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
     t = np.asarray(t, dtype=float)
     x = delta * np.abs(t)
     one_p, log1p_x, sgn = 1.0 + x, np.log1p(x), np.sign(t)
-    h_val = model.evaluate(log1p_x / delta * sgn, a_quad / one_p**2,
-                           grad_sq / one_p**2)
+    one_p_sq = one_p**2
+    h_val = model.evaluate(log1p_x / delta * sgn, a_quad / one_p_sq,
+                           grad_sq / one_p_sq)
     k = delta / one_p * a_quad - one_p * h_val * sgn
     return k, _entropy_core(x, one_p, log1p_x) / delta, one_p, sgn

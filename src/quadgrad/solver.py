@@ -60,7 +60,14 @@ from .nonlinearity import (
 
 @dataclass
 class SolverConfig:
-    """Knobs of the fixed-point solve; delta is the resolved numeric value."""
+    """Knobs of the fixed-point solve; delta is the resolved numeric value.
+
+    ``outer_tol`` bounds the Picard defect |D(W - w)|, an absolute energy;
+    ``inner_tol`` bounds the inner Newton residual over |rhs(w)|, and
+    ``cg_tol`` each Newton step's CG residual over the same |rhs(w)|,
+    tightened to inner_tol/100 when that is smaller; ``eps_solver`` in the
+    trace allows for both.
+    """
 
     delta: float
     k: float = 100.0
@@ -142,6 +149,7 @@ class IterationRecord:
     cg_iterations: int
     rhs_l2: float
     in_ball: bool | None
+    ls_halvings: int = 0
 
     def to_dict(self):
         """The trace row: every field under its own name."""
@@ -176,10 +184,10 @@ def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
     a_quad, grad_sq = data.node_quadratic_forms(w_vals, grad)
     kv, g, one_p, sgn = transformed_terms(w_vals, a_quad, grad_sq, delta, model)
     b = truncate(kv, k)
-    floor = -1e-12 * (model.c0_cert + delta) * max(float(np.max(a_quad)), 1.0)
-    if float(np.min(b)) < floor:
+    floor = -1e-12 * (model.c0_cert + delta) * max(float(a_quad.max()), 1.0)
+    if float(b.min()) < floor:
         raise DomainError(
-            f"zeroth-order coefficient dips to {float(np.min(b)):g} < 0: "
+            f"zeroth-order coefficient dips to {float(b.min()):g} < 0: "
             f"delta = {delta:g} below the growth constant gamma = "
             f"{model.gamma_cert:g}?"
         )
@@ -188,24 +196,36 @@ def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
 
 @dataclass
 class InnerResult:
+    """Work and outcome of one inner solve.  ``image`` is the stencil applied
+    to the returned W, which the next inner solve takes with W as its start."""
+
     iterations: int
     residual: float
     rhs_l2: float
     cg_iterations: int
+    ls_halvings: int
+    image: np.ndarray
 
 
 def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
-                x0=None, grad=None):
+                x0=None, grad=None, image=None):
     """Solve -div(A DW) + b sign_k(W) = rhs(w) by damped semismooth Newton.
 
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
     plus a nonnegative diagonal, solved matrix-free by conjugate gradients
     preconditioned with the operator's exact inverse; CG carries the
-    operator's image of its search direction and applies no stencil, so the
-    stencil is applied once per residual evaluation.  ``grad`` is the per-edge
-    gradient of w when the caller carries it.  The result counts the Newton
-    steps and the CG iterations of all of them.
+    operator's image of its search direction and applies no stencil.  Each
+    step's CG is asked for a residual of min(cg_tol, inner_tol/100) |rhs|
+    (an inexact Newton forcing term, Dembo, Eisenstat and Steihaug 1982),
+    while Newton stops on the true residual, |r| <= inner_tol |rhs|.
+
+    ``x0`` is the start (zero if omitted) and ``image`` its stencil image,
+    the ``InnerResult.image`` of the solve that returned it; the stencil is
+    then applied once per line-search trial and never to the start.
+    ``grad`` is the per-edge gradient of w when the caller carries it.  The
+    result counts the Newton steps, the CG iterations of all of them and the
+    line-search halvings.
     """
     delta, k = cfg.delta, cfg.k
     try:
@@ -215,46 +235,51 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
         raise TransformOverflowError(
             "the transformed coefficients K_delta(w) and rhs(w) overflow double "
             f"precision at delta = {delta:g} ({exc})") from exc
-    rhs_l2 = float(np.sqrt(np.sum(rhs * rhs)))
-    W = np.zeros(data.grid.shape) if x0 is None else np.array(x0, dtype=float)
+    rhs_l2 = math.sqrt((rhs * rhs).sum())
     op = data.op
+    if x0 is None:
+        W = np.zeros(data.grid.shape)
+        LW = np.zeros(data.grid.shape)
+    else:
+        W = np.array(x0, dtype=float)
+        LW = op.apply(W) if image is None else image
 
-    def residual_vec(v):
-        r = op.apply(v)
-        r += b * np.clip(k * v, -1.0, 1.0)
+    def residual_vec(v, lv):
+        r = lv + b * np.minimum(np.maximum(k * v, -1.0), 1.0)
         r -= rhs
         return r
 
     target = cfg.inner_tol * max(rhs_l2, 1e-300)
-    r = residual_vec(W)
-    res = float(np.sqrt(np.vdot(r, r)))
-    cg_iterations = 0
+    forcing = min(cfg.cg_tol, 0.01 * cfg.inner_tol) * rhs_l2
+    r = residual_vec(W, LW)
+    res = math.sqrt(np.vdot(r, r))
+    cg_iterations = halvings = 0
     for it in range(cfg.max_inner):
         if res <= target:
-            return ScalarField(data.grid, W), InnerResult(it, res, rhs_l2,
-                                                          cg_iterations)
+            return ScalarField(data.grid, W), InnerResult(
+                it, res, rhs_l2, cg_iterations, halvings, LW)
         diag = b * k * (np.abs(W) <= 1.0 / k)
-        # forcing term: tighten the linear solve as the residual approaches
-        # the target, so the Newton floor sits below it
-        step_tol = min(cfg.cg_tol, max(1e-15, 0.01 * target / res))
-        step, its = cg_solve(op.fast_inverse, -r, diag, tol=step_tol)
+        step, its = cg_solve(op.fast_inverse, -r, diag,
+                             tol=max(1e-15, forcing / res))
         cg_iterations += its
         t = 1.0
         for _ in range(40):
             W_trial = W + t * step
-            r_trial = residual_vec(W_trial)
-            res_trial = float(np.sqrt(np.vdot(r_trial, r_trial)))
+            LW_trial = op.apply(W_trial)
+            r_trial = residual_vec(W_trial, LW_trial)
+            res_trial = math.sqrt(np.vdot(r_trial, r_trial))
             if res_trial <= (1.0 - 1e-4 * t) * res:
-                W, r, res = W_trial, r_trial, res_trial
+                W, LW, r, res = W_trial, LW_trial, r_trial, res_trial
                 break
             t *= 0.5
+            halvings += 1
         else:
             raise NewtonStall(
                 f"line search exhausted at residual {res:g}", residual=res,
                 iterations=it)
     if res <= target:
-        return ScalarField(data.grid, W), InnerResult(cfg.max_inner, res, rhs_l2,
-                                                      cg_iterations)
+        return ScalarField(data.grid, W), InnerResult(
+            cfg.max_inner, res, rhs_l2, cg_iterations, halvings, LW)
     raise NewtonStall(
         f"inner Newton out of budget ({cfg.max_inner} iterations) at residual "
         f"{res:g} (target {target:g})", residual=res,
@@ -350,7 +375,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     """Relaxed Picard iteration on the inner solution map, started at zero.
 
     Every inner solve after the first starts Newton from the previous inner
-    solution.  Each iteration takes the per-edge gradients of W and W - w
+    solution and its stencil image.  Each iteration takes the per-edge gradients of W and W - w
     once; every energy and, by linearity, the gradient of the relaxed iterate
     (for the next K_delta) come from them.  The defect is differenced before
     its gradient, so it stays accurate relative to itself as it vanishes.
@@ -373,14 +398,15 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     norm_w = energy_norm(grad_w)
     max_rhs = 0.0
     final = False
-    W = None
+    start = image = None
     for m in range(cfg.max_outer + 1):
         try:
-            W, inner = inner_solve(w, data, run_cfg,
-                                   x0=None if W is None else W.values, grad=grad_w)
+            W, inner = inner_solve(w, data, run_cfg, x0=start, grad=grad_w,
+                                   image=image)
         except SolverFailure as exc:
             exc.trace = trace
             raise
+        start, image = W.values, inner.image
         grad_W = gradient(W)
         grad_D = gradient(ScalarField(data.grid, W.values - w.values))
         norm_W = energy_norm(grad_W)
@@ -407,7 +433,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             estimate_slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
             inner_iterations=inner.iterations,
             cg_iterations=inner.cg_iterations, rhs_l2=inner.rhs_l2,
-            in_ball=in_ball,
+            in_ball=in_ball, ls_halvings=inner.ls_halvings,
         ))
         if final:
             trace.converged = True

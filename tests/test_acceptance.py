@@ -229,13 +229,15 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
 
 
 def test_benchmark_iteration_counts(run_1d, run_2d):
-    # a change that only saves work must leave the trajectory where it is
-    for run, picard, newton in ((run_1d, [46, 42, 42, 42], 176),
-                                (run_2d, [54, 39, 38, 38], 178)):
+    # a change that only saves work must leave the trajectory where it is,
+    # and one that adds linear work must say so here
+    for run, picard, newton, cg in ((run_1d, [46, 42, 42, 42], 176, 544),
+                                    (run_2d, [54, 39, 38, 38], 178, 626)):
         traces = run[3]
         assert [len(t.records) for t in traces] == picard
         assert sum(r.inner_iterations
                    for t in traces for r in t.records) == newton
+        assert sum(r.cg_iterations for t in traces for r in t.records) <= cg
 
 
 def test_warm_started_newton_steps_per_picard(run_1d):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -94,6 +95,22 @@ class TestExitCodes:
         assert main(["solve", "--config", config_path("fail_smallness.json"),
                      "--out", out]) == 3
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["solve", "constants", "check",
+                                         "verify"])
+    @pytest.mark.parametrize("key, message", [
+        ("out_dir", "must be a path"),
+        ("n_ladder", "must be a list of numbers"),
+    ], ids=["out_dir", "n_ladder"])
+    def test_malformed_report_entry_beats_smallness_verdict(
+            self, tmp_path, capsys, command, key, message):
+        # every entry is checked before the data's admissibility is judged,
+        # so a malformed one exits 2 on inadmissible data in every command
+        cfg = load_benchmark("fail_smallness.json")
+        cfg["report"][key] = 5
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: report.{key} {message}")
 
     @pytest.mark.parametrize("block, key, value", [
         ("grid", "n", ["abc"]),
@@ -437,9 +454,18 @@ class TestSolveCommand:
         with open(os.path.join(out, "trace.jsonl")) as fh:
             rows = [json.loads(line) for line in fh]
         assert {row["k"] for row in rows} == {200.0, 5000.0}
-        with open(os.path.join(out, "tail_energy.csv")) as fh:
-            header = fh.readline().strip().split(",")
-        assert header[0] == "n"
+        assert all(row["ls_halvings"] == 0 for row in rows)
+        # every diagnostics cell past the "n" label is a plain float repr
+        for name in ("tail_energy.csv", "increments.csv"):
+            with open(os.path.join(out, name), newline="") as fh:
+                header, *body = list(csv.reader(fh))
+            assert body
+            assert header[0] == {"tail_energy.csv": "n",
+                                 "increments.csv": "k_from"}[name]
+            cells = header[1:] if name == "tail_energy.csv" else []
+            cells += [cell for row in body for cell in row]
+            for cell in cells:
+                assert repr(float(cell)) == cell
 
     def test_solve_determinism(self, small_1d, tmp_path, capsys):
         outs = []

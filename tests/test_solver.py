@@ -363,8 +363,9 @@ class TestVariableCoefficient2D:
 class TestNewtonCG:
     @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
     def test_stencil_applied_once_per_residual(self, monkeypatch, dim, n):
-        # CG carries the stencil's image of its search direction, so the
-        # stencil runs once per residual evaluation and never inside CG
+        # CG carries the stencil's image of its search direction, and each
+        # inner solve takes its start's image from the previous one, so the
+        # stencil runs once per line-search trial and never inside CG
         exp = make_exp(n=n, dim=dim)
         applies, cg_applies = [], []
         stencil, cg = DiffusionOperator.apply, solver.cg_solve
@@ -383,15 +384,46 @@ class TestNewtonCG:
         monkeypatch.setattr(solver, "cg_solve", counted_cg)
         _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
         assert trace.converged and trace.residual <= 1e-8
-        picard = len(trace.records)
         newton = sum(r.inner_iterations for r in trace.records)
         cg_iterations = sum(r.cg_iterations for r in trace.records)
         assert len(cg_applies) == newton and not any(cg_applies)
-        # one residual at each inner solve's start, one per full Newton step
-        # (the line search takes the full step here), and the final
-        # fixed-point residual
-        assert len(applies) == picard + newton + 1
+        assert sum(r.ls_halvings for r in trace.records) == 0
+        # one per Newton step (the line search takes the full step here) and
+        # the final fixed-point residual; none at an inner solve's start
+        assert len(applies) == newton + 1
         assert cg_iterations >= newton
+
+    @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
+    def test_cg_forcing_relative_to_rhs(self, monkeypatch, dim, n):
+        # each Newton step's CG is asked for a residual of
+        # min(cg_tol, inner_tol/100) |rhs(w)|, while Newton stops on the true
+        # residual at inner_tol |rhs(w)|
+        exp = make_exp(n=n, dim=dim)
+        cfg = exp.solver_cfg
+        steps, results = [], []
+        cg, inner = solver.cg_solve, solver.inner_solve
+
+        def recording_cg(inverse, rhs, shift, tol):
+            steps[-1].append((tol, float(np.linalg.norm(rhs))))
+            return cg(inverse, rhs, shift, tol=tol)
+
+        def recording_inner(*args, **kwargs):
+            steps.append([])
+            W, info = inner(*args, **kwargs)
+            results.append(info)
+            return W, info
+
+        monkeypatch.setattr(solver, "cg_solve", recording_cg)
+        monkeypatch.setattr(solver, "inner_solve", recording_inner)
+        _, trace = outer_fixed_point(exp.data, cfg)
+        assert trace.converged and len(results) == len(trace.records)
+        forcing = min(cfg.cg_tol, 0.01 * cfg.inner_tol)
+        for info, calls in zip(results, steps):
+            assert len(calls) == info.iterations
+            assert info.residual <= cfg.inner_tol * info.rhs_l2
+            for tol, res in calls:
+                want = max(1e-15, forcing * info.rhs_l2 / res)
+                assert tol == pytest.approx(want, rel=1e-12)
 
 
 class TestInnerCoefficients:

@@ -20,7 +20,11 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
   * every such operator is diagonal in the product sine basis, so the Riesz
     lift and each step of the Sobolev ascent are exact solves
     (``DiffusionOperator.fast_inverse``), with no iterative tolerance, and the
-    same inverse preconditions ``cg_solve`` for the operator plus a diagonal.
+    same inverse preconditions ``cg_solve`` for the operator plus a diagonal;
+  * the stencil is the innermost loop of every solve, so its index tuples are
+    built once per grid shape and each application is one zero-padded copy
+    plus slice differences per axis; the orthonormal sine matrices are cached
+    per axis length and applied as dense matrix products.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, FieldValidationError, IterativeSolveFailure
 
 
@@ -144,18 +148,64 @@ class MatrixField:
         return cls(grid, np.full(grid.dim, scale), alpha=scale)
 
 
+class _StencilPlan(NamedTuple):
+    """Index tuples for nodal arrays of one shape, zero-padded by one node.
+
+    ``edges[a]`` holds the (upper, lower) nodes of each axis-a edge in the
+    padded array, ``nodes[a]`` the (upper, lower) edges of each node in an
+    axis-a edge array.
+    """
+
+    padded: tuple
+    interior: tuple
+    edges: tuple
+    nodes: tuple
+
+
+@lru_cache(maxsize=32)
+def _stencil_plan(shape):
+    dim = len(shape)
+
+    def along(axis, at_axis, elsewhere):
+        return tuple(at_axis if b == axis else elsewhere for b in range(dim))
+
+    upper, lower, inner, whole = (slice(1, None), slice(None, -1),
+                                  slice(1, -1), slice(None))
+    return _StencilPlan(
+        padded=tuple(n + 2 for n in shape),
+        interior=(inner,) * dim,
+        edges=tuple((along(a, upper, inner), along(a, lower, inner))
+                    for a in range(dim)),
+        nodes=tuple((along(a, upper, whole), along(a, lower, whole))
+                    for a in range(dim)),
+    )
+
+
+def _zero_padded(v, plan):
+    """Copy of v with one layer of homogeneous Dirichlet nodes around it."""
+    ext = np.zeros(plan.padded)
+    ext[plan.interior] = v
+    return ext
+
+
+def edge_values(v: ScalarField):
+    """Per axis, the (upper, lower) end values of every edge, with the
+    Dirichlet zero beyond the boundary."""
+    plan = _stencil_plan(v.grid.shape)
+    ext = _zero_padded(v.values, plan)
+    return tuple((ext[hi], ext[lo]) for hi, lo in plan.edges)
+
+
 def gradient(v: ScalarField) -> VectorField:
     """Forward differences per axis edge with Dirichlet zero extension."""
     g = v.grid
-    plan = kernels.stencil_plan(g.shape)
-    ext = kernels.zero_padded(v.values, plan)
-    return VectorField(g, tuple((ext[hi] - ext[lo]) / h
-                                for (hi, lo), h in zip(plan.edges, g.h)))
+    return VectorField(g, tuple((hi - lo) / h
+                                for (hi, lo), h in zip(edge_values(v), g.h)))
 
 
 def node_average(grad: VectorField):
     """Central differences at the nodes from a per-edge gradient."""
-    plan = kernels.stencil_plan(grad.grid.shape)
+    plan = _stencil_plan(grad.grid.shape)
     return tuple(0.5 * (d[lo] + d[hi])
                  for d, (hi, lo) in zip(grad.components, plan.nodes))
 
@@ -183,6 +233,32 @@ def h1_seminorm(v: ScalarField) -> float:
     return energy_norm(gradient(v))
 
 
+@lru_cache(maxsize=32)
+def _sine_basis(n):
+    """Orthonormal DST-I matrix of order n: symmetric and its own inverse.
+
+    Column k (1-based) is the Dirichlet eigenvector sin(pi j k / (n+1)) of the
+    3-point stencil on n interior nodes, with eigenvalue
+    (2 sin(pi k / (2(n+1))) / h)^2 for spacing h.
+    """
+    k = np.arange(1, n + 1)
+    basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(k, k))
+    basis.setflags(write=False)
+    return basis
+
+
+def _sine_transform(v, bases):
+    """Multiplies v by ``bases[a]`` along every axis a.
+
+    Each product contracts the leading axis and appends the transformed one,
+    so after one product per axis the axes are back in their order.
+    """
+    for basis in bases:
+        n = basis.shape[0]
+        v = (v.reshape(n, -1).T @ basis).reshape(v.shape[1:] + (n,))
+    return v
+
+
 class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays,
     for the constant diagonal A of a ``MatrixField``.
@@ -194,10 +270,10 @@ class DiffusionOperator:
     def __init__(self, A: MatrixField):
         self.grid = g = A.grid
         self.coef = tuple(A.values)
-        self._plan = kernels.stencil_plan(g.shape)
+        self._plan = plan = _stencil_plan(g.shape)
         scaled = tuple(c / (h * h) for c, h in zip(self.coef, g.h))
-        self._axes = tuple(zip(scaled, self._plan.edges, self._plan.nodes))
-        self._bases = tuple(kernels.sine_basis(n) for n in g.shape)
+        self._axes = tuple(zip(scaled, plan.edges, plan.nodes))
+        self._bases = tuple(_sine_basis(n) for n in g.shape)
         eig = 0.0
         for a, (coef, n, h) in enumerate(zip(self.coef, g.shape, g.h)):
             k = np.arange(1, n + 1)
@@ -206,12 +282,23 @@ class DiffusionOperator:
         self._inv_eig = 1.0 / eig
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return kernels.apply_diffusion(v, self._axes, self._plan)
+        """(2d+1)-point stencil; the axis terms are summed in axis order."""
+        ext = _zero_padded(v, self._plan)
+        out = None
+        for coef, (hi, lo), (nhi, nlo) in self._axes:
+            flux = ext[hi] - ext[lo]
+            flux *= coef
+            term = flux[nlo] - flux[nhi]
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
 
     def fast_inverse(self, r: np.ndarray) -> np.ndarray:
         """Exact inverse of the operator, by sine transforms."""
-        spectrum = kernels.sine_transform(r, self._bases)
-        return kernels.sine_transform(spectrum * self._inv_eig, self._bases)
+        spectrum = _sine_transform(r, self._bases)
+        return _sine_transform(spectrum * self._inv_eig, self._bases)
 
 
 def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):

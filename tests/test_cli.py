@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_path, load_benchmark
-from quadgrad import cli, errors
+from quadgrad import cli, errors, solver
 from quadgrad.cli import main
 from quadgrad.config import experiment_from_file
 from quadgrad.grid import Grid, field_from_expression, read_field_csv, write_field_csv
@@ -365,6 +365,37 @@ class TestExitCodes:
             + len(partial.records)
         assert rows[-1]["k"] == partial.k
 
+    def test_exhausted_line_search_exits_4_with_trace(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a zero Newton step never decreases the residual, so all 40
+        # halvings are spent; the first steps are real so a trace exists
+        real_cg, calls = solver.cg_solve, []
+
+        def stalling_cg(inverse, rhs, shift, tol=1e-12, maxiter=None):
+            calls.append(None)
+            if len(calls) <= 20:
+                return real_cg(inverse, rhs, shift, tol=tol, maxiter=maxiter)
+            return np.zeros(rhs.shape), 0
+
+        monkeypatch.setattr(solver, "cg_solve", stalling_cg)
+        cfg = config_path("benchmark_1d.json")
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 4
+        assert capsys.readouterr().err.startswith(
+            "solver non-convergence: line search exhausted at residual")
+        calls.clear()
+        exp = experiment_from_file(cfg)
+        with pytest.raises(errors.NewtonStall,
+                           match="^line search exhausted") as err:
+            k_continuation(exp.data, exp.solver_cfg, n_ladder=exp.n_ladder)
+        finished, partial = err.value.traces, err.value.trace
+        assert partial is not None and not partial.converged
+        assert err.value.residual > 0
+        with open(os.path.join(out, "trace.jsonl")) as fh:
+            rows = [json.loads(line) for line in fh]
+        assert rows and len(rows) == sum(len(t.records) for t in finished) \
+            + len(partial.records)
+
 
 def _subclasses(kind):
     for sub in kind.__subclasses__():
@@ -478,6 +509,25 @@ class TestSolveCommand:
             assert open(os.path.join(outs[0], name), "rb").read() == \
                 open(os.path.join(outs[1], name), "rb").read()
 
+    def test_invariant_violation_exits_5_with_trace(self, tmp_path, capsys):
+        # a literature C_N of 0.1 shrinks the ball radius to 0.229, below
+        # the solution's energy |Dw| = 0.2405
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["solver"]["delta"] = 1.0
+        cfg["constants"]["C_N"] = "literature:0.1"
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", out]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "invariant violation recorded in trace"
+        summary = json.loads(captured.out)
+        assert summary["ball_violation"] is True
+        assert summary["slack_violation"] is True
+        assert summary["ball_radius"] < summary["grad_norm_w_final"]
+        with open(os.path.join(out, "trace.jsonl")) as fh:
+            rows = [json.loads(line) for line in fh]
+        assert any(row["in_ball"] is False for row in rows)
+
 
 class TestSweepCommand:
     def test_delta_sweep_structure(self, tmp_path, capsys):
@@ -578,6 +628,21 @@ class TestVerifyCommand:
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if "equivalence cross-check" in line)
         assert line.startswith("[PASS]") and "skipped" in line
+
+    @pytest.mark.parametrize("scale, verdict", [
+        (1e4, "at the solver floor"),       # residuals 2.9e-5 -> 3.1e-5
+        (100.0, "under refinement"),        # floor 5.9e-7, far below 1.3e-5
+    ])
+    def test_equivalence_crosscheck_solver_floor(self, tmp_path, capsys,
+                                                 scale, verdict):
+        # a stiff A leaves |Dw| so small that outer_tol / |Dw| bounds the
+        # original-form residual the coarse solves can reach
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"]["A"] = {"kind": "identity", "scale": scale}
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "equivalence cross-check" in line)
+        assert line.startswith("[PASS]") and verdict in line
 
     def test_violated_certificate_reported(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_2d.json")

@@ -2,12 +2,15 @@
 
 ``perfbench/tracer.py`` wraps quadgrad functions by name; a rename or a
 deletion there would silently zero a per-layer counter.  One small traced
-``solve`` checks that the solver, CG and stencil layers are all seen.
+``solve`` checks that the solver, CG and stencil layers are all seen, and
+the harness's own self-test runs on two workloads.
 """
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 from conftest import load_benchmark
 from quadgrad.cli import main
@@ -43,3 +46,15 @@ def test_tracer_sees_every_layer_of_a_solve(tmp_path, capsys):
         assert tr.calls(label) > 0, label
     # one CG per Newton step; an inlined or renamed cg_solve reads 0 here
     assert tr.calls("grid.cg_solve") == newton
+
+
+def test_perfbench_selftest_runs():
+    # the harness drives quadgrad through its public names; a change that
+    # breaks it fails here rather than in every benchmark operation
+    out = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py"),
+         "solve_1d", "verify_2d"],
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count(": ok,") == 2

@@ -96,12 +96,26 @@ def _write_trace(traces, out_dir):
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
+    # one encoder for every row; the rows stream into the file buffer rather
+    # than being joined first, which would raise the peak memory
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(os.path.join(out_dir, "trace.jsonl"), "w") as fh:
-        for trace in traces:
-            for row in trace.records:
-                payload = row.to_dict()
-                payload["k"] = trace.k
-                fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.writelines(encode({**row.to_dict(), "k": trace.k}) + "\n"
+                      for trace in traces for row in trace.records)
+
+
+def _work_so_far(exc: QuadgradError):
+    """' (so far: Picard P, Newton N, CG C)', the totals over a failed
+    solve's traces; empty for an error that carries no trace."""
+    if not isinstance(exc, SolverFailure):
+        return ""
+    traces = [t for t in exc.traces + [exc.trace] if t is not None]
+    if not traces:
+        return ""
+    records = [rec for t in traces for rec in t.records]
+    return (f" (so far: Picard {len(records)}, "
+            f"Newton {sum(rec.inner_iterations for rec in records)}, "
+            f"CG {sum(rec.cg_iterations for rec in records)})")
 
 
 def _write_diagnostics(diag, out_dir):
@@ -376,7 +390,7 @@ def main(argv=None) -> int:
     except QuadgradError as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_TABLE
                             if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {exc}{_work_so_far(exc)}", file=sys.stderr)
         return code
 
 

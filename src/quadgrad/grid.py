@@ -17,14 +17,16 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
   * the dual norm of a source is the energy norm of its Riesz representative
     with respect to the plain Laplacian (coefficient-independent by the norm
     convention on the solution space);
-  * every such operator is diagonal in the product sine basis, so the Riesz
-    lift and each step of the Sobolev ascent are exact solves
-    (``DiffusionOperator.fast_inverse``), with no iterative tolerance, and the
-    same inverse preconditions ``cg_solve`` for the operator plus a diagonal;
+  * ``DiffusionOperator.fast_inverse`` is the exact inverse of every such
+    operator: the closed-form Green's matrix in 1D, product sine transforms
+    in 2D.  So the Riesz lift and each step of the Sobolev ascent are exact
+    solves, with no iterative tolerance, and the same inverse preconditions
+    ``cg_solve`` for the operator plus a diagonal;
   * the stencil is the innermost loop of every solve, so its index tuples are
     built once per grid shape and each application is one zero-padded copy
-    plus slice differences per axis; the orthonormal sine matrices are cached
-    per axis length and applied as dense matrix products.
+    plus slice differences per axis; the unscaled Green's matrix and the
+    orthonormal sine matrices are cached per axis length and applied as
+    dense matrix products.
 """
 
 from __future__ import annotations
@@ -234,6 +236,21 @@ def h1_seminorm(v: ScalarField) -> float:
 
 
 @lru_cache(maxsize=32)
+def _green_matrix(n):
+    """Inverse of the unscaled 3-point Dirichlet stencil tridiag(-1, 2, -1)
+    of order n: entry (i, j), 1-based, is min(i, j) (n+1 - max(i, j)) / (n+1).
+
+    Every factor is an integer-valued double, exact below 2^53, so each
+    entry is rounded once, by the division.
+    """
+    k = np.arange(1.0, n + 1.0)
+    i, j = k[:, None], k[None, :]
+    green = np.minimum(i, j) * (n + 1.0 - np.maximum(i, j)) / (n + 1.0)
+    green.setflags(write=False)
+    return green
+
+
+@lru_cache(maxsize=32)
 def _sine_basis(n):
     """Orthonormal DST-I matrix of order n: symmetric and its own inverse.
 
@@ -263,9 +280,10 @@ class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays,
     for the constant diagonal A of a ``MatrixField``.
 
-    The stencil uses the per-axis entries ``coef`` of A times 1/h^2.  The
-    operator is diagonal in the product sine basis, which gives
-    ``fast_inverse``."""
+    The stencil uses the per-axis entries ``coef`` of A times 1/h^2.  Its
+    exact inverse ``fast_inverse`` is, in 1D, h^2/A times the shared Green's
+    matrix of the unscaled stencil; in 2D the operator is diagonal in the
+    product sine basis."""
 
     def __init__(self, A: MatrixField):
         self.grid = g = A.grid
@@ -273,13 +291,20 @@ class DiffusionOperator:
         self._plan = plan = _stencil_plan(g.shape)
         scaled = tuple(c / (h * h) for c, h in zip(self.coef, g.h))
         self._axes = tuple(zip(scaled, plan.edges, plan.nodes))
-        self._bases = tuple(_sine_basis(n) for n in g.shape)
-        eig = 0.0
-        for a, (coef, n, h) in enumerate(zip(self.coef, g.shape, g.h)):
-            k = np.arange(1, n + 1)
-            lam = coef * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
-            eig = eig + lam.reshape([n if b == a else 1 for b in range(g.dim)])
-        self._inv_eig = 1.0 / eig
+        if g.dim == 1:
+            (n,), (h,), (coef,) = g.shape, g.h, self.coef
+            self._green = _green_matrix(n)
+            self._green_scale = h * h / coef
+        else:
+            self._green = None
+            self._bases = tuple(_sine_basis(n) for n in g.shape)
+            eig = 0.0
+            for a, (coef, n, h) in enumerate(zip(self.coef, g.shape, g.h)):
+                k = np.arange(1, n + 1)
+                lam = coef * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
+                eig = eig + lam.reshape([n if b == a else 1
+                                         for b in range(g.dim)])
+            self._inv_eig = 1.0 / eig
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(2d+1)-point stencil; the axis terms are summed in axis order."""
@@ -296,7 +321,10 @@ class DiffusionOperator:
         return out
 
     def fast_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Exact inverse of the operator, by sine transforms."""
+        """Exact inverse of the operator: one product with the Green's
+        matrix in 1D, sine transforms in 2D."""
+        if self._green is not None:
+            return self._green @ (r * self._green_scale)
         spectrum = _sine_transform(r, self._bases)
         return _sine_transform(spectrum * self._inv_eig, self._bases)
 
@@ -358,7 +386,7 @@ def laplacian(grid: Grid) -> DiffusionOperator:
 def riesz_representative(f: ScalarField) -> ScalarField:
     """Solve the plain Poisson problem with source f (the dual-norm lift).
 
-    The solve is exact, by sine transforms.
+    The solve is exact (``DiffusionOperator.fast_inverse``).
     """
     return ScalarField(f.grid, laplacian(f.grid).fast_inverse(f.values))
 

@@ -7,8 +7,8 @@ Structure of one solve at truncation height k:
           problem  -div(A DW) + b * sign_k(W) = rhs(w)  by damped semismooth
           Newton (unique solution, start-independent).  Each Newton step
           solves operator-plus-diagonal by conjugate gradients preconditioned
-          with the operator's exact sine-transform inverse
-          (``DiffusionOperator.fast_inverse``), so CG applies no stencil;
+          with the operator's exact inverse (``DiffusionOperator.fast_inverse``),
+          so CG applies no stencil;
   outer:  Picard with relaxation w <- (1-rho) w + rho W from w = 0, each inner
           solve warm-started from the previous inner solution W, which
           consecutive iterates barely move once the iteration settles; the
@@ -131,11 +131,9 @@ class SolveData:
         if grad is None:
             grad = gradient(ScalarField(self.grid, w_vals))
         comps = node_average(grad)
-        grad_sq = sum(c * c for c in comps)
-        a_quad = np.zeros(self.grid.shape)
-        for a_ii, c in zip(self.A.values, comps):
-            a_quad += a_ii * c * c
-        return a_quad, grad_sq
+        squares = [c * c for c in comps]
+        forms = [a_ii * c * c for a_ii, c in zip(self.A.values, comps)]
+        return sum(forms[1:], forms[0]), sum(squares[1:], squares[0])
 
 
 @dataclass

@@ -337,7 +337,7 @@ class TestExitCodes:
         assert captured.err.startswith("config error: f.csv: ")
         assert message in captured.err
 
-    def test_solve_nonconvergence(self, tmp_path):
+    def test_solve_nonconvergence(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config",
                      config_path("fail_nonconvergence.json"),
@@ -346,6 +346,13 @@ class TestExitCodes:
             rows = [json.loads(line) for line in fh]
         assert len(rows) == 6  # complete trace of the exhausted budget
         assert all(row["increment"] > 1e-12 for row in rows)
+        # the stderr line ends with the work totals of the trace so far
+        newton = sum(row["inner_iterations"] for row in rows)
+        cg = sum(row["cg_iterations"] for row in rows)
+        err = capsys.readouterr().err
+        assert err.startswith("solver non-convergence:")
+        assert err.endswith(
+            f" (so far: Picard {len(rows)}, Newton {newton}, CG {cg})\n")
 
     def test_inner_failure_exits_4_with_trace(self, tmp_path, capsys):
         # one Newton step per inner solve finishes the first level, then

@@ -28,6 +28,7 @@ from quadgrad.grid import (
     riesz_representative,
     write_field_csv,
 )
+from quadgrad.grid import _sine_basis
 from quadgrad.validate import (
     check_dual_norm,
     check_holder,
@@ -37,6 +38,26 @@ from quadgrad.validate import (
 )
 
 INV_SQRT12 = 0.288675134594812882254574390251
+
+
+def sine_transform_inverse(op, r):
+    """The operator's exact inverse by product sine transforms: its
+    eigenvalues are the sums of the per-axis 3-point stencils' ones."""
+    g = op.grid
+    eig = 0.0
+    for axis, (coef, n, h) in enumerate(zip(op.coef, g.shape, g.h)):
+        k = np.arange(1, n + 1)
+        lam = coef * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
+        eig = eig + np.expand_dims(lam, tuple(b for b in range(g.dim)
+                                              if b != axis))
+
+    def transform(v):
+        # each axis's orthonormal DST-I matrix is its own inverse
+        for axis, n in enumerate(g.shape):
+            v = np.moveaxis(np.tensordot(_sine_basis(n), v, (1, axis)), 0, axis)
+        return v
+
+    return transform(transform(r) / eig)
 
 
 def fit_order(hs, errs):
@@ -271,13 +292,23 @@ class TestFastInverse:
                               fresh.fast_inverse(f.values))
         assert np.array_equal(lap.apply(f.values), fresh.apply(f.values))
 
-    def test_riesz_lift_matches_dense_solve(self, rng):
-        g = Grid((1.0, 2.0), (24, 40))
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        lap = DiffusionOperator(MatrixField.identity(g))
-        ref = np.linalg.solve(dense_operator(lap), f.values.ravel())
-        z = riesz_representative(f).values.ravel()
-        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("extents, shape, diag", [
+        ((1.0, 2.0), (24, 40), (1.0, 1.0)),
+        ((1.0,), (3,), (1.7,)),
+        ((1.0,), (20,), (1.7,)),
+        ((1.0,), (129,), (1.7,)),
+    ], ids=["2d-laplacian", "1d-n3", "1d-n20", "1d-n129"])
+    def test_matches_dense_solve(self, rng, extents, shape, diag):
+        # in 1D the Green's matrix product must also agree with the product
+        # sine transforms it replaced, to roundoff
+        g = Grid(extents, shape)
+        op = DiffusionOperator(MatrixField(g, diag, alpha=min(diag)))
+        f = rng.standard_normal(shape)
+        z = op.fast_inverse(f)
+        ref = np.linalg.solve(dense_operator(op), f.ravel())
+        assert np.max(np.abs(z.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
+        sine = sine_transform_inverse(op, f)
+        assert np.max(np.abs(z - sine)) <= 1e-14 * np.max(np.abs(sine))
 
     @pytest.mark.parametrize("extents, shape, diag", [
         ((1.0,), (128,), (1.0,)),

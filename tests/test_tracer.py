@@ -3,7 +3,7 @@
 ``perfbench/tracer.py`` wraps quadgrad functions by name; a rename or a
 deletion there would silently zero a per-layer counter.  One small traced
 ``solve`` checks that the solver, CG and stencil layers are all seen, and
-the harness's own self-test runs on two workloads.
+the harness's own self-test runs on every workload.
 """
 
 import importlib.util
@@ -50,11 +50,12 @@ def test_tracer_sees_every_layer_of_a_solve(tmp_path, capsys):
 
 def test_perfbench_selftest_runs():
     # the harness drives quadgrad through its public names; a change that
-    # breaks it fails here rather than in every benchmark operation
+    # breaks it fails here rather than in every benchmark operation, and
+    # both the 1D and the 2D inverse run through it
     out = subprocess.run(
         [sys.executable, os.path.join("perfbench", "selftest.py"),
-         "solve_1d", "verify_2d"],
+         "solve_1d", "solve_2d", "verify_2d"],
         cwd=os.path.join(os.path.dirname(__file__), os.pardir),
         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.count(": ok,") == 2
+    assert out.stdout.count(": ok,") == 3

@@ -356,7 +356,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         theta, G = report.theta, report.G
 
     # building the data builds A's stencil: its 1/h^2 scaling and, in 2D,
-    # the sine eigenvalues must stay in the double range
+    # each axis's sine eigenvalues must stay in the double range (their sum
+    # is formed from halves, so it cannot overflow on its own)
     data = _finite(
         "problem.A", SolveData, grid=grid, A=A, f=f, a0=a0, model=model,
         norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],

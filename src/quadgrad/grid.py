@@ -18,10 +18,12 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
     with respect to the plain Laplacian (coefficient-independent by the norm
     convention on the solution space);
   * ``DiffusionOperator.fast_inverse`` is the exact inverse of every such
-    operator: the closed-form Green's matrix in 1D, product sine transforms
-    in 2D.  So the Riesz lift and each step of the Sobolev ascent are exact
-    solves, with no iterative tolerance, and the same inverse preconditions
-    ``cg_solve`` for the operator plus a diagonal;
+    operator: the closed-form Green's matrix in 1D; in 2D the orthonormal
+    sine transform B_x r B_y, one matrix product from each side, scaled by
+    the inverse eigenvalues and transformed back.  So the Riesz lift and
+    each step of the Sobolev ascent are exact solves, with no iterative
+    tolerance, and the same inverse preconditions ``cg_solve`` for the
+    operator plus a diagonal;
   * the stencil is the innermost loop of every solve, so its index tuples are
     built once per grid shape and each application is one zero-padded copy
     plus slice differences per axis; the unscaled Green's matrix and the
@@ -264,18 +266,6 @@ def _sine_basis(n):
     return basis
 
 
-def _sine_transform(v, bases):
-    """Multiplies v by ``bases[a]`` along every axis a.
-
-    Each product contracts the leading axis and appends the transformed one,
-    so after one product per axis the axes are back in their order.
-    """
-    for basis in bases:
-        n = basis.shape[0]
-        v = (v.reshape(n, -1).T @ basis).reshape(v.shape[1:] + (n,))
-    return v
-
-
 class DiffusionOperator:
     """Matrix-free divergence-form operator -div(A grad .) on nodal arrays,
     for the constant diagonal A of a ``MatrixField``.
@@ -298,13 +288,16 @@ class DiffusionOperator:
         else:
             self._green = None
             self._bases = tuple(_sine_basis(n) for n in g.shape)
-            eig = 0.0
+            # the inverse eigenvalues are 0.5 / sum(0.5 lam): halving is
+            # exact, so these are the bits of 1 / sum(lam) wherever that sum
+            # is finite, and the sum of halves stays finite where it is not
+            half_eig = 0.0
             for a, (coef, n, h) in enumerate(zip(self.coef, g.shape, g.h)):
                 k = np.arange(1, n + 1)
                 lam = coef * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
-                eig = eig + lam.reshape([n if b == a else 1
-                                         for b in range(g.dim)])
-            self._inv_eig = 1.0 / eig
+                half_eig = half_eig + 0.5 * lam.reshape([n if b == a else 1
+                                                         for b in range(g.dim)])
+            self._inv_eig = 0.5 / half_eig
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(2d+1)-point stencil; the axis terms are summed in axis order."""
@@ -322,11 +315,14 @@ class DiffusionOperator:
 
     def fast_inverse(self, r: np.ndarray) -> np.ndarray:
         """Exact inverse of the operator: one product with the Green's
-        matrix in 1D, sine transforms in 2D."""
+        matrix in 1D, in 2D the sine transform B_x r B_y (one product from
+        each side), the inverse eigenvalues, and the transform back."""
         if self._green is not None:
             return self._green @ (r * self._green_scale)
-        spectrum = _sine_transform(r, self._bases)
-        return _sine_transform(spectrum * self._inv_eig, self._bases)
+        bx, by = self._bases
+        s = bx @ r @ by
+        s *= self._inv_eig
+        return bx @ s @ by
 
 
 def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):

@@ -47,15 +47,35 @@ class CheckResult:
 
 
 def random_spd_matrices(rng, n, dim, alpha_min=0.5, spread=2.0):
-    """SPD matrices with smallest eigenvalue >= alpha_min."""
+    """SPD matrices spread * m m^T + alpha_min I, m standard normal, so the
+    smallest eigenvalue is >= alpha_min.
+
+    Entry (i, k) of m m^T is sum_j m_ij m_kj, accumulated in j order from
+    the j = 0 product.  The sampled reports of ``verify`` depend on that
+    order to the last bit, so it is fixed here.
+    """
     m = rng.standard_normal((n, dim, dim))
-    mats = np.einsum("nij,nkj->nik", m, m) * spread
+    cols = [m[:, :, j] for j in range(dim)]
+    mats = cols[0][:, :, None] * cols[0][:, None, :]
+    for col in cols[1:]:
+        mats += col[:, :, None] * col[:, None, :]
+    mats *= spread
     mats += alpha_min * np.eye(dim)
     return mats
 
 
 def _quad_forms(mats, zetas):
-    return np.einsum("ni,nij,nj->n", zetas, mats, zetas)
+    """Quadratic forms sum_ij (zeta_i M_ij) zeta_j per sample, summed in
+    row-major (i, j) order from the (0, 0) term; the sampled reports of
+    ``verify`` depend on that order to the last bit."""
+    dim = zetas.shape[1]
+    z = zetas.T
+    out = z[0] * mats[:, 0, 0] * z[0]
+    for i in range(dim):
+        for j in range(dim):
+            if i or j:
+                out += z[i] * mats[:, i, j] * z[j]
+    return out
 
 
 def _sampled_model(model: HModel, rng, n) -> HModel:

@@ -309,6 +309,20 @@ class TestExitCodes:
         assert captured.err.startswith(
             "config error: problem.A leaves the double-precision range")
 
+    def test_huge_coefficient_with_finite_eigenvalues_solves_in_2d(
+            self, tmp_path, capsys):
+        # each sine eigenvalue and the stencil scaling 1/h^2 stay in the
+        # double range, only the sum of the two axes' eigenvalues would not;
+        # RuntimeWarnings are errors in this suite, so none may escape either
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"]["A"] = {"kind": "identity", "scale": 1e304}
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["ball_violation"] is False
+
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
     @pytest.mark.parametrize("content, message", [

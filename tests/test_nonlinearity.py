@@ -25,6 +25,7 @@ from quadgrad.nonlinearity import (
     truncate,
 )
 from quadgrad.validate import (
+    _quad_forms,
     check_certificate,
     check_k_nonnegative,
     check_k_two_sided,
@@ -41,6 +42,15 @@ EXTREMAL = HModel(kind="shape_times_quadratic", shape="sign", coeff=0.5,
 MU = HModel(kind="mu_gradsq", mu=0.15, gamma_cert=0.5, c0_cert=0.3)
 
 CATALOG = [ZERO, TANH, EXTREMAL, MU]
+
+
+def einsum_spd_matrices(rng, n, dim, alpha_min=0.5, spread=2.0):
+    """``random_spd_matrices`` by numpy's einsum: the same draw, m m^T
+    summed over j by einsum's own loop."""
+    m = rng.standard_normal((n, dim, dim))
+    mats = np.einsum("nij,nkj->nik", m, m) * spread
+    mats += alpha_min * np.eye(dim)
+    return mats
 
 
 def entropy_core_both_branches(x):
@@ -331,6 +341,26 @@ class TestTransformedGradientTerm:
                                       rng, n=10_000)
             assert res.ok, res.line()
 
+    def test_two_sided_bound_flags_understated_c0(self):
+        # H = -0.3 tanh(s) A xi.xi needs c0 >= 0.3; passing 0 must fail
+        model = HModel(kind="shape_times_quadratic", shape="tanh", coeff=-0.3,
+                       gamma_cert=0.5, c0_cert=0.3)
+        bad = check_k_two_sided(model, 0.5, 0.0, np.random.default_rng(3),
+                                delta=0.3)
+        assert not bad.ok and bad.worst < -1.0, bad.line()
+        good = check_k_two_sided(model, 0.5, 0.3, np.random.default_rng(3),
+                                 delta=0.3)
+        assert good.ok, good.line()
+
+    def test_nonnegativity_flags_delta_below_gamma(self):
+        # the extremal model's K is negative for delta below its coefficient
+        bad = check_k_nonnegative(EXTREMAL, 0.5, 0.2, np.random.default_rng(3),
+                                  delta=0.4)
+        assert not bad.ok and bad.worst < -1.0, bad.line()
+        good = check_k_nonnegative(EXTREMAL, 0.5, 0.2, np.random.default_rng(3),
+                                   delta=0.5)
+        assert good.ok, good.line()
+
     def test_continuity_away_from_zero(self, rng):
         A = random_spd_matrices(rng, 1, 2, alpha_min=1.0)[0]
         t0, z0 = 0.8, np.array([0.3, -0.5])
@@ -393,3 +423,28 @@ class TestTransformedGradientTerm:
                                 0.8, model)
                 assert field_vals[i] == pytest.approx(point, rel=1e-12,
                                                       abs=1e-13)
+
+
+class TestSampledMatrices:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_spd_samples_match_einsum_reference(self, dim):
+        # bit for bit, and leaving the generator where the reference does
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mats = random_spd_matrices(rng, 10_000, dim)
+            ref = einsum_spd_matrices(ref_rng, 10_000, dim)
+            assert mats.tobytes() == ref.tobytes()
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_quad_forms_match_einsum_reference(self, rng, dim):
+        mats = einsum_spd_matrices(rng, 10_000, dim)
+        zetas = rng.standard_normal((10_000, dim))
+        zetas[::17] = 0.0
+        ref = np.einsum("ni,nij,nj->n", zetas, mats, zetas)
+        assert _quad_forms(mats, zetas).tobytes() == ref.tobytes()
+
+    def test_symmetric_with_floor_eigenvalue_in_3d(self, rng):
+        mats = random_spd_matrices(rng, 10_000, 3, alpha_min=0.7)
+        assert np.array_equal(mats, mats.transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(mats).min() >= 0.7 * (1.0 - 1e-12)

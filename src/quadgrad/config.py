@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -298,6 +298,9 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     root_tol = _number(cspec.get("root_tol", DEFAULT_ROOT_TOL), "constants.root_tol")
     y_deltas = _numbers(rspec.get("y_deltas", ()), "report.y_deltas")
     n_ladder = _numbers(rspec.get("n_ladder", ()), "report.n_ladder")
+    if any(n <= 0 for n in n_ladder):
+        raise ConfigError(
+            f"report.n_ladder heights must be positive, got {list(n_ladder)}")
     out_dir = rspec.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
@@ -309,6 +312,9 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raise ConfigError("a0 must be nonnegative")
     model = _build_model(_require(problem, "H", "problem"), grid, base_dir,
                          gamma, c0, alpha, enforce_certificate=for_solve)
+    # the knobs' range rules apply whether or not delta is ever resolved;
+    # gamma, which the model has checked positive, stands in for it
+    knob_cfg = SolverConfig(delta=gamma, **knobs)
 
     pair = _object(problem.get("exponent_pair", {}), "problem.exponent_pair")
     if N < 3 and not {"sobolev", "f_norm"} <= pair.keys():
@@ -369,7 +375,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     ball_radius = solver_cfg = None
     if delta_spec == "delta0":
         if admissible:
-            solver_cfg = SolverConfig(delta=report.delta0, **knobs)
+            solver_cfg = replace(knob_cfg, delta=report.delta0)
             ball_radius = report.Z_delta0
         elif for_solve:
             if constants is None:
@@ -383,7 +389,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                 "second smallness condition fails: profile minimum at gamma "
                 f"is {-a3.margin:g} > 0")
     else:
-        solver_cfg = SolverConfig(delta=delta, **knobs)
+        solver_cfg = replace(knob_cfg, delta=delta)
         if admissible:
             if delta < report.delta0:
                 try:

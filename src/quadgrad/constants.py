@@ -18,15 +18,13 @@ these the engine derives
                       found by bisection to the relative tolerance `root_tol`
                       (the only quantity that tolerance affects).
 
-All functions are pure; `compute_theta` keeps exact rational arithmetic when
-fed `fractions.Fraction` inputs.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,26 +46,21 @@ def compute_theta(N, q, sobolev_exponent=None):
 
     For N >= 3 the Sobolev exponent 2N/(N-2) is used; for N in {1, 2} a
     replacement exponent must be supplied explicitly (no default is guessed).
-    Exact rational inputs (int / Fraction) give an exact rational result.
     """
     if N < 1 or int(N) != N:
         raise ExponentOutOfRange(f"dimension must be a positive integer, got {N}")
-    exact = isinstance(q, (int, Fraction)) and (
-        sobolev_exponent is None or isinstance(sobolev_exponent, (int, Fraction))
-    )
     if N >= 3:
         if sobolev_exponent is None:
-            sobolev_exponent = Fraction(2 * N, N - 2) if exact else 2.0 * N / (N - 2)
-        half_N = Fraction(N, 2) if exact else N / 2.0
-        if q <= half_N:
+            sobolev_exponent = 2.0 * N / (N - 2)
+        if q <= N / 2.0:
             raise ExponentOutOfRange(
                 f"q must exceed N/2 = {N/2:g} for theta > 0, got q = {q}"
             )
         if 3 <= N < 6:
-            q_hi = Fraction(2 * N, 6 - N) if exact else 2.0 * N / (6 - N)
+            q_hi = 2.0 * N / (6 - N)
             if q >= q_hi:
                 raise ExponentOutOfRange(
-                    f"q must stay below 2N/(6-N) = {float(q_hi):g} for theta < 1, "
+                    f"q must stay below 2N/(6-N) = {q_hi:g} for theta < 1, "
                     f"got q = {q}"
                 )
     else:
@@ -79,15 +72,11 @@ def compute_theta(N, q, sobolev_exponent=None):
             raise ExponentOutOfRange(f"q must exceed 1 when N = 2, got {q}")
         if N == 1 and q < 1:
             raise ExponentOutOfRange(f"q must be at least 1 when N = 1, got {q}")
-    if exact:
-        q = Fraction(q)
-        theta = sobolev_exponent * (q - 1) / q - 2
-    else:
-        q = float(q)
-        theta = float(sobolev_exponent) * (q - 1.0) / q - 2.0
+    q = float(q)
+    theta = float(sobolev_exponent) * (q - 1.0) / q - 2.0
     if not (0 < theta < 1):
         raise ExponentOutOfRange(
-            f"derived theta = {float(theta):g} lies outside (0, 1); "
+            f"derived theta = {theta:g} lies outside (0, 1); "
             "the exponent pair (N, q) is inadmissible"
         )
     return theta

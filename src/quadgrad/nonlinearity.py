@@ -2,7 +2,8 @@
 transformed quadratic-growth term, and the catalog of admissible gradient
 nonlinearities.
 
-All maps accept scalars or numpy arrays and broadcast elementwise.  The
+The maps are field operations: they take numpy arrays (nodal values or
+sampled points), broadcast elementwise and return numpy values.  The
 gradient nonlinearity H(x, s, xi) is not a free callback: it comes from a
 small closed catalog, each entry carrying a growth certificate
 (-c0 * A(x) xi.xi <= H * sign(s) <= gamma * A(x) xi.xi) that a sampling
@@ -26,36 +27,25 @@ _SHAPES = {
 }
 
 
-def _as_float(x, like):
-    if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
-        return float(x)
-    return x
-
-
-def sign(s):
-    """Exact ternary sign: +1, 0, -1."""
-    return _as_float(np.sign(s), s)
-
-
 def sign_k(s, k):
     """Lipschitz regularization of sign with knee at |s| = 1/k."""
     if k <= 0:
         raise DomainError(f"regularization slope k must be positive, got {k}")
-    return _as_float(np.minimum(np.maximum(np.multiply(k, s), -1.0), 1.0), s)
+    return np.minimum(np.maximum(np.multiply(k, s), -1.0), 1.0)
 
 
 def truncate(s, k):
     """Truncation at height k: clamp to [-k, k]."""
     if k <= 0:
         raise DomainError(f"truncation height k must be positive, got {k}")
-    return _as_float(np.minimum(np.maximum(s, -k), k), s)
+    return np.minimum(np.maximum(s, -k), k)
 
 
 def remainder(s, n):
     """Remainder above height n: s - truncate(s, n)."""
     if n <= 0:
         raise DomainError(f"remainder height n must be positive, got {n}")
-    return _as_float(np.asarray(s, dtype=float) - np.clip(s, -n, n), s)
+    return np.asarray(s, dtype=float) - np.clip(s, -n, n)
 
 
 # Maclaurin coefficients of ((1+x)log(1+x) - x) / x^2 = sum_j (-x)^j/((j+2)(j+1))
@@ -91,10 +81,7 @@ def g_delta(t, delta):
     if np.any(delta <= 0):
         raise DomainError(f"substitution parameter must be positive, got {delta}")
     x = delta * np.abs(np.asarray(t, dtype=float))
-    out = _entropy_core(x) / delta
-    if np.isscalar(t) and delta.ndim == 0:
-        return float(out)
-    return out
+    return _entropy_core(x) / delta
 
 
 def transform_forward(u, delta):
@@ -112,7 +99,7 @@ def transform_forward(u, delta):
             f"delta*|u| = {worst:g} exceeds {OVERFLOW_LIMIT:g}; forward "
             "transform would overflow"
         )
-    return _as_float(np.expm1(x) / delta * np.sign(u), u)
+    return np.expm1(x) / delta * np.sign(u)
 
 
 def transform_inverse(w, delta):
@@ -120,15 +107,7 @@ def transform_inverse(w, delta):
     if delta <= 0:
         raise DomainError(f"substitution parameter must be positive, got {delta}")
     x = delta * np.abs(np.asarray(w, dtype=float))
-    return _as_float(np.log1p(x) / delta * np.sign(w), w)
-
-
-def f_hat(f_val, a0_val, u_val):
-    """Effective source f + a0*u seen by the original problem."""
-    return _as_float(
-        np.asarray(f_val, dtype=float) + np.asarray(a0_val) * np.asarray(u_val),
-        f_val,
-    )
+    return np.log1p(x) / delta * np.sign(w)
 
 
 @dataclass(frozen=True)
@@ -213,21 +192,6 @@ def k_delta(A, t, zeta, delta, model: HModel):
     s = np.log1p(delta * abs(t)) / delta * np.sign(t)
     h_val = model.evaluate(s, a_quad / one_p**2, float(zeta @ zeta) / one_p**2)
     return delta / one_p * a_quad - one_p * float(h_val) * np.sign(t)
-
-
-def k_delta_signed(A, t, zeta, delta, model: HModel):
-    """k_delta multiplied by sign(t), with the literal zero branch.
-
-    At t = 0 the product is defined as -H(x, 0, zeta): the quadratic term
-    carries the vanishing sign factor while the nonlinearity keeps its
-    unscaled argument.
-    """
-    if t != 0:
-        return k_delta(A, t, zeta, delta, model) * float(np.sign(t))
-    A = np.asarray(A, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    h_val = model.evaluate(0.0, float(zeta @ A @ zeta), float(zeta @ zeta))
-    return -float(h_val)
 
 
 def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):

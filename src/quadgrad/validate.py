@@ -12,6 +12,7 @@ NaN margin, which fails unless it is +inf, without a floating-point warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 
@@ -28,7 +29,7 @@ from .grid import (
     lp_norm,
     riesz_representative,
 )
-from .nonlinearity import HModel, g_delta, sign, transformed_terms
+from .nonlinearity import HModel, g_delta, transformed_terms
 
 REL_SLACK = 1e-12
 
@@ -132,8 +133,8 @@ def check_g_identity(rng, n=10_000) -> CheckResult:
     """Algebraic identity linking t + g*sign(t) to the substitution factor."""
     t = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
     delta = 10.0 ** rng.uniform(-2, 1, n)
-    lhs = t + g_delta(t, delta) * sign(t)
-    rhs = (1.0 + delta * np.abs(t)) / delta * np.log1p(delta * np.abs(t)) * sign(t)
+    lhs = t + g_delta(t, delta) * np.sign(t)
+    rhs = (1.0 + delta * np.abs(t)) / delta * np.log1p(delta * np.abs(t)) * np.sign(t)
     scale = np.maximum(1.0, np.abs(rhs))
     worst = float(np.max(np.abs(lhs - rhs) / scale))
     return CheckResult("substitution identity for the correction term",
@@ -175,7 +176,7 @@ def check_certificate(model: HModel, gamma, c0, rng, n=10_000, dim=2,
     s[rng.random(n) < 0.05] = 0.0
     a_quad = _quad_forms(mats, xis)
     xi_sq = np.einsum("ni,ni->n", xis, xis)
-    hs = _sampled_model(model, rng, n).evaluate(s, a_quad, xi_sq) * sign(s)
+    hs = _sampled_model(model, rng, n).evaluate(s, a_quad, xi_sq) * np.sign(s)
     slack = REL_SLACK * np.maximum(gamma, c0 + 1.0) * a_quad
     worst = float(min(np.min(gamma * a_quad + slack - hs),
                       np.min(hs + c0 * a_quad + slack)))
@@ -189,6 +190,17 @@ def check_h_vanishes_at_zero_gradient(model: HModel, rng, n=2000) -> CheckResult
     return CheckResult("nonlinearity vanishes at zero gradient", worst == 0.0, worst)
 
 
+def _field_scale(op: DiffusionOperator) -> float:
+    """2^-max(0, e - 500), e the binary exponent of the largest A/h^2.
+
+    Random fields drawn times this keep the stencil image and the products
+    of the grid checks in the double range however large A is; the factor
+    is exactly 1 unless A/h^2 exceeds 2^500, so it changes no other draw.
+    """
+    top = max(c / (h * h) for c, h in zip(op.coef, op.grid.h))
+    return math.ldexp(1.0, -max(0, math.frexp(top)[1] - 500))
+
+
 def check_operator_symmetry(op: DiffusionOperator, rng, pairs=20) -> CheckResult:
     """<op u, v> = <u, op v> for random pairs, relative to the rounding scale.
 
@@ -197,10 +209,11 @@ def check_operator_symmetry(op: DiffusionOperator, rng, pairs=20) -> CheckResult
     relative error against them meaningless.
     """
     g = op.grid
+    scale_uv = _field_scale(op)
     worst = 0.0
     for _ in range(pairs):
-        u = rng.standard_normal(g.shape)
-        v = rng.standard_normal(g.shape)
+        u = rng.standard_normal(g.shape) * scale_uv
+        v = rng.standard_normal(g.shape) * scale_uv
         left_terms = op.apply(u) * v
         right_terms = u * op.apply(v)
         scale = max(1.0, float(np.sum(np.abs(left_terms))),
@@ -213,10 +226,11 @@ def check_operator_symmetry(op: DiffusionOperator, rng, pairs=20) -> CheckResult
 def check_integration_by_parts(op: DiffusionOperator, rng, pairs=20) -> CheckResult:
     """<op u, v> equals the A-weighted energy product to roundoff."""
     g = op.grid
+    scale_uv = _field_scale(op)
     worst = 0.0
     for _ in range(pairs):
-        u = ScalarField(g, rng.standard_normal(g.shape))
-        v = ScalarField(g, rng.standard_normal(g.shape))
+        u = ScalarField(g, rng.standard_normal(g.shape) * scale_uv)
+        v = ScalarField(g, rng.standard_normal(g.shape) * scale_uv)
         lhs = inner_l2(ScalarField(g, op.apply(u.values)), v)
         gu, gv = gradient(u).components, gradient(v).components
         rhs = sum(float(np.sum(c * a * b)) for c, a, b in zip(op.coef, gu, gv))

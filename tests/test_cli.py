@@ -112,6 +112,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: report.{key} {message}")
 
+    @pytest.mark.parametrize("command", ["solve", "constants", "check",
+                                         "verify"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("rho", 2.0, "relaxation must lie in (0, 1]"),
+        ("cg_tol", -1.0, "cg_tol must be positive"),
+        ("k_schedule", [10, 5], "truncation schedule must be positive and increase"),
+    ], ids=["rho", "cg_tol", "k_schedule"])
+    def test_solver_knob_range_beats_smallness_verdict(
+            self, tmp_path, capsys, command, key, value, message):
+        # the knobs' range rules hold whether or not delta is ever resolved,
+        # so inadmissible data exits 2 on a knob out of range in every command
+        cfg = load_benchmark("fail_smallness.json")
+        cfg.setdefault("solver", {})[key] = value
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    def test_nonpositive_ladder_height_exits_2(self, tmp_path, capsys, command):
+        # refused with the config, before a solve runs any truncation level
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["report"]["n_ladder"] = [0.05, -1.0]
+        out = os.path.join(tmp_path, "out")
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: report.n_ladder heights must be positive")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("block, key, value", [
         ("grid", "n", ["abc"]),
         ("grid", "n", 128),
@@ -664,6 +693,18 @@ class TestVerifyCommand:
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if "equivalence cross-check" in line)
         assert line.startswith("[PASS]") and verdict in line
+
+    @pytest.mark.parametrize("name", ["benchmark_1d.json", "benchmark_2d.json"])
+    def test_huge_coefficient_verifies(self, tmp_path, capsys, name):
+        # the grid checks draw their fields scaled to the stencil, so an A
+        # that solves also verifies; RuntimeWarnings are errors in this suite
+        cfg = load_benchmark(name)
+        cfg["problem"]["A"] = {"kind": "identity", "scale": 1e304}
+        assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "[FAIL]" not in captured.out
+        assert "[PASS] operator symmetry" in captured.out
+        assert "[PASS] discrete integration by parts" in captured.out
 
     def test_violated_certificate_reported(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_2d.json")

@@ -256,7 +256,7 @@ class TestOperator:
         op = DiffusionOperator(A)
 
         class Skewed:
-            grid = A.grid
+            grid, coef = A.grid, op.coef
 
             def apply(self, v):
                 av = op.apply(v)

@@ -12,12 +12,9 @@ from quadgrad.nonlinearity import (
     _CORE_COEFFS,
     HModel,
     _entropy_core,
-    f_hat,
     g_delta,
     k_delta,
-    k_delta_signed,
     remainder,
-    sign,
     sign_k,
     transform_forward,
     transform_inverse,
@@ -64,11 +61,6 @@ def entropy_core_both_branches(x):
 
 
 class TestSign:
-    def test_values(self):
-        assert sign(3.2) == 1.0
-        assert sign(0.0) == 0.0
-        assert sign(-1e-300) == -1.0
-
     def test_sign_k_values(self):
         assert sign_k(0.25, 2.0) == 0.5
         assert sign_k(1.0, 2.0) == 1.0
@@ -96,8 +88,8 @@ class TestSign:
     def test_sign_k_converges_to_sign(self):
         for s in (-2.0, -0.01, 0.03, 5.0):
             k = 1.0 / abs(s)
-            assert sign_k(s, k) == sign(s)
-            assert sign_k(s, 10 * k) == sign(s)
+            assert sign_k(s, k) == np.sign(s)
+            assert sign_k(s, 10 * k) == np.sign(s)
 
 
 class TestTruncations:
@@ -154,7 +146,7 @@ class TestCorrectionTerm:
             for d in (0.5, 3.0):
                 ref = entropy_core_both_branches(d * abs(v)) / d
                 scalar = g_delta(v, d)
-                assert type(scalar) is float and scalar == ref
+                assert scalar == ref
                 assert g_delta(np.array(v), d) == ref
         assert g_delta(np.array([]), 0.5).shape == (0,)
 
@@ -163,8 +155,8 @@ class TestCorrectionTerm:
         worst = 0.0
         for t in np.concatenate([np.linspace(-1e3, 1e3, 401), [-1e-6, 1e-6]]):
             for d in (1e-2, 0.3, 1.0, 10.0):
-                lhs = t + g_delta(t, d) * sign(t)
-                rhs = (1.0 + d * abs(t)) / d * math.log1p(d * abs(t)) * sign(t)
+                lhs = t + g_delta(t, d) * np.sign(t)
+                rhs = (1.0 + d * abs(t)) / d * math.log1p(d * abs(t)) * np.sign(t)
                 # 1e-13 absolute where representable; roundoff floor beyond
                 tol = max(1e-13, 10 * np.finfo(float).eps * abs(rhs))
                 worst = max(worst, abs(lhs - rhs) - tol)
@@ -231,10 +223,6 @@ class TestTransforms:
 
 
 class TestEffectiveSource:
-    def test_values(self):
-        assert f_hat(1.0, 0.0, 5.0) == 1.0
-        assert f_hat(0.0, 2.0, 3.0) == 6.0
-
     def test_transformed_source_identity(self, rng):
         # (1+d|w|) * (f + a0 u) recovers the three-term transformed source
         for _ in range(200):
@@ -243,9 +231,9 @@ class TestEffectiveSource:
             fv = rng.standard_normal()
             a0 = abs(rng.standard_normal())
             w = transform_forward(u, d)
-            lhs = (1.0 + d * abs(w)) * f_hat(fv, a0, u)
+            lhs = (1.0 + d * abs(w)) * (fv + a0 * u)
             rhs = (1.0 + d * abs(w)) * fv + a0 * w \
-                + a0 * g_delta(w, d) * sign(w)
+                + a0 * g_delta(w, d) * np.sign(w)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -307,7 +295,7 @@ class TestTransformedGradientTerm:
                 _, g, one_p, sgn = transformed_terms(t, a_quad, grad_sq, d, model)
                 assert np.array_equal(g, g_delta(t, d))
                 assert np.array_equal(one_p, 1.0 + d * np.abs(t))
-                assert np.array_equal(sgn, sign(t))
+                assert np.array_equal(sgn, np.sign(t))
 
     def test_vanishes_on_zero_set(self):
         A = np.eye(2)
@@ -315,19 +303,6 @@ class TestTransformedGradientTerm:
             assert k_delta(A, 0.0, np.zeros(2), 0.7, model) == 0.0
         for model in (ZERO, TANH, EXTREMAL):
             assert k_delta(A, 3.0, np.zeros(2), 0.7, model) == 0.0
-            assert k_delta_signed(A, 0.0, np.array([1.0, 1.0]), 0.7, model) == 0.0
-
-    def test_signed_branches(self):
-        A = np.eye(2)
-        zeta = np.array([0.4, 0.9])
-        for t in (0.3, 2.0):
-            assert k_delta_signed(A, t, zeta, 0.8, TANH) == pytest.approx(
-                k_delta(A, t, zeta, 0.8, TANH), rel=1e-15)
-            assert k_delta_signed(A, -t, zeta, 0.8, TANH) == pytest.approx(
-                -k_delta(A, -t, zeta, 0.8, TANH), rel=1e-15)
-        # literal zero branch: -H(x, 0, zeta), nonzero only for the mu model
-        assert k_delta_signed(A, 0.0, zeta, 0.8, MU) == pytest.approx(
-            -0.15 * float(zeta @ zeta), rel=1e-14)
 
     def test_two_sided_bound_catalog(self, rng):
         for model in CATALOG:
@@ -366,12 +341,9 @@ class TestTransformedGradientTerm:
         t0, z0 = 0.8, np.array([0.3, -0.5])
         for model in (ZERO, TANH, MU):
             ref = k_delta(A, t0, z0, 0.9, model)
-            ref_s = k_delta_signed(A, t0, z0, 0.9, model)
             for eps in (1e-3, 1e-6, 1e-9):
                 val = k_delta(A, t0 + eps, z0 + eps, 0.9, model)
-                val_s = k_delta_signed(A, t0 + eps, z0 + eps, 0.9, model)
                 assert abs(val - ref) <= 50.0 * eps * max(1.0, abs(ref))
-                assert abs(val_s - ref_s) <= 50.0 * eps * max(1.0, abs(ref_s))
 
     def test_continuity_into_joint_zero(self, rng):
         A = random_spd_matrices(rng, 1, 2, alpha_min=1.0)[0]
@@ -380,8 +352,8 @@ class TestTransformedGradientTerm:
             for eps in (1e-2, 1e-4, 1e-6):
                 vals.append(abs(k_delta(A, eps, np.array([eps, -eps]),
                                         0.9, model)))
-                vals.append(abs(k_delta_signed(A, -eps, np.array([eps, eps]),
-                                               0.9, model)))
+                vals.append(abs(k_delta(A, -eps, np.array([eps, eps]),
+                                        0.9, model)))
             assert vals == sorted(vals, reverse=True) or max(vals) <= 1e-3
             assert vals[-1] <= 1e-11
 

@@ -244,7 +244,12 @@ def _equivalence_crosscheck(exp: Experiment):
     """Coarse two-resolution solve: the residual of the reconstructed original
     unknown must shrink under refinement (the two formulations agree in the
     limit), unless the finer grid's is already at the solver floor
-    outer_tol / |Dw|, the relative accuracy the Picard stop allows."""
+    outer_tol / |Dw|, the relative accuracy the Picard stop allows; a floor
+    of 1 or more resolves nothing, and the check is skipped."""
+    def skipped(why):
+        return validate.CheckResult("equivalence cross-check", True, math.nan,
+                                    f"skipped: {why}")
+
     problem = exp.raw["problem"]
     specs = {"f": problem["f"], "a0": problem["a0"]}
     if problem["H"]["kind"] == "mu_gradsq":
@@ -253,33 +258,25 @@ def _equivalence_crosscheck(exp: Experiment):
                 if isinstance(spec, dict) and "csv" in spec]
     if from_csv:
         # a field read from CSV is fixed to its own grid: no coarse version
-        return validate.CheckResult(
-            "equivalence cross-check", True, math.nan,
-            f"skipped: {', '.join(from_csv)} read from CSV, on the "
-            f"{exp.grid.shape} grid only")
+        return skipped(f"{', '.join(from_csv)} read from CSV, on the "
+                       f"{exp.grid.shape} grid only")
     shapes = [[max(8, n // scale) for n in exp.grid.shape] for scale in (4, 2)]
     if shapes[0] == shapes[1]:
-        return validate.CheckResult(
-            "equivalence cross-check", True, math.nan,
-            f"skipped: the {exp.grid.shape} grid coarsens to "
-            f"{tuple(shapes[0])} at both scales")
+        return skipped(f"the {exp.grid.shape} grid coarsens to "
+                       f"{tuple(shapes[0])} at both scales")
     k_final = max(exp.knobs["k_schedule"] or (exp.knobs["k"],))
     residuals = []
     try:
         for n_override in shapes:
             try:
-                coarse = build_experiment(
-                    exp.raw, base_dir=exp.base_dir,
-                    overrides={"n": n_override,
-                               "solver": {"rho": 0.5, "outer_tol": 1e-9,
-                                          "max_outer": 500, "k_schedule": [],
-                                          "k": k_final}},
-                )
+                coarse = build_experiment(exp.raw, overrides={
+                    "n": n_override,
+                    "solver": {"rho": 0.5, "outer_tol": 1e-9, "max_outer": 500,
+                               "k_schedule": [], "k": k_final}})
             except SmallnessViolated as exc:
                 # inadmissible data is a verdict, not an invariant violation
                 # (the check command reports it with its own exit code)
-                return validate.CheckResult(
-                    "equivalence cross-check", True, math.nan, f"skipped: {exc}")
+                return skipped(exc)
             w, _, _ = k_continuation(coarse.data, coarse.solver_cfg)
             residuals.append(
                 original_residual(w, coarse.data, coarse.solver_cfg.delta))
@@ -287,7 +284,11 @@ def _equivalence_crosscheck(exp: Experiment):
         return validate.CheckResult(
             "equivalence cross-check", False, math.nan, f"solve failed: {exc}")
     energy = h1_seminorm(w)  # w and coarse are the finer grid's
-    floor = coarse.solver_cfg.outer_tol / energy if energy else math.inf
+    tol = coarse.solver_cfg.outer_tol
+    if energy <= tol:
+        return skipped(f"|Dw| = {energy:.3e} on the {tuple(shapes[1])} grid, "
+                       f"within outer_tol {tol:.3e}")
+    floor = tol / energy
     trend = f"original-form residual {residuals[0]:.3e} -> {residuals[1]:.3e}"
     if residuals[1] <= floor:
         return validate.CheckResult(

@@ -61,7 +61,6 @@ class Experiment:
     """Fully assembled experiment: data, solver knobs, optional constants."""
 
     raw: dict
-    base_dir: str
     seed: int
     grid: Grid
     data: SolveData
@@ -355,21 +354,15 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     except (DomainError, ExponentOutOfRange) as exc:
         constants_error = exc
 
-    theta = G = 0.0
     if constants is not None:
         report = critical_report(constants, C_N_source=cn_spec, tol=root_tol,
                                  y_deltas=y_deltas)
-        theta, G = report.theta, report.G
 
     # building the data builds A's stencil: its 1/h^2 scaling and, in 2D,
     # each axis's sine eigenvalues must stay in the double range (their sum
     # is formed from halves, so it cannot overflow on its own)
-    data = _finite(
-        "problem.A", SolveData, grid=grid, A=A, f=f, a0=a0, model=model,
-        norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
-        norm_a0_N2=norms["a0_N2"], norm_a0_q=norms["a0_q"], C_N=C_N,
-        theta=theta, G=G,
-    )
+    data = _finite("problem.A", SolveData, grid=grid, A=A, f=f, a0=a0,
+                   model=model, norms=norms, C_N=C_N, report=report)
 
     admissible = report is not None and report.admissible
     ball_radius = solver_cfg = None
@@ -393,7 +386,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         if admissible:
             if delta < report.delta0:
                 try:
-                    ball_radius, _ = zeros_y(delta, constants, theta, G)
+                    ball_radius, _ = zeros_y(delta, constants, report.theta, report.G)
                 except NoTwoZeros:
                     ball_radius = report.Z_delta0
             elif delta == report.delta0:
@@ -402,7 +395,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     data.ball_radius = ball_radius
 
     return Experiment(
-        raw=cfg, base_dir=base_dir, seed=seed, grid=grid, data=data,
+        raw=cfg, seed=seed, grid=grid, data=data,
         solver_cfg=solver_cfg, problem_constants=constants, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
         knobs=knobs, out_dir=out_dir,

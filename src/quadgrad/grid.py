@@ -148,8 +148,8 @@ class MatrixField:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def identity(cls, grid, scale=1.0):
-        return cls(grid, np.full(grid.dim, scale), alpha=scale)
+    def identity(cls, grid):
+        return cls(grid, np.ones(grid.dim), alpha=1.0)
 
 
 class _StencilPlan(NamedTuple):

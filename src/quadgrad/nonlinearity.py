@@ -123,7 +123,7 @@ class HModel:
 
     ``c0_cert`` / ``gamma_cert`` are the constants under which the two-sided
     growth bound is claimed; `analytic_certificate_ok` checks the claim in
-    closed form where possible, `sample_certificate` in quadgrad.validate
+    closed form where possible, `check_certificate` in quadgrad.validate
     checks it by seeded sampling.
     """
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .constants import CriticalReport
 from .errors import (DomainError, MaxOuterIterations, NewtonStall, SolverFailure,
                      TransformOverflowError)
 from .grid import (
@@ -99,11 +100,13 @@ class SolverConfig:
 
 @dataclass
 class SolveData:
-    """Grid-level problem data plus the discrete constants feeding the checks.
+    """Grid-level problem data plus what the a priori estimate check reads.
 
     alpha is ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
-    ``model.c0_cert``.  ``op``, the stencil of A, is built from A with the
-    data, so ``replace(data, A=...)`` rebuilds it.
+    ``model.c0_cert``; ``norms`` is the experiment's dict of source norms,
+    ``report`` its CriticalReport (theta, G) or None, and ``C_N`` is kept
+    for the case without one.  ``op``, the stencil of A, is built from A
+    with the data, so ``replace(data, A=...)`` rebuilds it.
     """
 
     grid: Grid
@@ -111,13 +114,9 @@ class SolveData:
     f: ScalarField
     a0: ScalarField
     model: HModel
-    norm_f_N2: float = 0.0
-    norm_f_Hm1: float = 0.0
-    norm_a0_N2: float = 0.0
-    norm_a0_q: float = 0.0
-    C_N: float = 0.0
-    theta: float = 0.0
-    G: float = 0.0
+    norms: dict
+    C_N: float
+    report: CriticalReport | None = None
     ball_radius: float | None = None
     op: DiffusionOperator = field(init=False)
 
@@ -292,12 +291,13 @@ def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
     the discrete Hoelder and Sobolev steps are exact with the discrete
     constants.
     """
-    bound = data.norm_f_Hm1 \
-        + delta * data.C_N**2 * data.norm_f_N2 * dw \
-        + data.C_N**2 * data.norm_a0_N2 * dw
-    if data.norm_a0_q > 0.0:
-        bound += data.G * data.C_N ** (2.0 + data.theta) * data.norm_a0_q \
-            * dw ** (1.0 + data.theta)
+    norms, C_N, rep = data.norms, data.C_N, data.report
+    bound = norms["f_Hm1"] \
+        + delta * C_N**2 * norms["f_N2"] * dw \
+        + C_N**2 * norms["a0_N2"] * dw
+    if rep is not None:  # a report exists only when |a0|_q > 0
+        bound += rep.G * C_N ** (2.0 + rep.theta) * norms["a0_q"] \
+            * dw ** (1.0 + rep.theta)
     return bound - data.A.alpha * dW
 
 
@@ -365,8 +365,9 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None):
-    """Relaxed Picard iteration on the inner solution map, started at zero.
+def outer_fixed_point(data: SolveData, cfg: SolverConfig):
+    """Relaxed Picard iteration on the inner solution map at the truncation
+    height ``cfg.k``, started at zero.
 
     Every inner solve after the first starts Newton from the previous inner
     solution and its stencil image.  Each iteration takes the per-edge gradients of W and W - w
@@ -384,8 +385,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
             f"delta = {cfg.delta:g} below gamma = {gamma:g}: the inner "
             "zeroth-order coefficient would lose its sign"
         )
-    k = float(k if k is not None else cfg.k)
-    run_cfg = replace(cfg, k=k)
+    k = float(cfg.k)
     trace = IterationTrace(k=k)
     w = ScalarField.zeros(data.grid)
     grad_w = gradient(w)
@@ -395,7 +395,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float | None = None
     start = image = None
     for m in range(cfg.max_outer + 1):
         try:
-            W, inner = inner_solve(w, data, run_cfg, x0=start, grad=grad_w,
+            W, inner = inner_solve(w, data, cfg, x0=start, grad=grad_w,
                                    image=image)
         except SolverFailure as exc:
             exc.trace = trace
@@ -475,7 +475,7 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     )
     for kidx, k in enumerate(schedule):
         try:
-            w_k, trace = outer_fixed_point(data, cfg, k=k)
+            w_k, trace = outer_fixed_point(data, replace(cfg, k=k))
         except SolverFailure as exc:
             exc.traces, exc.diagnostics = traces, diag
             raise

@@ -265,6 +265,30 @@ class TestOperator:
         res = check_operator_symmetry(Skewed(), np.random.default_rng(0))
         assert not res.ok, res.line()
 
+    @pytest.mark.parametrize("grid", [Grid((1.0,), (128,)),
+                                      Grid((1.0, 1.0), (64, 64))],
+                             ids=["benchmark_1d", "benchmark_2d"])
+    def test_grid_checks_catch_planted_fault_on_huge_coefficient(self, grid):
+        # the fields are drawn tiny on A = 1e304, so the errors must be
+        # relative to their products, not to 1
+        op = DiffusionOperator(MatrixField(grid, [1e304] * grid.dim, alpha=1e304))
+
+        class Skewed:
+            coef = op.coef
+
+            def __init__(self, fault):
+                self.grid, self.fault = grid, fault
+
+            def apply(self, v):
+                out = op.apply(v)
+                return out + self.fault * np.roll(out, 1)
+
+        for check in (check_operator_symmetry, check_integration_by_parts):
+            res = check(Skewed(1e-10), np.random.default_rng(0))
+            assert not res.ok, res.line()
+            res = check(Skewed(0.0), np.random.default_rng(0))
+            assert res.ok, res.line()
+
 
 class TestFastInverse:
     @pytest.mark.parametrize("extents, shape, diag", [

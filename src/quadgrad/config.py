@@ -4,7 +4,8 @@ A config is one JSON document with four blocks:
 
   problem   -- grid geometry, coefficient matrix, sources f and a0 (CSV path
                or expression-catalog entry), nonlinearity model, and the
-               scalar constants (alpha, gamma, c0, q, N);
+               scalar constants (alpha, gamma, c0, q, N); only this module
+               decides the exponents, 2N/(N-2) and N/2 or exponent_pair;
   constants -- provenance of the Sobolev constant: "estimate" for the grid
                estimator or "literature:<value>" for a user-supplied number;
   solver    -- fixed-point knobs, delta either "delta0" or an explicit value;
@@ -283,6 +284,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
                                    f"problem.{key}")
                            for key in ("alpha", "gamma", "c0", "q"))
     N = _number(_require(problem, "N", "problem"), "problem.N", int)
+    if N < 1:
+        raise ConfigError(f"problem.N must be a positive integer, got {N}")
     knobs = _solver_knobs(sspec)
     delta_spec = sspec.get("delta", "delta0")
     if delta_spec != "delta0":
@@ -332,7 +335,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
 
     cn_spec = str(cspec.get("C_N", "estimate"))
     if cn_spec == "estimate":
-        C_N = estimate_sobolev_constant(grid, sobolev_exp).value
+        C_N = _finite("problem.exponent_pair.sobolev", estimate_sobolev_constant,
+                      grid, sobolev_exp).value
     elif cn_spec.startswith("literature:"):
         try:
             C_N = _number(float(cn_spec.split(":", 1)[1]), "constants.C_N")
@@ -346,10 +350,10 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     constants = report = constants_error = None
     try:
         constants = ProblemConstants(
-            N=N, alpha=alpha, gamma=gamma, c0=c0, q=q,
+            alpha=alpha, gamma=gamma, q=q,
             norm_f_N2=norms["f_N2"], norm_f_Hm1=norms["f_Hm1"],
             norm_a0_N2=norms["a0_N2"], norm_a0_q=norms["a0_q"], C_N=C_N,
-            sobolev_exponent=sobolev_exp, f_norm_exponent=f_exp,
+            sobolev_exponent=sobolev_exp,
         )
     except (DomainError, ExponentOutOfRange) as exc:
         constants_error = exc

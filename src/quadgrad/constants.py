@@ -1,9 +1,10 @@
 """Critical-constant engine for the smallness analysis.
 
 Everything here is scalar arithmetic on the problem data: the coercivity
-constant alpha, the growth constants (gamma, c0), the integrability exponent q
-of the zeroth-order coefficient, and the norms of the data f and a0.  From
-these the engine derives
+constant alpha, the growth constant gamma, the integrability exponent q of the
+zeroth-order coefficient, the Sobolev exponent p and constant C_N, and the
+norms of the data f and a0.  The config decides p and the exponent of those
+norms.  From these the engine derives
 
   * theta          -- the superlinear exponent of the zeroth-order correction,
   * C(lambda)      -- the computable envelope constant of that correction,
@@ -41,44 +42,22 @@ from .errors import (
 DEFAULT_ROOT_TOL = 1e-12
 
 
-def compute_theta(N, q, sobolev_exponent=None):
-    """Exponent theta in (0,1) from the dimension N and the exponent q.
+def compute_theta(q, sobolev_exponent):
+    """Exponent theta = p(q-1)/q - 2 in (0,1) of the Sobolev exponent p.
 
-    For N >= 3 the Sobolev exponent 2N/(N-2) is used; for N in {1, 2} a
-    replacement exponent must be supplied explicitly (no default is guessed).
+    theta lies in (0, 1) exactly when p/(p-2) < q, and also q < p/(p-3)
+    when p > 3; the config decides p (2N/(N-2) unless it gives its own).
     """
-    if N < 1 or int(N) != N:
-        raise ExponentOutOfRange(f"dimension must be a positive integer, got {N}")
-    if N >= 3:
-        if sobolev_exponent is None:
-            sobolev_exponent = 2.0 * N / (N - 2)
-        if q <= N / 2.0:
-            raise ExponentOutOfRange(
-                f"q must exceed N/2 = {N/2:g} for theta > 0, got q = {q}"
-            )
-        if 3 <= N < 6:
-            q_hi = 2.0 * N / (6 - N)
-            if q >= q_hi:
-                raise ExponentOutOfRange(
-                    f"q must stay below 2N/(6-N) = {q_hi:g} for theta < 1, "
-                    f"got q = {q}"
-                )
-    else:
-        if sobolev_exponent is None:
-            raise ExponentOutOfRange(
-                "N < 3 requires an explicit replacement for the Sobolev exponent"
-            )
-        if N == 2 and q <= 1:
-            raise ExponentOutOfRange(f"q must exceed 1 when N = 2, got {q}")
-        if N == 1 and q < 1:
-            raise ExponentOutOfRange(f"q must be at least 1 when N = 1, got {q}")
-    q = float(q)
-    theta = float(sobolev_exponent) * (q - 1.0) / q - 2.0
+    q, p = float(q), float(sobolev_exponent)
+    theta = p * (q - 1.0) / q - 2.0 if q > 1.0 else math.nan
     if not (0 < theta < 1):
+        window = "for no q"
+        if p > 2:
+            hi = p / (p - 3) if p > 3 else math.inf
+            window = f"only for q in ({p / (p - 2):g}, {hi:g})"
         raise ExponentOutOfRange(
-            f"derived theta = {theta:g} lies outside (0, 1); "
-            "the exponent pair (N, q) is inadmissible"
-        )
+            f"theta = p(q-1)/q - 2 lies in (0, 1) {window} when p = {p:g}; "
+            f"got q = {q:g}")
     return theta
 
 
@@ -100,30 +79,25 @@ def c_lambda_bound(lam):
 class ProblemConstants:
     """Scalar data feeding the critical-constant formulas.
 
-    `sobolev_exponent` / `f_norm_exponent` override the defaults 2N/(N-2) and
-    N/2; they are mandatory for N in {1, 2} and recorded in every report.
+    `sobolev_exponent` is the p of theta = p(q-1)/q - 2, decided by the
+    config together with the exponent of the norms.
     """
 
-    N: int
     alpha: float
     gamma: float
-    c0: float
     q: float
     norm_f_N2: float
     norm_f_Hm1: float
     norm_a0_N2: float
     norm_a0_q: float
     C_N: float
-    sobolev_exponent: float | None = None
-    f_norm_exponent: float | None = None
+    sobolev_exponent: float
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.gamma <= 0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if self.c0 < 0:
-            raise DomainError(f"c0 must be nonnegative, got {self.c0}")
         if self.C_N <= 0:
             raise DomainError(f"C_N must be positive, got {self.C_N}")
         if self.norm_f_Hm1 < 0 or self.norm_f_N2 < 0 or self.norm_a0_N2 < 0:
@@ -134,17 +108,8 @@ class ProblemConstants:
             raise DomainError("f must not vanish: its integral norm is zero")
         if self.norm_a0_q <= 0:
             raise DomainError("a0 must not vanish: its L^q norm is zero")
-        theta = compute_theta(self.N, self.q, self.sobolev_exponent)
-        object.__setattr__(self, "_theta", float(theta))
-        if self.N >= 3:
-            if self.sobolev_exponent is None:
-                object.__setattr__(self, "sobolev_exponent", 2.0 * self.N / (self.N - 2))
-            if self.f_norm_exponent is None:
-                object.__setattr__(self, "f_norm_exponent", self.N / 2.0)
-        elif self.f_norm_exponent is None:
-            raise ExponentOutOfRange(
-                "N < 3 requires an explicit replacement for the f-norm exponent"
-            )
+        object.__setattr__(self, "_theta",
+                           compute_theta(self.q, self.sobolev_exponent))
 
     @property
     def theta(self):

@@ -57,7 +57,6 @@ class SolverFailure(QuadgradError):
         self.iterations = iterations  # that loop's iterations
         self.trace = trace            # failing level's partial IterationTrace
         self.traces = []              # finished levels' IterationTraces
-        self.diagnostics = None       # their LadderDiagnostics
 
 
 class IterativeSolveFailure(SolverFailure):

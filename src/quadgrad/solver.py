@@ -461,8 +461,8 @@ class LadderDiagnostics:
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     """Solve along the truncation schedule and collect diagnostics.
 
-    A SolverFailure leaves with the finished heights' ``traces`` and
-    ``diagnostics`` attached, next to the failing height's partial ``trace``.
+    A SolverFailure leaves with the finished heights' ``traces`` attached,
+    next to the failing height's partial ``trace``.
     """
     schedule = tuple(cfg.k_schedule) or (cfg.k,)
     n_ladder = tuple(n_ladder)
@@ -477,7 +477,7 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
         try:
             w_k, trace = outer_fixed_point(data, replace(cfg, k=k))
         except SolverFailure as exc:
-            exc.traces, exc.diagnostics = traces, diag
+            exc.traces = traces
             raise
         solutions.append(w_k)
         traces.append(trace)

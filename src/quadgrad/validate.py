@@ -309,15 +309,11 @@ def constants_cross_checks(c: ProblemConstants, rng) -> list:
     worst_phi = 0.0
     for i in range(50):
         scale = 10.0 ** rng.uniform(-0.5, 0.5)
-        cc = ProblemConstants(
-            N=c.N, alpha=c.alpha * scale, gamma=c.gamma, c0=c.c0, q=c.q,
+        cc = replace(
+            c, alpha=c.alpha * scale,
             norm_f_N2=c.norm_f_N2 * 10.0 ** rng.uniform(-0.3, 0.3),
-            norm_f_Hm1=c.norm_f_Hm1,
             norm_a0_N2=min(c.norm_a0_N2, 0.5 * c.alpha * scale / c.C_N**2),
             norm_a0_q=c.norm_a0_q * 10.0 ** rng.uniform(-0.3, 0.3),
-            C_N=c.C_N,
-            sobolev_exponent=c.sobolev_exponent,
-            f_norm_exponent=c.f_norm_exponent,
         )
         theta = cc.theta
         G1 = cmod.compute_G(cc, theta)

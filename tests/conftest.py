@@ -79,11 +79,12 @@ def random_admissible_constants(rng, wide=False):
     far below delta1.
     """
     N, q = ADMISSIBLE_NQ[rng.integers(len(ADMISSIBLE_NQ))]
-    theta = compute_theta(N, q)
+    p = 2.0 * N / (N - 2)
+    theta = compute_theta(q, p)
     alpha = rng.uniform(0.5, 4.0)
     C_N = rng.uniform(0.7, 3.0)
     gamma = rng.uniform(0.1, 2.0)
-    c0 = rng.uniform(0.0, 2.0)
+    rng.uniform(0.0, 2.0)  # the retired c0 draw, kept so later draws stay put
     na_p = rng.uniform(0.0, 0.8) * alpha / C_N**2
     d1 = gamma * (10.0 ** rng.uniform(0.1, 4.0) if wide else rng.uniform(1.2, 4.0))
     nf = (alpha - C_N**2 * na_p) / (C_N**2 * d1)
@@ -95,8 +96,8 @@ def random_admissible_constants(rng, wide=False):
         / ((1.0 + theta) * G * C_N ** (2.0 + theta) * na_q) ** (1.0 / theta)
     nfh = rng.uniform(0.05, 0.999) * rhs_a3
     c = ProblemConstants(
-        N=N, alpha=alpha, gamma=gamma, c0=c0, q=q, norm_f_N2=nf,
-        norm_f_Hm1=nfh, norm_a0_N2=na_p, norm_a0_q=na_q, C_N=C_N,
+        alpha=alpha, gamma=gamma, q=q, norm_f_N2=nf, norm_f_Hm1=nfh,
+        norm_a0_N2=na_p, norm_a0_q=na_q, C_N=C_N, sobolev_exponent=p,
     )
     # construction can only fail by roundoff at the A3 boundary
     th = c.theta
@@ -115,10 +116,10 @@ def rng():
 def benchmark_constants():
     """One fixed admissible constant set reused across modules."""
     return ProblemConstants(
-        N=3, alpha=1.0, gamma=0.5, c0=0.2, q=1.8,
+        alpha=1.0, gamma=0.5, q=1.8,
         norm_f_N2=0.6764981463372095, norm_f_Hm1=0.22508464130490846,
         norm_a0_N2=0.198965068257161, norm_a0_q=0.1991371842263885,
-        C_N=0.3773773087934581,
+        C_N=0.3773773087934581, sobolev_exponent=6.0,
     )
 
 

@@ -141,6 +141,21 @@ class TestExitCodes:
             "config error: report.n_ladder heights must be positive")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_nonpositive_dimension_exits_2(self, tmp_path, capsys, command, N):
+        # with an explicit pair no default exponent needs N, so the config
+        # itself refuses it, in verify too
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["N"] = N
+        cfg["problem"]["exponent_pair"] = {"sobolev": 6.0, "f_norm": 1.5}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+        assert captured.err.startswith(
+            f"config error: problem.N must be a positive integer, got {N}")
+
     @pytest.mark.parametrize("block, key, value", [
         ("grid", "n", ["abc"]),
         ("grid", "n", 128),
@@ -320,6 +335,22 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and quantity in err
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("p", [1000.0, 1e308], ids=["1000", "1e308"])
+    def test_sobolev_ascent_out_of_range_exits_2(self, tmp_path, capsys,
+                                                 command, p):
+        # |v|^(p-2) underflows the ascent's iterate to zero, whose energy
+        # normalisation is 0/0; RuntimeWarnings are errors in this suite
+        cfg = mutated_benchmark(("problem", "exponent_pair"),
+                                {"sobolev": p, "f_norm": 1.5})
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert captured.err.startswith(
+            "config error: problem.exponent_pair.sobolev leaves the "
+            "double-precision range")
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
@@ -800,6 +831,23 @@ class TestLowDimensionMode:
         cfg["problem"]["N"] = 2
         assert main(["constants", "--config", write_cfg(tmp_path, cfg)]) == 2
         assert "exponent_pair" in capsys.readouterr().err
+
+    def test_explicit_pair_judged_by_theta_alone(self, tmp_path, capsys):
+        # q = 1.4 lies below N/2 = 1.5, but inside the window (4/3, 8/5) of
+        # the given p = 8
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["q"] = 1.4
+        cfg["problem"]["exponent_pair"] = {"sobolev": 8.0, "f_norm": 1.5}
+        assert main(["constants", "--config", write_cfg(tmp_path, cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["theta"] == 8.0 * (1.4 - 1.0) / 1.4 - 2.0
+
+    def test_q_outside_default_window_names_it(self, tmp_path, capsys):
+        # N = 3 without a pair: p = 6, whose window is (6/4, 6/3)
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["q"] = 1.5
+        assert main(["constants", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert "q in (1.5, 2) when p = 6; got q = 1.5" in capsys.readouterr().err
 
 
 class TestDeclaredNorms:

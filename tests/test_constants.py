@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,25 +43,30 @@ C_09 = 1.52552735787146571248959098805
 G_EXAMPLE = 3.60446767092102220478172157051
 
 
+def sobolev(N):
+    """The Sobolev exponent 2N/(N-2) of dimension N >= 3."""
+    return 2.0 * N / (N - 2)
+
+
 class TestTheta:
     def test_exact_rational_examples(self):
-        assert compute_theta(3, 9 / 5) == pytest.approx(2 / 3, rel=1e-15)
-        assert compute_theta(7, 4) == pytest.approx(1 / 10, rel=1e-14)
+        assert compute_theta(9 / 5, sobolev(3)) == pytest.approx(2 / 3, rel=1e-15)
+        assert compute_theta(4, sobolev(7)) == pytest.approx(1 / 10, rel=1e-14)
 
     def test_boundary_q_rejected(self):
         with pytest.raises(ExponentOutOfRange):
-            compute_theta(3, 2)
+            compute_theta(2, sobolev(3))
 
     def test_low_q_rejected(self):
         with pytest.raises(ExponentOutOfRange):
-            compute_theta(3, 1.5)
+            compute_theta(1.5, sobolev(3))
         with pytest.raises(ExponentOutOfRange):
-            compute_theta(5, 2.5)
+            compute_theta(2.5, sobolev(5))
 
     def test_low_dimension_needs_explicit_pair(self):
-        with pytest.raises(ExponentOutOfRange):
-            compute_theta(2, 1.8)
-        theta = compute_theta(2, 9 / 5, sobolev_exponent=6)
+        # N < 3 has no default p; the config refuses a missing pair, and the
+        # engine takes the given p whatever N is
+        theta = compute_theta(9 / 5, 6)
         assert theta == pytest.approx(2 / 3, rel=1e-15)
 
     @given(st.sampled_from([3, 4, 5, 6, 7, 9, 12]), st.floats(0.01, 0.99))
@@ -71,7 +77,7 @@ class TestTheta:
         q = lo + frac * (hi - lo)
         if q <= lo or q >= hi:
             return
-        assert 0.0 < compute_theta(N, q) < 1.0
+        assert 0.0 < compute_theta(q, sobolev(N)) < 1.0
 
 
 class TestEnvelopeConstant:
@@ -93,10 +99,10 @@ class TestEnvelopeConstant:
 
 
 def _mk(alpha=1.0, C_N=1.0, na_p=0.1, nf=0.3, nfh=0.05, na_q=0.2,
-        gamma=0.4, c0=0.0, N=3, q=1.8):
-    return ProblemConstants(N=N, alpha=alpha, gamma=gamma, c0=c0, q=q,
-                            norm_f_N2=nf, norm_f_Hm1=nfh, norm_a0_N2=na_p,
-                            norm_a0_q=na_q, C_N=C_N)
+        gamma=0.4, q=1.8):
+    return ProblemConstants(alpha=alpha, gamma=gamma, q=q, norm_f_N2=nf,
+                            norm_f_Hm1=nfh, norm_a0_N2=na_p, norm_a0_q=na_q,
+                            C_N=C_N, sobolev_exponent=sobolev(3))
 
 
 class TestGrowthConstant:
@@ -147,11 +153,7 @@ class TestSmallness:
         for _ in range(20):
             c = random_admissible_constants(rng)
             theta = c.theta
-            scaled = ProblemConstants(
-                N=c.N, alpha=c.alpha, gamma=c.gamma, c0=c.c0, q=c.q,
-                norm_f_N2=c.norm_f_N2, norm_f_Hm1=c.norm_f_Hm1,
-                norm_a0_N2=c.norm_a0_N2, norm_a0_q=100.0 * c.norm_a0_q,
-                C_N=c.C_N)
+            scaled = replace(c, norm_a0_q=100.0 * c.norm_a0_q)
             _, a3 = check_smallness(scaled, theta, compute_G(scaled, theta))
             assert not a3.holds
 
@@ -300,10 +302,7 @@ class TestDoubleZero:
         c = random_admissible_constants(rng)
         theta = c.theta
         G = compute_G(c, theta)
-        bad = ProblemConstants(
-            N=c.N, alpha=c.alpha, gamma=c.gamma, c0=c.c0, q=c.q,
-            norm_f_N2=c.norm_f_N2, norm_f_Hm1=c.norm_f_Hm1,
-            norm_a0_N2=c.norm_a0_N2, norm_a0_q=50.0 * c.norm_a0_q, C_N=c.C_N)
+        bad = replace(c, norm_a0_q=50.0 * c.norm_a0_q)
         with pytest.raises(SmallnessViolated):
             solve_delta0(bad, theta, compute_G(bad, theta))
 

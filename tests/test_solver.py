@@ -239,7 +239,9 @@ class TestContinuation:
                        outer_tol=1e-14)
         with pytest.raises(MaxOuterIterations) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
-        assert hasattr(err.value, "diagnostics")
+        exc = err.value
+        assert exc.traces == [] and exc.trace.k == 5.0
+        assert len(exc.trace.records) == 2 and not exc.trace.converged
 
     def test_inner_failure_carries_finished_and_partial_traces(
             self, monkeypatch):
@@ -261,7 +263,6 @@ class TestContinuation:
         assert len(exc.traces[0].records) == calls.count(5.0)
         assert exc.trace.k == 25.0 and len(exc.trace.records) == 2
         assert not exc.trace.converged
-        assert exc.diagnostics.residuals == [exc.traces[0].residual]
         assert (exc.residual, exc.iterations) == (1.0, 40)
 
 

@@ -107,32 +107,28 @@ def _write_trace(traces, out_dir):
 def _work_so_far(exc: QuadgradError):
     """' (so far: Picard P, Newton N, CG C)', the totals over a failed
     solve's traces; empty for an error that carries no trace."""
-    if not isinstance(exc, SolverFailure):
+    if not isinstance(exc, SolverFailure) or not exc.traces:
         return ""
-    traces = [t for t in exc.traces + [exc.trace] if t is not None]
-    if not traces:
-        return ""
-    records = [rec for t in traces for rec in t.records]
+    records = [rec for t in exc.traces for rec in t.records]
     return (f" (so far: Picard {len(records)}, "
             f"Newton {sum(rec.inner_iterations for rec in records)}, "
             f"CG {sum(rec.cg_iterations for rec in records)})")
 
 
-def _write_diagnostics(diag, out_dir):
+def _write_diagnostics(diag, ks, out_dir):
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "tail_energy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n"] + [repr(k) for k in diag.k_schedule])
+        writer.writerow(["n"] + [repr(k) for k in ks])
         for nidx, n in enumerate(diag.n_ladder):
             writer.writerow([repr(float(n))]
                             + [repr(float(v)) for v in diag.tail_energy[nidx]])
     with open(os.path.join(out_dir, "increments.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k_from", "k_to", "increment"])
-        for (k1, k2), inc in zip(
-                zip(diag.k_schedule, diag.k_schedule[1:]), diag.increments):
+        for (k1, k2), inc in zip(zip(ks, ks[1:]), diag.increments):
             writer.writerow([repr(k1), repr(k2), repr(inc)])
 
 
@@ -143,10 +139,11 @@ def cmd_solve(args):
     try:
         w_star, diag, traces = k_continuation(data, cfg, n_ladder=exp.n_ladder)
     except SolverFailure as exc:
-        _write_trace(exc.traces + [exc.trace], out_dir)
+        _write_trace(exc.traces, out_dir)
         raise
+    ks = [t.k for t in traces]
     _write_trace(traces, out_dir)
-    _write_diagnostics(diag, out_dir)
+    _write_diagnostics(diag, ks, out_dir)
     u_vals = transform_inverse(w_star.values, cfg.delta)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -163,8 +160,8 @@ def cmd_solve(args):
     summary = {
         "delta": cfg.delta,
         "delta_mode": exp.delta_mode,
-        "k_schedule": list(diag.k_schedule),
-        "residual_truncated": diag.residuals,
+        "k_schedule": ks,
+        "residual_truncated": [t.residual for t in traces],
         "residual_untruncated_final": fixed_point_residual(
             w_star, data, cfg.delta, k=None),
         "residual_original": original_residual(w_star, data, cfg.delta),
@@ -247,8 +244,7 @@ def _equivalence_crosscheck(exp: Experiment):
     outer_tol / |Dw|, the relative accuracy the Picard stop allows; a floor
     of 1 or more resolves nothing, and the check is skipped."""
     def skipped(why):
-        return validate.CheckResult("equivalence cross-check", True, math.nan,
-                                    f"skipped: {why}")
+        return validate.CheckResult.skipped("equivalence cross-check", why)
 
     problem = exp.raw["problem"]
     specs = {"f": problem["f"], "a0": problem["a0"]}
@@ -335,6 +331,11 @@ def cmd_verify(args):
         results.append(validate.check_g_growth(rep.G, rep.theta, rep.delta1, rng))
         results.extend(validate.constants_cross_checks(exp.problem_constants, rng))
         results.append(_equivalence_crosscheck(exp))
+    else:
+        why = f"constants not computable: {exp.constants_error}"
+        results.extend(validate.CheckResult.skipped(name, why) for name in (
+            "growth-constant envelope", "growth constant against 30-digit decimal",
+            "profile minimum closed form", "equivalence cross-check"))
 
     for res in results:
         print(res.line())

@@ -410,8 +410,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     )
 
 
-def experiment_from_file(path, overrides: dict | None = None,
-                         for_solve: bool = True) -> Experiment:
+def experiment_from_file(path, for_solve: bool = True) -> Experiment:
     cfg = load_config(path)
     return build_experiment(cfg, base_dir=os.path.dirname(os.path.abspath(path)),
-                            overrides=overrides, for_solve=for_solve)
+                            for_solve=for_solve)

@@ -51,12 +51,11 @@ class FieldValidationError(QuadgradError):
 class SolverFailure(QuadgradError):
     """A solve stopped short of its tolerance: reported, never retried."""
 
-    def __init__(self, message, residual=None, iterations=None, trace=None):
+    def __init__(self, message, residual=None, iterations=None, traces=None):
         super().__init__(message)
         self.residual = residual      # of the loop that gave up
         self.iterations = iterations  # that loop's iterations
-        self.trace = trace            # failing level's partial IterationTrace
-        self.traces = []              # finished levels' IterationTraces
+        self.traces = traces or []    # finished levels', then the failing one's
 
 
 class IterativeSolveFailure(SolverFailure):

@@ -28,7 +28,10 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
     built once per grid shape and each application is one zero-padded copy
     plus slice differences per axis; the unscaled Green's matrix and the
     orthonormal sine matrices are cached per axis length and applied as
-    dense matrix products.
+    dense matrix products;
+  * ``ScalarField`` validates nodal data where it enters (config, CSV,
+    expressions) and a solution where it leaves; inside a solve, values are
+    plain arrays and ``gradient(grid, v)`` is a tuple of per-axis edge arrays.
 """
 
 from __future__ import annotations
@@ -102,18 +105,6 @@ class ScalarField:
             raise FieldValidationError("field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Per-edge gradient components (staggered: one array per axis)."""
-
-    grid: Grid
-    components: tuple
 
 
 @dataclass(frozen=True)
@@ -192,26 +183,24 @@ def _zero_padded(v, plan):
     return ext
 
 
-def edge_values(v: ScalarField):
-    """Per axis, the (upper, lower) end values of every edge, with the
-    Dirichlet zero beyond the boundary."""
-    plan = _stencil_plan(v.grid.shape)
-    ext = _zero_padded(v.values, plan)
+def edge_values(v: np.ndarray):
+    """Per axis, the (upper, lower) end values of every edge of the nodal
+    array v, with the Dirichlet zero beyond the boundary."""
+    plan = _stencil_plan(v.shape)
+    ext = _zero_padded(v, plan)
     return tuple((ext[hi], ext[lo]) for hi, lo in plan.edges)
 
 
-def gradient(v: ScalarField) -> VectorField:
-    """Forward differences per axis edge with Dirichlet zero extension."""
-    g = v.grid
-    return VectorField(g, tuple((hi - lo) / h
-                                for (hi, lo), h in zip(edge_values(v), g.h)))
+def gradient(grid: Grid, v: np.ndarray) -> tuple:
+    """Forward differences of the nodal array v per axis edge, with
+    Dirichlet zero extension: one edge array per axis."""
+    return tuple((hi - lo) / h for (hi, lo), h in zip(edge_values(v), grid.h))
 
 
-def node_average(grad: VectorField):
+def node_average(grid: Grid, grad: tuple):
     """Central differences at the nodes from a per-edge gradient."""
-    plan = _stencil_plan(grad.grid.shape)
-    return tuple(0.5 * (d[lo] + d[hi])
-                 for d, (hi, lo) in zip(grad.components, plan.nodes))
+    plan = _stencil_plan(grid.shape)
+    return tuple(0.5 * (d[lo] + d[hi]) for d, (hi, lo) in zip(grad, plan.nodes))
 
 
 def lp_norm(v: ScalarField, p) -> float:
@@ -226,15 +215,15 @@ def inner_l2(u: ScalarField, v: ScalarField) -> float:
     return float(np.sum(u.values * v.values) * u.grid.node_measure)
 
 
-def energy_norm(grad: VectorField) -> float:
+def energy_norm(grid: Grid, grad: tuple) -> float:
     """L^2 norm of a per-edge gradient in the shared product measure."""
-    total = sum(float((c * c).sum()) for c in grad.components)
-    return float(np.sqrt(total * grad.grid.node_measure))
+    total = sum(float((c * c).sum()) for c in grad)
+    return float(np.sqrt(total * grid.node_measure))
 
 
 def h1_seminorm(v: ScalarField) -> float:
     """Energy norm: L^2 norm of the per-edge gradient."""
-    return energy_norm(gradient(v))
+    return energy_norm(v.grid, gradient(v.grid, v.values))
 
 
 @lru_cache(maxsize=32)
@@ -419,8 +408,7 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
     for it in range(1, max_iter + 1):
         g = np.abs(v) ** (p - 2.0) * v
         z = lap.fast_inverse(g)
-        zf = ScalarField(grid, z)
-        z = z / h1_seminorm(zf)
+        z = z / energy_norm(grid, gradient(grid, z))
         new_ratio = lp_norm(ScalarField(grid, z), p)
         v = z
         if abs(new_ratio - ratio) <= tol * max(ratio, 1e-300):

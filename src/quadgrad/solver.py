@@ -40,12 +40,10 @@ from .grid import (
     Grid,
     MatrixField,
     ScalarField,
-    VectorField,
     cg_solve,
     edge_values,
     energy_norm,
     gradient,
-    h1_seminorm,
     node_average,
 )
 from .nonlinearity import (
@@ -128,8 +126,8 @@ class SolveData:
         ``grad`` is w's edge gradient if held.  A is diagonal, so the form is
         the sum over axes of its entry times the squared component."""
         if grad is None:
-            grad = gradient(ScalarField(self.grid, w_vals))
-        comps = node_average(grad)
+            grad = gradient(self.grid, w_vals)
+        comps = node_average(self.grid, grad)
         squares = [c * c for c in comps]
         forms = [a_ii * c * c for a_ii, c in zip(self.A.values, comps)]
         return sum(forms[1:], forms[0]), sum(squares[1:], squares[0])
@@ -204,9 +202,10 @@ class InnerResult:
     image: np.ndarray
 
 
-def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
+def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig,
                 x0=None, grad=None, image=None):
-    """Solve -div(A DW) + b sign_k(W) = rhs(w) by damped semismooth Newton.
+    """Solve -div(A DW) + b sign_k(W) = rhs(w) by damped semismooth Newton;
+    w and the returned W are nodal arrays.
 
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
@@ -227,7 +226,7 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     delta, k = cfg.delta, cfg.k
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b, rhs = inner_coefficients(data, w.values, delta, k, grad)
+            b, rhs = inner_coefficients(data, w, delta, k, grad)
     except FloatingPointError as exc:
         raise TransformOverflowError(
             "the transformed coefficients K_delta(w) and rhs(w) overflow double "
@@ -251,10 +250,14 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
     r = residual_vec(W, LW)
     res = math.sqrt(np.vdot(r, r))
     cg_iterations = halvings = 0
-    for it in range(cfg.max_inner):
+    for it in range(cfg.max_inner + 1):
         if res <= target:
-            return ScalarField(data.grid, W), InnerResult(
-                it, res, rhs_l2, cg_iterations, halvings, LW)
+            return W, InnerResult(it, res, rhs_l2, cg_iterations, halvings, LW)
+        if it == cfg.max_inner:
+            raise NewtonStall(
+                f"inner Newton out of budget ({cfg.max_inner} iterations) at "
+                f"residual {res:g} (target {target:g})", residual=res,
+                iterations=cfg.max_inner)
         diag = b * k * (np.abs(W) <= 1.0 / k)
         step, its = cg_solve(op.fast_inverse, -r, diag,
                              tol=max(1e-15, forcing / res))
@@ -274,13 +277,6 @@ def inner_solve(w: ScalarField, data: SolveData, cfg: SolverConfig,
             raise NewtonStall(
                 f"line search exhausted at residual {res:g}", residual=res,
                 iterations=it)
-    if res <= target:
-        return ScalarField(data.grid, W), InnerResult(
-            cfg.max_inner, res, rhs_l2, cg_iterations, halvings, LW)
-    raise NewtonStall(
-        f"inner Newton out of budget ({cfg.max_inner} iterations) at residual "
-        f"{res:g} (target {target:g})", residual=res,
-        iterations=cfg.max_inner)
 
 
 def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
@@ -345,10 +341,10 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
     discretization error and vanishes under refinement.
     """
     g = u.grid
-    w = ScalarField(g, transform_forward(u.values, delta))
-    rhs = h1_seminorm(w)
+    w = transform_forward(u.values, delta)
+    rhs = energy_norm(g, gradient(g, w))
     total = 0.0
-    for h, (u_hi, u_lo), (w_hi, w_lo) in zip(g.h, edge_values(u),
+    for h, (u_hi, u_lo), (w_hi, w_lo) in zip(g.h, edge_values(u.values),
                                              edge_values(w)):
         du = (u_hi - u_lo) / h
         if exact_chain:
@@ -369,15 +365,18 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig):
     """Relaxed Picard iteration on the inner solution map at the truncation
     height ``cfg.k``, started at zero.
 
+    The iterates w, the inner solutions W and their edge gradients are plain
+    arrays; only the returned solution is wrapped in a ``ScalarField``.
     Every inner solve after the first starts Newton from the previous inner
-    solution and its stencil image.  Each iteration takes the per-edge gradients of W and W - w
-    once; every energy and, by linearity, the gradient of the relaxed iterate
-    (for the next K_delta) come from them.  The defect is differenced before
-    its gradient, so it stays accurate relative to itself as it vanishes.
+    solution and its stencil image.  Each iteration takes the per-edge
+    gradients of W and W - w once; every energy and, by linearity, the
+    gradient of the relaxed iterate (for the next K_delta) come from them.
+    The defect is differenced before its gradient, so it stays accurate
+    relative to itself as it vanishes.
 
     Returns (w_k, trace).  Raises MaxOuterIterations when the increment never
     drops below outer_tol; it and any SolverFailure of an inner solve leave
-    with ``trace``, this level's partial trace, attached.
+    with ``traces == [trace]``, this level's partial trace.
     """
     gamma = data.model.gamma_cert
     if cfg.delta < gamma:
@@ -385,39 +384,36 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig):
             f"delta = {cfg.delta:g} below gamma = {gamma:g}: the inner "
             "zeroth-order coefficient would lose its sign"
         )
-    k = float(cfg.k)
+    grid, k = data.grid, float(cfg.k)
     trace = IterationTrace(k=k)
-    w = ScalarField.zeros(data.grid)
-    grad_w = gradient(w)
-    norm_w = energy_norm(grad_w)
+    w = np.zeros(grid.shape)
+    grad_w = gradient(grid, w)
+    norm_w = energy_norm(grid, grad_w)
     max_rhs = 0.0
     final = False
-    start = image = None
+    W = image = None
     for m in range(cfg.max_outer + 1):
         try:
-            W, inner = inner_solve(w, data, cfg, x0=start, grad=grad_w,
-                                   image=image)
+            W, inner = inner_solve(w, data, cfg, x0=W, grad=grad_w, image=image)
         except SolverFailure as exc:
-            exc.trace = trace
+            exc.traces = [trace]
             raise
-        start, image = W.values, inner.image
-        grad_W = gradient(W)
-        grad_D = gradient(ScalarField(data.grid, W.values - w.values))
-        norm_W = energy_norm(grad_W)
-        defect = energy_norm(grad_D)
+        image = inner.image
+        grad_W = gradient(grid, W)
+        grad_D = gradient(grid, W - w)
+        norm_W = energy_norm(grid, grad_W)
+        defect = energy_norm(grid, grad_D)
         if final:
             # one unrelaxed application pins the reported solution to the map
             norm_next, increment = norm_W, defect
         else:
             max_rhs = max(max_rhs, inner.rhs_l2)
             trace.eps_solver = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + max_rhs)
-            w_next = ScalarField(
-                data.grid, (1.0 - cfg.rho) * w.values + cfg.rho * W.values)
+            w_next = (1.0 - cfg.rho) * w + cfg.rho * W
             # D w_next = DW - (1 - rho) D(W - w): the gradient is linear
-            grad_next = VectorField(data.grid, tuple(
-                gW - (1.0 - cfg.rho) * gD
-                for gW, gD in zip(grad_W.components, grad_D.components)))
-            norm_next = energy_norm(grad_next)
+            grad_next = tuple(gW - (1.0 - cfg.rho) * gD
+                              for gW, gD in zip(grad_W, grad_D))
+            norm_next = energy_norm(grid, grad_next)
             increment = cfg.rho * defect
         in_ball = None
         if data.ball_radius is not None:
@@ -430,9 +426,10 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig):
             in_ball=in_ball, ls_halvings=inner.ls_halvings,
         ))
         if final:
+            w_k = ScalarField(grid, W)
             trace.converged = True
-            trace.residual = fixed_point_residual(W, data, cfg.delta, k=k)
-            return W, trace
+            trace.residual = fixed_point_residual(w_k, data, cfg.delta, k=k)
+            return w_k, trace
         w, grad_w, norm_w = w_next, grad_next, norm_next
         # defect <= tol implies the relaxed increment is below tol as well;
         # gating on the defect keeps the reported fixed-point residual tight
@@ -442,52 +439,49 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig):
     raise MaxOuterIterations(
         f"no convergence within {cfg.max_outer} outer iterations "
         f"(last increment {trace.records[-1].increment:g} > {cfg.outer_tol:g})",
-        trace=trace,
+        traces=[trace],
     )
 
 
 @dataclass
 class LadderDiagnostics:
-    """Truncation-ladder convergence evidence."""
+    """Truncation-ladder evidence; each height's k and residual are in its trace."""
 
-    k_schedule: tuple
     n_ladder: tuple
     tail_energy: np.ndarray        # E[n_idx, k_idx] = |D remainder_n(w_k)|^2
     increments: list               # |D(w_{k_i} - w_{k_i+1})|, len = len(ks)-1
-    residuals: list                # per-k residual of the truncated equation
     max_abs: list                  # per-k max |w_k|
 
 
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     """Solve along the truncation schedule and collect diagnostics.
 
-    A SolverFailure leaves with the finished heights' ``traces`` attached,
-    next to the failing height's partial ``trace``.
+    A SolverFailure leaves with ``traces``: the finished heights' traces,
+    then the failing height's partial one.
     """
     schedule = tuple(cfg.k_schedule) or (cfg.k,)
     n_ladder = tuple(n_ladder)
+    grid = data.grid
     solutions = []
     traces = []
     diag = LadderDiagnostics(
-        k_schedule=schedule, n_ladder=n_ladder,
+        n_ladder=n_ladder,
         tail_energy=np.zeros((len(n_ladder), len(schedule))),
-        increments=[], residuals=[], max_abs=[],
+        increments=[], max_abs=[],
     )
     for kidx, k in enumerate(schedule):
         try:
             w_k, trace = outer_fixed_point(data, replace(cfg, k=k))
         except SolverFailure as exc:
-            exc.traces = traces
+            exc.traces = traces + exc.traces
             raise
         solutions.append(w_k)
         traces.append(trace)
-        diag.residuals.append(trace.residual)
         diag.max_abs.append(float(np.max(np.abs(w_k.values))))
         for nidx, n in enumerate(n_ladder):
-            tail = ScalarField(data.grid, remainder(w_k.values, n))
-            diag.tail_energy[nidx, kidx] = h1_seminorm(tail) ** 2
+            tail = gradient(grid, remainder(w_k.values, n))
+            diag.tail_energy[nidx, kidx] = energy_norm(grid, tail) ** 2
     for i in range(len(solutions) - 1):
-        delta_w = ScalarField(
-            data.grid, solutions[i].values - solutions[i + 1].values)
-        diag.increments.append(h1_seminorm(delta_w))
+        delta_w = solutions[i].values - solutions[i + 1].values
+        diag.increments.append(energy_norm(grid, gradient(grid, delta_w)))
     return solutions[-1], diag, traces

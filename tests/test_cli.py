@@ -438,12 +438,12 @@ class TestExitCodes:
         exp = experiment_from_file(cfg)
         with pytest.raises(errors.NewtonStall) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=exp.n_ladder)
-        finished, partial = err.value.traces, err.value.trace
+        *finished, partial = err.value.traces
         assert finished and all(t.converged for t in finished)
+        assert not partial.converged
         with open(os.path.join(out, "trace.jsonl")) as fh:
             rows = [json.loads(line) for line in fh]
-        assert len(rows) == sum(len(t.records) for t in finished) \
-            + len(partial.records)
+        assert len(rows) == sum(len(t.records) for t in err.value.traces)
         assert rows[-1]["k"] == partial.k
 
     def test_exhausted_line_search_exits_4_with_trace(self, tmp_path, capsys,
@@ -469,13 +469,12 @@ class TestExitCodes:
         with pytest.raises(errors.NewtonStall,
                            match="^line search exhausted") as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=exp.n_ladder)
-        finished, partial = err.value.traces, err.value.trace
-        assert partial is not None and not partial.converged
+        *finished, partial = err.value.traces
+        assert all(t.converged for t in finished) and not partial.converged
         assert err.value.residual > 0
         with open(os.path.join(out, "trace.jsonl")) as fh:
             rows = [json.loads(line) for line in fh]
-        assert rows and len(rows) == sum(len(t.records) for t in finished) \
-            + len(partial.records)
+        assert rows and len(rows) == sum(len(t.records) for t in err.value.traces)
 
 
 def _subclasses(kind):
@@ -709,6 +708,30 @@ class TestVerifyCommand:
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if "equivalence cross-check" in line)
         assert line.startswith("[PASS]") and "skipped" in line
+
+    @pytest.mark.parametrize("edits", [
+        {("problem", "q"): 1.5},  # the window of q is (1.5, 2) at p = 6
+        {("problem", "a0"): {"expr": {"kind": "constant", "value": 0.0}},
+         ("solver", "delta"): 1.0},
+    ], ids=["q-outside-window", "a0-zero-explicit-delta"])
+    def test_uncomputable_constants_list_skipped_checks(self, tmp_path, capsys,
+                                                        edits):
+        # the checks that need the constants are named as skipped, with the
+        # reason the constants command gives, rather than left out
+        cfg = load_benchmark("benchmark_1d.json")
+        for (block, key), value in edits.items():
+            cfg[block][key] = value
+        path = write_cfg(tmp_path, cfg)
+        assert main(["constants", "--config", path]) == 2
+        reason = capsys.readouterr().err.split("constants not computable: ")[1]
+        assert main(["verify", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("growth-constant envelope",
+                     "growth constant against 30-digit decimal",
+                     "profile minimum closed form", "equivalence cross-check"):
+            (line,) = [line for line in lines if f"] {name}: " in line]
+            assert line == (f"[PASS] {name}: worst margin nan (skipped: "
+                            f"constants not computable: {reason.strip()})")
 
     @pytest.mark.parametrize("scale, verdict", [
         (1e4, "at the solver floor"),       # residuals 2.9e-5 -> 3.1e-5

@@ -1,7 +1,8 @@
 """Every public module-level function or class of the package has a caller in
 the package or the benchmark harness; code that only tests reach belongs in
 the tests.  Every defaulted parameter of a package function is passed by some
-call in the package, the harness or the tests; one nobody sets is a constant."""
+call in the package, the harness or the tests; one nobody sets is a constant.
+Every parameter of a package function is read by its body."""
 
 import ast
 import pathlib
@@ -101,3 +102,21 @@ def test_every_defaulted_parameter_is_passed():
                       for name, index in _defaulted(fn)
                       if not any(_passes(c, name, index) for c in sites)]
     assert not unset, f"defaulted parameters that no call passes: {unset}"
+
+
+def test_every_parameter_is_read():
+    """A package function reads each of its parameters (``self`` and ``cls``
+    aside); one its body never reads only widens the signature."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}: {fn.name}({name})" for name in params
+                       if name not in ("self", "cls") and name not in read]
+    assert not unread, f"parameters that the body never reads: {unread}"

@@ -67,28 +67,26 @@ class TestInnerSolve:
                        model={"kind": "zero"}, delta=0.5)
         grid = exp.grid
         data = replace(exp.data, f=ScalarField(grid, np.ones(grid.shape)))
-        w0 = ScalarField.zeros(grid)
-        W, info = inner_solve(w0, data, exp.solver_cfg)
+        W, info = inner_solve(np.zeros(grid.shape), data, exp.solver_cfg)
         xs = grid.coords()[0]
-        assert np.max(np.abs(W.values - xs * (1 - xs) / 2)) <= 1e-10
+        assert np.max(np.abs(W - xs * (1 - xs) / 2)) <= 1e-10
         assert info.residual <= 1e-12 * info.rhs_l2 * 1.01
 
     def test_zero_data_zero_solution(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        W, info = inner_solve(ScalarField.zeros(exp.grid), exp.data,
+        W, info = inner_solve(np.zeros(exp.grid.shape), exp.data,
                               exp.solver_cfg)
-        assert np.all(W.values == 0.0)
+        assert np.all(W == 0.0)
         assert info.iterations == 0
 
     def test_uniqueness_start_independence(self, rng):
         exp = make_exp(n=48)
-        w = ScalarField(exp.grid, 0.05 * np.sin(
-            2 * np.pi * exp.grid.coords()[0]))
+        w = 0.05 * np.sin(2 * np.pi * exp.grid.coords()[0])
         W1, _ = inner_solve(w, exp.data, exp.solver_cfg)
         W2, _ = inner_solve(w, exp.data, exp.solver_cfg,
                             x0=rng.standard_normal(exp.grid.shape))
-        gap = h1_seminorm(ScalarField(exp.grid, W1.values - W2.values))
+        gap = h1_seminorm(ScalarField(exp.grid, W1 - W2))
         assert gap <= 1e-8
 
     def test_negative_coefficient_rejected(self):
@@ -103,7 +101,7 @@ class TestInnerSolve:
     def test_newton_budget_exhaustion(self):
         exp = make_exp(max_inner=0)
         with pytest.raises(NewtonStall):
-            inner_solve(ScalarField.zeros(exp.grid), exp.data, exp.solver_cfg)
+            inner_solve(np.zeros(exp.grid.shape), exp.data, exp.solver_cfg)
 
     def test_energy_identity(self):
         # testing the discrete equation with its own solution: the energy
@@ -112,15 +110,15 @@ class TestInnerSolve:
         cfg = exp.solver_cfg
         data = exp.data
         xs = exp.grid.coords()[0]
-        w = ScalarField(exp.grid, 0.1 * np.sin(np.pi * xs))
+        w = 0.1 * np.sin(np.pi * xs)
         W, info = inner_solve(w, data, cfg)
-        b, rhs = inner_coefficients(data, w.values, cfg.delta, cfg.k)
-        energy = float(np.sum(W.values * data.op.apply(W.values)))
-        zero_pair = float(np.sum(b * sign_k(W.values, cfg.k) * W.values))
-        load = float(np.sum(rhs * W.values))
+        b, rhs = inner_coefficients(data, w, cfg.delta, cfg.k)
+        energy = float(np.sum(W * data.op.apply(W)))
+        zero_pair = float(np.sum(b * sign_k(W, cfg.k) * W))
+        load = float(np.sum(rhs * W))
         assert zero_pair >= 0.0
         tol = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2) \
-            * max(1.0, float(np.max(np.abs(W.values))))
+            * max(1.0, float(np.max(np.abs(W))))
         assert energy + zero_pair == pytest.approx(load, abs=tol * 100)
 
 
@@ -128,7 +126,7 @@ class TestEstimateCheck:
     def test_zero_data_zero_slack(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        z = ScalarField.zeros(exp.grid)
+        z = ScalarField(exp.grid, np.zeros(exp.grid.shape))
         assert solver._estimate_slack(h1_seminorm(z), h1_seminorm(z),
                                       exp.data, 0.5) == 0.0
 
@@ -144,7 +142,8 @@ class TestEstimateCheck:
             w_raw *= scale * Z / h1_seminorm(ScalarField(exp.grid, w_raw))
             w = ScalarField(exp.grid, w_raw)
             assert h1_seminorm(w) <= Z * (1 + 1e-12)
-            W, info = inner_solve(w, data, cfg)
+            W, info = inner_solve(w.values, data, cfg)
+            W = ScalarField(exp.grid, W)
             eps = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2)
             assert h1_seminorm(W) <= Z + eps
             slack = solver._estimate_slack(h1_seminorm(w), h1_seminorm(W),
@@ -194,8 +193,9 @@ class TestOuterIteration:
         exp = make_exp(max_outer=3, rho=1.0, outer_tol=1e-14)
         with pytest.raises(MaxOuterIterations) as err:
             outer_fixed_point(exp.data, exp.solver_cfg)
-        assert len(err.value.trace.records) == 3
-        rows = [r.to_dict() for r in err.value.trace.records]
+        (trace,) = err.value.traces
+        assert len(trace.records) == 3 and not trace.converged
+        rows = [r.to_dict() for r in trace.records]
         assert all(r["increment"] > 0 for r in rows)
 
 
@@ -239,9 +239,9 @@ class TestContinuation:
                        outer_tol=1e-14)
         with pytest.raises(MaxOuterIterations) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
-        exc = err.value
-        assert exc.traces == [] and exc.trace.k == 5.0
-        assert len(exc.trace.records) == 2 and not exc.trace.converged
+        (partial,) = err.value.traces
+        assert partial.k == 5.0
+        assert len(partial.records) == 2 and not partial.converged
 
     def test_inner_failure_carries_finished_and_partial_traces(
             self, monkeypatch):
@@ -259,10 +259,11 @@ class TestContinuation:
         with pytest.raises(NewtonStall) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
         exc = err.value
-        assert [t.k for t in exc.traces] == [5.0] and exc.traces[0].converged
-        assert len(exc.traces[0].records) == calls.count(5.0)
-        assert exc.trace.k == 25.0 and len(exc.trace.records) == 2
-        assert not exc.trace.converged
+        finished, partial = exc.traces
+        assert finished.k == 5.0 and finished.converged
+        assert len(finished.records) == calls.count(5.0)
+        assert partial.k == 25.0 and len(partial.records) == 2
+        assert not partial.converged
         assert (exc.residual, exc.iterations) == (1.0, 40)
 
 
@@ -288,7 +289,7 @@ class TestResiduals:
     def test_zero_everything(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        z = ScalarField.zeros(exp.grid)
+        z = ScalarField(exp.grid, np.zeros(exp.grid.shape))
         assert fixed_point_residual(z, exp.data, 0.5, k=10.0) == 0.0
         assert fixed_point_residual(z, exp.data, 0.5, k=None) == 0.0
         assert original_residual(z, exp.data, 0.5) == 0.0
@@ -339,7 +340,7 @@ class TestExtremalModel:
                        k_schedule=[200.0, 5000.0])
         w, diag, traces = k_continuation(exp.data, exp.solver_cfg)
         assert all(t.converged for t in traces)
-        assert diag.residuals[-1] <= 3.0 * exp.solver_cfg.outer_tol
+        assert traces[-1].residual <= 3.0 * exp.solver_cfg.outer_tol
         assert all(r.in_ball for t in traces for r in t.records)
         b, _ = inner_coefficients(exp.data, w.values,
                                   exp.solver_cfg.delta, 5000.0)
@@ -443,8 +444,8 @@ class TestInnerCoefficients:
         w[rng.random(shape) < 0.2] = 0.0
         x = delta * np.abs(w)
         assert np.any(x == 0) and np.any((x > 0) & (x < 0.1)) and np.any(x > 0.1)
-        grad = gradient(ScalarField(exp.grid, w))
-        zeta = np.stack(node_average(grad), axis=-1)
+        grad = gradient(exp.grid, w)
+        zeta = np.stack(node_average(exp.grid, grad), axis=-1)
         K = np.array([k_delta(np.diag(data.A.values), w[i], zeta[i], delta,
                               data.model)
                       for i in np.ndindex(shape)]).reshape(shape)
@@ -457,6 +458,24 @@ class TestInnerCoefficients:
             np.testing.assert_allclose(b, np.maximum(truncate(K, k), 0.0),
                                        rtol=1e-12, atol=1e-13)
             assert np.array_equal(rhs, rhs_ref)
+
+
+class TestPlainArrays:
+    def test_one_level_builds_one_field(self, monkeypatch):
+        # inside a level the iterates and inner solutions are plain arrays:
+        # the returned solution is the only field built (and validated)
+        exp = build_experiment(load_benchmark("benchmark_1d.json"))
+        cfg = replace(exp.solver_cfg, k=exp.solver_cfg.k_schedule[0])
+        built, post_init = [], ScalarField.__post_init__
+
+        def counting(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(ScalarField, "__post_init__", counting)
+        w, trace = outer_fixed_point(exp.data, cfg)
+        assert trace.converged and len(trace.records) > 1
+        assert len(built) == 1 and built[0] is w
 
 
 class TestOuterLoopEnergies:
@@ -477,11 +496,15 @@ class TestOuterLoopEnergies:
         _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
         assert trace.converged and len(pairs) == len(trace.records)
         rho = exp.solver_cfg.rho
+
+        def energy(v):
+            return h1_seminorm(ScalarField(exp.grid, v))
+
         for rec, (w, W) in zip(trace.records, pairs):
-            defect = h1_seminorm(ScalarField(exp.grid, W.values - w.values))
+            defect = energy(W - w)
             step = defect if rec is trace.records[-1] else rho * defect
-            for got, want in ((rec.grad_norm_w, h1_seminorm(w)),
-                              (rec.grad_norm_W, h1_seminorm(W)),
+            for got, want in ((rec.grad_norm_w, energy(w)),
+                              (rec.grad_norm_W, energy(W)),
                               (rec.increment, step)):
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 

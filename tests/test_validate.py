@@ -37,6 +37,13 @@ CASES = [
     ("nonlinearity vanishes at zero gradient",
      lambda rng, c: [validate.check_h_vanishes_at_zero_gradient(TANH, rng)],
      HModel, "evaluate", lambda ev: lambda self, *args: ev(self, *args) + 1e-300),
+    # L^1 x L^6 x L^6, whose reciprocals sum to 4/3, in place of the
+    # L^(3/2) x L^6 x L^6 of the a priori estimate
+    ("discrete Hoelder inequality",
+     lambda rng, c: [validate.check_holder(Grid((1.0,), (128,)),
+                                           (1.5, 6.0, 6.0), rng)],
+     validate, "check_holder",
+     lambda check: lambda grid, exponents, rng: check(grid, (1.0, 6.0, 6.0), rng)),
     ("growth constant against 30-digit decimal",
      lambda rng, c: validate.constants_cross_checks(c, rng),
      constants, "compute_G", lambda G: lambda c, th: G(c, th) * (1.0 + 1e-13)),

@@ -242,7 +242,9 @@ def _equivalence_crosscheck(exp: Experiment):
     unknown must shrink under refinement (the two formulations agree in the
     limit), unless the finer grid's is already at the solver floor
     outer_tol / |Dw|, the relative accuracy the Picard stop allows; a floor
-    of 1 or more resolves nothing, and the check is skipped."""
+    of 1 or more resolves nothing, and the check is skipped.  Only the
+    discrete fixed points matter here, not the paper's relaxed trajectory,
+    so the coarse solves use Anderson mixing with rho = 1."""
     def skipped(why):
         return validate.CheckResult.skipped("equivalence cross-check", why)
 
@@ -267,8 +269,9 @@ def _equivalence_crosscheck(exp: Experiment):
             try:
                 coarse = build_experiment(exp.raw, overrides={
                     "n": n_override,
-                    "solver": {"rho": 0.5, "outer_tol": 1e-9, "max_outer": 500,
-                               "k_schedule": [], "k": k_final}})
+                    "solver": {"rho": 1.0, "anderson": 5, "outer_tol": 1e-9,
+                               "max_outer": 500, "k_schedule": [],
+                               "k": k_final}})
             except SmallnessViolated as exc:
                 # inadmissible data is a verdict, not an invariant violation
                 # (the check command reports it with its own exit code)

@@ -424,7 +424,7 @@ def write_field_csv(field: ScalarField, path):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         # one bare value per row, ended by the csv module's "\r\n"
-        fh.write("".join(f"{v!r}\r\n" for v in field.values.ravel().tolist()))
+        fh.write("\r\n".join(map(repr, field.values.ravel().tolist())) + "\r\n")
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

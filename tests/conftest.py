@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from quadgrad.cli import main
 from quadgrad.constants import (
     ProblemConstants,
     c_lambda_bound,
@@ -131,3 +132,26 @@ def constants_triplet(c):
 
 def solver_overrides(**kw):
     return {"solver": kw}
+
+
+ANDERSON_KNOBS = {"anderson": 5, "rho": 1.0}
+
+
+@pytest.fixture(scope="session", params=["1d", "2d"])
+def anderson_run(request, tmp_path_factory):
+    """`solve` on a benchmark config with Anderson mixing of depth 5 at
+    rho = 1, run once per session: (label, experiment config, exit code,
+    output directory, residuals.json, trace rows)."""
+    label = request.param
+    cfg = load_benchmark(f"benchmark_{label}.json")
+    cfg["solver"].update(ANDERSON_KNOBS)
+    tmp = tmp_path_factory.mktemp(f"anderson_{label}")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp / "out"
+    code = main(["solve", "--config", str(path), "--out", str(out)])
+    with open(out / "residuals.json") as fh:
+        residuals = json.load(fh)
+    with open(out / "trace.jsonl") as fh:
+        rows = [json.loads(line) for line in fh]
+    return label, cfg, code, out, residuals, rows

@@ -244,7 +244,7 @@ def _equivalence_crosscheck(exp: Experiment):
     outer_tol / |Dw|, the relative accuracy the Picard stop allows; a floor
     of 1 or more resolves nothing, and the check is skipped.  Only the
     discrete fixed points matter here, not the paper's relaxed trajectory,
-    so the coarse solves use Anderson mixing with rho = 1."""
+    so the coarse solves use Anderson mixing wherever a ball guards it."""
     def skipped(why):
         return validate.CheckResult.skipped("equivalence cross-check", why)
 
@@ -269,14 +269,14 @@ def _equivalence_crosscheck(exp: Experiment):
             try:
                 coarse = build_experiment(exp.raw, overrides={
                     "n": n_override,
-                    "solver": {"rho": 1.0, "anderson": 5, "outer_tol": 1e-9,
-                               "max_outer": 500, "k_schedule": [],
-                               "k": k_final}})
+                    "solver": {"rho": 0.5, "outer_tol": 1e-9, "max_outer": 500,
+                               "k_schedule": [], "k": k_final}})
             except SmallnessViolated as exc:
                 # inadmissible data is a verdict, not an invariant violation
                 # (the check command reports it with its own exit code)
                 return skipped(exc)
-            w, _, _ = k_continuation(coarse.data, coarse.solver_cfg)
+            w, _, _ = k_continuation(coarse.data, coarse.solver_cfg,
+                                     anderson=True)
             residuals.append(
                 original_residual(w, coarse.data, coarse.solver_cfg.delta))
     except QuadgradError as exc:

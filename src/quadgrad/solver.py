@@ -16,14 +16,14 @@ Structure of one solve at truncation height k:
           converged when the energy increment drops below outer_tol; the
           existence argument behind the scheme is non-constructive, so
           non-convergence within the budget is an honestly reported outcome,
-          never retried silently.  With ``anderson`` = m > 0 the step is
-          type-II Anderson mixing of depth m instead (Walker and Ni, SIAM J.
-          Numer. Anal. 49 (2011) 1715; Toth and Kelley, SIAM J. Numer. Anal.
-          53 (2015) 805), which falls back to the relaxed step whenever the
-          mixed iterate would leave the ball |Dw| <= Z;
+          never retried silently.  Callers that need only the discrete
+          fixed point, not the paper's trajectory, may ask for type-II
+          Anderson mixing instead (Walker and Ni, SIAM J. Numer. Anal. 49
+          (2011) 1715; Toth and Kelley, SIAM J. Numer. Anal. 53 (2015) 805),
+          which falls back to the relaxed step whenever the mixed iterate
+          would leave the ball |Dw| <= Z;
   ladder: re-solve along an increasing truncation schedule and record tail
-          energies and increments as convergence diagnostics; with Anderson
-          mixing each height starts from the previous height's solution.
+          energies and increments as convergence diagnostics.
 
 Every inner solve is followed by the a priori estimate check: the energy of
 the output is bounded by the profile value at the input's energy, an exact
@@ -71,10 +71,7 @@ class SolverConfig:
     ``inner_tol`` bounds the inner Newton residual over |rhs(w)|, and
     ``cg_tol`` each Newton step's CG residual over the same |rhs(w)|,
     tightened to inner_tol/100 when that is smaller; ``eps_solver`` in the
-    trace allows for both.  ``anderson`` is the history depth m of Anderson
-    mixing in the outer loop; the default 0 is the relaxed Picard iteration
-    from w = 0 at every height, and m > 0 mixes with factor rho and starts
-    each height of the schedule from the previous height's solution.
+    trace allows for both.
     """
 
     delta: float
@@ -85,7 +82,6 @@ class SolverConfig:
     cg_tol: float = 1e-12
     max_outer: int = 200
     max_inner: int = 40
-    anderson: int = 0
     k_schedule: tuple = ()
 
     def __post_init__(self):
@@ -101,9 +97,6 @@ class SolverConfig:
         for name in ("max_outer", "max_inner"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.anderson < 0:
-            raise DomainError("solver.anderson (the Anderson history depth) must "
-                              f"be nonnegative, got {self.anderson}")
         ks = tuple(self.k_schedule)
         if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
             raise DomainError(f"truncation schedule must be positive and increase, got {ks}")
@@ -158,15 +151,10 @@ class IterationRecord:
     rhs_l2: float
     in_ball: bool | None
     ls_halvings: int = 0
-    step: str | None = None
 
     def to_dict(self):
-        """The trace row: every field under its own name, ``step`` only when
-        set, which the Anderson-mixed loop alone does."""
-        row = dict(vars(self))
-        if self.step is None:
-            del row["step"]
-        return row
+        """The trace row: every field under its own name."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -384,98 +372,74 @@ def _relaxed_step(grid, rho, w, W, grad_W, grad_D, defect):
     by linearity, its energy and the increment rho |D(W - w)|."""
     w_next = (1.0 - rho) * w + rho * W
     grad_next = tuple(gW - (1.0 - rho) * gD for gW, gD in zip(grad_W, grad_D))
-    return w_next, grad_next, energy_norm(grid, grad_next), rho * defect, None
+    return w_next, grad_next, energy_norm(grid, grad_next), rho * defect
 
 
-# the share of its norm a fit column must keep against the earlier ones
+# history depth of the Anderson-mixed outer loop
+ANDERSON_DEPTH = 5
+# singular values below this share of the largest make the fit degenerate
 DEGENERATE_FIT = 1e-10
 
 
-def _least_squares(columns, target):
-    """Coefficients gamma minimising |target - sum_i gamma_i columns_i|, by
-    modified Gram-Schmidt and back substitution; None when a column keeps
-    at most ``DEGENERATE_FIT`` of its norm against the earlier ones.  Vector
-    operations only: a LAPACK factorization would add a megabyte of
-    resident library code to a process that needs none otherwise."""
-    basis, R = [], []          # R[j] = column j of the triangular factor
-    for c in columns:
-        v, r = c.copy(), []
-        for q in basis:
-            r.append(float(q @ v))
-            v -= r[-1] * q
-        norm = math.sqrt(float(v @ v))
-        if not norm > DEGENERATE_FIT * math.sqrt(float(c @ c)):
-            return None
-        basis.append(v / norm)
-        R.append(r + [norm])
-    gamma = [float(q @ target) for q in basis]
-    for j in reversed(range(len(gamma))):
-        gamma[j] = (gamma[j] - sum(R[i][j] * gamma[i]
-                                   for i in range(j + 1, len(gamma)))) / R[j][j]
-    return gamma
-
-
 class _AndersonStep:
-    """Type-II Anderson mixing of depth m with mixing factor beta = rho on
-    the defect f = W - w of the inner solution map (Walker and Ni 2011):
+    """Type-II Anderson mixing of depth ``ANDERSON_DEPTH`` and mixing factor
+    1 on the inner solution map W = T(w) (Walker and Ni 2011):
 
-        w_next = w + beta f - sum_i gamma_i (dw_i + beta df_i),
+        w_next = W - sum_i gamma_i dW_i,
 
-    over the last m differences dw_i of the iterates and df_i of the defects,
-    with gamma the least-squares fit of f by the df_i in the energy inner
-    product (edge gradients times sqrt(node_measure)).  Without history the
-    mixed step is the relaxed one.  A degenerate fit, or a mixed iterate
-    whose |Dw| exceeds the ball radius plus the level's current
-    ``eps_solver``, takes the relaxed step instead and restarts the history;
-    ``step`` in the trace row says which was taken.
+    over the last differences dW_i of the inner solutions, with gamma the
+    least-squares fit of the defect f = W - w by the differences df_i of the
+    defects in the energy inner product (edge gradients times
+    sqrt(node_measure)).  Without history the step is W itself.  A
+    degenerate fit, or a mixed iterate whose |Dw| exceeds the ball radius
+    plus the level's current ``eps_solver``, takes the relaxed step with
+    factor rho instead and restarts the history.
     """
 
-    def __init__(self, grid, depth, rho, radius, trace):
-        self.grid, self.depth, self.beta = grid, depth, rho
-        self.radius, self.trace = radius, trace
+    def __init__(self, grid, rho, radius, trace):
+        self.grid, self.radius, self.trace = grid, radius, trace
+        self.relaxed = partial(_relaxed_step, grid, rho)
         self.scale = math.sqrt(grid.node_measure)
-        self.last = None      # (w, f, Df) of the previous iterate
-        self.history = []     # (dw_i + beta df_i, dDf_i), oldest first
+        self.last = None      # (W, Df) of the previous iterate
+        self.history = []     # (dW_i, dDf_i), oldest first
 
     def __call__(self, w, W, grad_W, grad_D, defect):
-        grid, beta = self.grid, self.beta
-        f = W - w
         Df = np.concatenate([g.ravel() for g in grad_D]) * self.scale
         if self.last is not None:
-            w_prev, f_prev, Df_prev = self.last
-            self.history.append(((w - w_prev) + beta * (f - f_prev), Df - Df_prev))
-            del self.history[:-self.depth]
-        self.last = (w, f, Df)
-        gamma = _least_squares([dF for _, dF in self.history], Df)
-        if gamma is None:
+            W_prev, Df_prev = self.last
+            self.history.append((W - W_prev, Df - Df_prev))
+            del self.history[:-ANDERSON_DEPTH]
+        self.last = (W, Df)
+        w_next = W.copy()
+        if self.history:
+            columns = np.stack([dDf for _, dDf in self.history], axis=1)
+            gamma, _, rank, _ = np.linalg.lstsq(columns, Df, rcond=DEGENERATE_FIT)
+            if rank < len(self.history):
+                return self._fallback(w, W, grad_W, grad_D, defect)
+            for g, (dW, _) in zip(gamma, self.history):
+                w_next -= g * dW
+        grad_next = gradient(self.grid, w_next)
+        norm_next = energy_norm(self.grid, grad_next)
+        if not norm_next <= self.radius + self.trace.eps_solver:
             return self._fallback(w, W, grad_W, grad_D, defect)
-        w_next = w + beta * f
-        for g, (dx, _) in zip(gamma, self.history):
-            w_next -= g * dx
-        grad_next = gradient(grid, w_next)
-        norm_next = energy_norm(grid, grad_next)
-        if self.radius is not None \
-                and not norm_next <= self.radius + self.trace.eps_solver:
-            return self._fallback(w, W, grad_W, grad_D, defect)
-        increment = energy_norm(grid, gradient(grid, w_next - w))
-        return w_next, grad_next, norm_next, increment, "mixed"
+        increment = energy_norm(self.grid, gradient(self.grid, w_next - w))
+        return w_next, grad_next, norm_next, increment
 
     def _fallback(self, w, W, grad_W, grad_D, defect):
         self.history.clear()
-        step = _relaxed_step(self.grid, self.beta, w, W, grad_W, grad_D, defect)
-        return step[:-1] + ("relaxed",)
+        return self.relaxed(w, W, grad_W, grad_D, defect)
 
 
-def outer_fixed_point(data: SolveData, cfg: SolverConfig, w0=None):
+def outer_fixed_point(data: SolveData, cfg: SolverConfig, anderson=False):
     """Relaxed Picard iteration on the inner solution map at the truncation
-    height ``cfg.k``, started at ``w0`` (zero if omitted), or Anderson mixing
-    of depth ``cfg.anderson`` when that is positive; the step rule is chosen
-    once, before the first iteration.
+    height ``cfg.k``, started at zero.  With ``anderson`` true and a ball
+    radius to guard it, the step is Anderson mixing (``_AndersonStep``)
+    instead; the rule is chosen once, before the first iteration.
 
     The iterates w, the inner solutions W and their edge gradients are plain
     arrays; only the returned solution is wrapped in a ``ScalarField``.
-    Every inner solve starts Newton from the previous inner solution and its
-    stencil image, the first from ``w0``.  Each iteration takes the per-edge
+    Every inner solve after the first starts Newton from the previous inner
+    solution and its stencil image.  Each iteration takes the per-edge
     gradients of W and W - w once; every energy and, by linearity, the
     gradient of the relaxed iterate (for the next K_delta) come from them.
     The defect is differenced before its gradient, so it stays accurate
@@ -493,16 +457,16 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, w0=None):
         )
     grid, k = data.grid, float(cfg.k)
     trace = IterationTrace(k=k)
-    if cfg.anderson:
-        step = _AndersonStep(grid, cfg.anderson, cfg.rho, data.ball_radius, trace)
+    if anderson and data.ball_radius is not None:
+        step = _AndersonStep(grid, cfg.rho, data.ball_radius, trace)
     else:
         step = partial(_relaxed_step, grid, cfg.rho)
-    w = np.zeros(grid.shape) if w0 is None else w0
+    w = np.zeros(grid.shape)
     grad_w = gradient(grid, w)
     norm_w = energy_norm(grid, grad_w)
     max_rhs = 0.0
     final = False
-    W, image = w0, None
+    W = image = None
     for m in range(cfg.max_outer + 1):
         try:
             W, inner = inner_solve(w, data, cfg, x0=W, grad=grad_w, image=image)
@@ -517,11 +481,10 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, w0=None):
         if final:
             # one unrelaxed application pins the reported solution to the map
             norm_next, increment = norm_W, defect
-            kind = "final" if cfg.anderson else None
         else:
             max_rhs = max(max_rhs, inner.rhs_l2)
             trace.eps_solver = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + max_rhs)
-            w_next, grad_next, norm_next, increment, kind = step(
+            w_next, grad_next, norm_next, increment = step(
                 w, W, grad_W, grad_D, defect)
         in_ball = None
         if data.ball_radius is not None:
@@ -531,7 +494,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, w0=None):
             estimate_slack=_estimate_slack(norm_w, norm_W, data, cfg.delta),
             inner_iterations=inner.iterations,
             cg_iterations=inner.cg_iterations, rhs_l2=inner.rhs_l2,
-            in_ball=in_ball, ls_halvings=inner.ls_halvings, step=kind,
+            in_ball=in_ball, ls_halvings=inner.ls_halvings,
         ))
         if final:
             w_k = ScalarField(grid, W)
@@ -561,9 +524,11 @@ class LadderDiagnostics:
     max_abs: list                  # per-k max |w_k|
 
 
-def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
-    """Solve along the truncation schedule and collect diagnostics; with
-    Anderson mixing each height starts from the previous height's solution.
+def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
+                   anderson=False):
+    """Solve along the truncation schedule and collect diagnostics; each
+    height is an ``outer_fixed_point`` solve, Anderson-mixed when
+    ``anderson`` is true.
 
     A SolverFailure leaves with ``traces``: the finished heights' traces,
     then the failing height's partial one.
@@ -573,7 +538,6 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     grid = data.grid
     solutions = []
     traces = []
-    w0 = None
     diag = LadderDiagnostics(
         n_ladder=n_ladder,
         tail_energy=np.zeros((len(n_ladder), len(schedule))),
@@ -581,14 +545,12 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=()):
     )
     for kidx, k in enumerate(schedule):
         try:
-            w_k, trace = outer_fixed_point(data, replace(cfg, k=k), w0=w0)
+            w_k, trace = outer_fixed_point(data, replace(cfg, k=k), anderson)
         except SolverFailure as exc:
             exc.traces = traces + exc.traces
             raise
         solutions.append(w_k)
         traces.append(trace)
-        if cfg.anderson:
-            w0 = w_k.values
         diag.max_abs.append(float(np.max(np.abs(w_k.values))))
         for nidx, n in enumerate(n_ladder):
             tail = gradient(grid, remainder(w_k.values, n))

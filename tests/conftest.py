@@ -1,13 +1,13 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from quadgrad.cli import main
 from quadgrad.constants import (
     ProblemConstants,
     c_lambda_bound,
@@ -15,6 +15,8 @@ from quadgrad.constants import (
     compute_G,
     compute_theta,
 )
+from quadgrad.config import build_experiment
+from quadgrad.solver import outer_fixed_point
 
 # reproducible property tests: same cases on every run
 settings.register_profile("deterministic", derandomize=True)
@@ -134,24 +136,13 @@ def solver_overrides(**kw):
     return {"solver": kw}
 
 
-ANDERSON_KNOBS = {"anderson": 5, "rho": 1.0}
-
-
 @pytest.fixture(scope="session", params=["1d", "2d"])
-def anderson_run(request, tmp_path_factory):
-    """`solve` on a benchmark config with Anderson mixing of depth 5 at
-    rho = 1, run once per session: (label, experiment config, exit code,
-    output directory, residuals.json, trace rows)."""
+def anderson_solve(request):
+    """One Anderson-mixed height at the top of a benchmark config's
+    truncation schedule, solved once per session: (label, solve data,
+    solver config, solution, trace)."""
     label = request.param
-    cfg = load_benchmark(f"benchmark_{label}.json")
-    cfg["solver"].update(ANDERSON_KNOBS)
-    tmp = tmp_path_factory.mktemp(f"anderson_{label}")
-    path = tmp / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp / "out"
-    code = main(["solve", "--config", str(path), "--out", str(out)])
-    with open(out / "residuals.json") as fh:
-        residuals = json.load(fh)
-    with open(out / "trace.jsonl") as fh:
-        rows = [json.loads(line) for line in fh]
-    return label, cfg, code, out, residuals, rows
+    exp = build_experiment(load_benchmark(f"benchmark_{label}.json"))
+    cfg = replace(exp.solver_cfg, k=exp.solver_cfg.k_schedule[-1])
+    w, trace = outer_fixed_point(exp.data, cfg, anderson=True)
+    return label, exp.data, cfg, w, trace

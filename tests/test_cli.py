@@ -130,19 +130,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
-    @pytest.mark.parametrize("value", [-1, 2.5, True, "5"],
-                             ids=["negative", "fraction", "bool", "string"])
-    def test_anderson_depth_exits_2(self, tmp_path, capsys, command, value):
-        # the history depth is a nonnegative integer in every command
-        cfg = load_benchmark("benchmark_1d.json")
-        cfg["solver"]["anderson"] = value
-        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
-        assert captured.err.startswith("config error: solver.anderson")
-
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
     def test_nonpositive_ladder_height_exits_2(self, tmp_path, capsys, command):
         # refused with the config, before a solve runs any truncation level
         cfg = load_benchmark("benchmark_1d.json")
@@ -601,15 +588,6 @@ class TestSolveCommand:
         for name in ("solution_w.csv", "residuals.json", "trace.jsonl"):
             assert open(os.path.join(outs[0], name), "rb").read() == \
                 open(os.path.join(outs[1], name), "rb").read()
-
-    def test_default_trace_rows_have_no_step(self, small_1d, tmp_path, capsys):
-        # only the Anderson-mixed loop says which step each row took
-        out = os.path.join(tmp_path, "out")
-        assert main(["solve", "--config", small_1d, "--out", out]) == 0
-        capsys.readouterr()
-        with open(os.path.join(out, "trace.jsonl")) as fh:
-            rows = [json.loads(line) for line in fh]
-        assert rows and not any("step" in row for row in rows)
 
     def test_invariant_violation_exits_5_with_trace(self, tmp_path, capsys):
         # a literature C_N of 0.1 shrinks the ball radius to 0.229, below

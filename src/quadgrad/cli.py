@@ -28,7 +28,7 @@ from .errors import (
     SmallnessViolated,
     SolverFailure,
 )
-from .grid import ScalarField, h1_seminorm, write_field_csv
+from .grid import h1_seminorm, write_field_csv
 from .nonlinearity import transform_inverse
 from .solver import (
     fixed_point_residual,
@@ -144,14 +144,14 @@ def cmd_solve(args):
     ks = [t.k for t in traces]
     _write_trace(traces, out_dir)
     _write_diagnostics(diag, ks, out_dir)
-    u_vals = transform_inverse(w_star.values, cfg.delta)
+    w_vals = w_star.values
+    u_vals = transform_inverse(w_vals, cfg.delta)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write_field_csv(w_star, os.path.join(out_dir, "solution_w.csv"))
-        write_field_csv(ScalarField(exp.grid, u_vals),
-                        os.path.join(out_dir, "solution_u.csv"))
-    lhs, rhs, gap = norm_identity_gap(
-        ScalarField(exp.grid, u_vals), cfg.delta, exact_chain=True)
+        write_field_csv(exp.grid, w_vals, os.path.join(out_dir, "solution_w.csv"))
+        write_field_csv(exp.grid, u_vals, os.path.join(out_dir, "solution_u.csv"))
+    lhs, rhs, gap = norm_identity_gap(exp.grid, u_vals, cfg.delta,
+                                      exact_chain=True)
     eps_solver = max(t.eps_solver for t in traces)
     ball_violation = any(
         rec.in_ball is False for t in traces for rec in t.records)
@@ -163,8 +163,8 @@ def cmd_solve(args):
         "k_schedule": ks,
         "residual_truncated": [t.residual for t in traces],
         "residual_untruncated_final": fixed_point_residual(
-            w_star, data, cfg.delta, k=None),
-        "residual_original": original_residual(w_star, data, cfg.delta),
+            w_vals, data, cfg.delta, k=None),
+        "residual_original": original_residual(w_vals, data, cfg.delta),
         "norm_identity": {"lhs": lhs, "rhs": rhs, "gap": gap},
         "grad_norm_w_final": traces[-1].records[-1].grad_norm_W,
         "ball_radius": data.ball_radius,
@@ -277,12 +277,12 @@ def _equivalence_crosscheck(exp: Experiment):
                 return skipped(exc)
             w, _, _ = k_continuation(coarse.data, coarse.solver_cfg,
                                      anderson=True)
-            residuals.append(
-                original_residual(w, coarse.data, coarse.solver_cfg.delta))
+            residuals.append(original_residual(w.values, coarse.data,
+                                               coarse.solver_cfg.delta))
     except QuadgradError as exc:
         return validate.CheckResult(
             "equivalence cross-check", False, math.nan, f"solve failed: {exc}")
-    energy = h1_seminorm(w)  # w and coarse are the finer grid's
+    energy = h1_seminorm(w.grid, w.values)  # w is the finer grid's
     tol = coarse.solver_cfg.outer_tol
     if energy <= tol:
         return skipped(f"|Dw| = {energy:.3e} on the {tuple(shapes[1])} grid, "

@@ -30,6 +30,7 @@ from .constants import (
     CriticalReport,
     ProblemConstants,
     critical_report,
+    smallness_error,
     zeros_y,
 )
 from .errors import (
@@ -39,12 +40,10 @@ from .errors import (
     ExponentOutOfRange,
     FieldValidationError,
     NoTwoZeros,
-    SmallnessViolated,
 )
 from .grid import (
     Grid,
     MatrixField,
-    ScalarField,
     estimate_sobolev_constant,
     field_from_expression,
     hminus1_norm,
@@ -132,8 +131,12 @@ def _finite(name, compute, *args, **kwargs):
 def _solver_knobs(sspec: dict) -> dict:
     """SolverConfig keyword arguments except delta, type-checked.
 
-    Each knob takes the type and the default of its SolverConfig field.
+    Each knob takes the type and the default of its SolverConfig field; a
+    key that names no field would be ignored, so it is refused.
     """
+    unknown = sspec.keys() - {f.name for f in fields(SolverConfig)}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in solver block")
     knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
                              type(f.default))
              for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
@@ -151,12 +154,13 @@ def _resolve_path(base_dir, path):
     return full
 
 
-def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
+def _build_scalar_field(spec, grid, base_dir, name) -> np.ndarray:
+    """Validated nodal values of a field spec, a CSV path or an expression."""
     _object(spec, name)
     if "csv" in spec:
         path = _resolve_path(base_dir, spec["csv"])
         try:
-            return read_field_csv(path, grid)
+            return read_field_csv(path, grid).values
         except FieldValidationError as exc:
             # a malformed file, or one written on another grid
             raise ConfigError(f"{name}.csv: {exc}") from exc
@@ -166,7 +170,7 @@ def _build_scalar_field(spec, grid, base_dir, name) -> ScalarField:
             if key != "kind":
                 _number(value, f"{name}.expr.{key}")
         try:
-            return _finite(f"{name}.expr", field_from_expression, grid, expr)
+            return _finite(f"{name}.expr", field_from_expression, grid, expr).values
         except (KeyError, TypeError, ValueError, FieldValidationError) as exc:
             # FieldValidationError: a kind outside the expression catalog
             raise ConfigError(f"malformed {name}.expr: {exc!r}") from exc
@@ -216,7 +220,7 @@ def _build_model(spec, grid, base_dir, gamma, c0, alpha,
         elif kind == "mu_gradsq":
             mu_spec = _require(spec, "mu", "problem.H")
             if isinstance(mu_spec, dict):
-                mu = _build_scalar_field(mu_spec, grid, base_dir, "H.mu").values
+                mu = _build_scalar_field(mu_spec, grid, base_dir, "H.mu")
             else:
                 mu = _number(mu_spec, "problem.H.mu")
             model = HModel(kind=kind, mu=mu, gamma_cert=gamma, c0_cert=c0)
@@ -310,7 +314,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
     f = _build_scalar_field(_require(problem, "f", "problem"), grid, base_dir, "f")
     a0 = _build_scalar_field(_require(problem, "a0", "problem"), grid, base_dir, "a0")
-    if np.any(a0.values < 0):
+    if np.any(a0 < 0):
         raise ConfigError("a0 must be nonnegative")
     model = _build_model(_require(problem, "H", "problem"), grid, base_dir,
                          gamma, c0, alpha, enforce_certificate=for_solve)
@@ -327,8 +331,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     f_exp = _number(pair.get("f_norm", N / 2.0), "problem.exponent_pair.f_norm")
 
     norms = {key: _finite(f"norm {key}", norm, *args) for key, norm, *args in (
-        ("f_N2", lp_norm, f, f_exp), ("f_Hm1", hminus1_norm, f),
-        ("a0_N2", lp_norm, a0, f_exp), ("a0_q", lp_norm, a0, q))}
+        ("f_N2", lp_norm, grid, f, f_exp), ("f_Hm1", hminus1_norm, grid, f),
+        ("a0_N2", lp_norm, grid, a0, f_exp), ("a0_q", lp_norm, grid, a0, q))}
     declared = _object(cspec.get("declared_norms", {}),
                        "constants.declared_norms")
     _check_declared_norms(declared, norms)
@@ -378,13 +382,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
             if constants is None:
                 raise ConfigError("solver.delta = 'delta0' needs admissible "
                                   f"constants: {constants_error}")
-            a1, a3 = report.smallness_A1, report.smallness_A3
-            if not a1.holds:
-                raise SmallnessViolated(
-                    f"first smallness condition fails: margin {a1.margin:g} <= 0")
-            raise SmallnessViolated(
-                "second smallness condition fails: profile minimum at gamma "
-                f"is {-a3.margin:g} > 0")
+            raise smallness_error(report.smallness_A1, report.smallness_A3)
     else:
         solver_cfg = replace(knob_cfg, delta=delta)
         if admissible:

@@ -156,6 +156,17 @@ def check_smallness(c: ProblemConstants, theta: float, G: float):
     return SmallnessVerdict(m1 > 0.0, m1), SmallnessVerdict(m3 >= 0.0, m3)
 
 
+def smallness_error(a1, a3) -> SmallnessViolated:
+    """The error for the first failing condition of the smallness verdicts
+    (A1, A3) that ``check_smallness`` returns."""
+    if not a1.holds:
+        return SmallnessViolated(
+            f"first smallness condition fails: margin {a1.margin:g} <= 0")
+    return SmallnessViolated(
+        "second smallness condition fails: profile minimum at gamma is "
+        f"{-a3.margin:g} > 0")
+
+
 def phi(delta: float, X: float, c: ProblemConstants, theta: float, G: float) -> float:
     """Profile value G*C^(2+theta)*|a0|_q*X^(1+theta) - L_delta*X + |f|_dual."""
     if X < 0:
@@ -215,16 +226,9 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
     nonnegative.
     """
     a1, a3 = check_smallness(c, theta, G)
-    if not a1.holds:
-        raise SmallnessViolated(
-            f"first smallness condition fails: margin {a1.margin:g} <= 0"
-        )
     f_gamma = -a3.margin  # the profile minimum at gamma
-    if f_gamma > tol * max(1.0, c.norm_f_Hm1):
-        raise SmallnessViolated(
-            f"second smallness condition fails: profile minimum at gamma is "
-            f"{f_gamma:g} > 0"
-        )
+    if not a1.holds or f_gamma > tol * max(1.0, c.norm_f_Hm1):
+        raise smallness_error(a1, a3)
     if c.norm_f_Hm1 <= 0.0:
         raise BracketError(
             f"dual norm of f is {c.norm_f_Hm1:g} <= 0, so the profile minimum "

@@ -29,9 +29,10 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
     plus slice differences per axis; the unscaled Green's matrix and the
     orthonormal sine matrices are cached per axis length and applied as
     dense matrix products;
-  * ``ScalarField`` validates nodal data where it enters (config, CSV,
-    expressions) and a solution where it leaves; inside a solve, values are
-    plain arrays and ``gradient(grid, v)`` is a tuple of per-axis edge arrays.
+  * ``ScalarField`` validates nodal data where it enters (CSV, expressions)
+    and a solution where it leaves; everything else, the norms and the
+    dual-norm lift included, takes the grid and a plain nodal array, and
+    ``gradient(grid, v)`` is a tuple of per-axis edge arrays.
 """
 
 from __future__ import annotations
@@ -203,16 +204,12 @@ def node_average(grid: Grid, grad: tuple):
     return tuple(0.5 * (d[lo] + d[hi]) for d, (hi, lo) in zip(grad, plan.nodes))
 
 
-def lp_norm(v: ScalarField, p) -> float:
-    """L^p norm with nodal midpoint quadrature, p >= 1."""
+def lp_norm(grid: Grid, v: np.ndarray, p) -> float:
+    """L^p norm of the nodal array v with nodal midpoint quadrature, p >= 1."""
     p = float(p)
     if p < 1:
         raise DomainError(f"p must be at least 1, got {p}")
-    return float(np.sum(np.abs(v.values) ** p) * v.grid.node_measure) ** (1.0 / p)
-
-
-def inner_l2(u: ScalarField, v: ScalarField) -> float:
-    return float(np.sum(u.values * v.values) * u.grid.node_measure)
+    return float(np.sum(np.abs(v) ** p) * grid.node_measure) ** (1.0 / p)
 
 
 def energy_norm(grid: Grid, grad: tuple) -> float:
@@ -221,9 +218,9 @@ def energy_norm(grid: Grid, grad: tuple) -> float:
     return float(np.sqrt(total * grid.node_measure))
 
 
-def h1_seminorm(v: ScalarField) -> float:
-    """Energy norm: L^2 norm of the per-edge gradient."""
-    return energy_norm(v.grid, gradient(v.grid, v.values))
+def h1_seminorm(grid: Grid, v: np.ndarray) -> float:
+    """Energy norm of the nodal array v: L^2 norm of its per-edge gradient."""
+    return energy_norm(grid, gradient(grid, v))
 
 
 @lru_cache(maxsize=32)
@@ -368,17 +365,17 @@ def laplacian(grid: Grid) -> DiffusionOperator:
     return DiffusionOperator(MatrixField.identity(grid))
 
 
-def riesz_representative(f: ScalarField) -> ScalarField:
+def riesz_representative(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Solve the plain Poisson problem with source f (the dual-norm lift).
 
     The solve is exact (``DiffusionOperator.fast_inverse``).
     """
-    return ScalarField(f.grid, laplacian(f.grid).fast_inverse(f.values))
+    return laplacian(grid).fast_inverse(f)
 
 
-def hminus1_norm(f: ScalarField) -> float:
+def hminus1_norm(grid: Grid, f: np.ndarray) -> float:
     """Dual norm of a nodal source: energy norm of its Riesz representative."""
-    return h1_seminorm(riesz_representative(f))
+    return h1_seminorm(grid, riesz_representative(grid, f))
 
 
 @dataclass
@@ -403,13 +400,13 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
         raise DomainError(f"estimator requires p > 2, got {p}")
     lap = laplacian(grid)
     bump = field_from_expression(grid, {"kind": "sine_bump"})
-    v = bump.values / h1_seminorm(bump)
-    ratio = lp_norm(ScalarField(grid, v), p)
+    v = bump.values / h1_seminorm(grid, bump.values)
+    ratio = lp_norm(grid, v, p)
     for it in range(1, max_iter + 1):
         g = np.abs(v) ** (p - 2.0) * v
         z = lap.fast_inverse(g)
-        z = z / energy_norm(grid, gradient(grid, z))
-        new_ratio = lp_norm(ScalarField(grid, z), p)
+        z = z / h1_seminorm(grid, z)
+        new_ratio = lp_norm(grid, z, p)
         v = z
         if abs(new_ratio - ratio) <= tol * max(ratio, 1e-300):
             return SobolevEstimate(max(new_ratio, ratio), it, True)
@@ -417,14 +414,13 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
     return SobolevEstimate(ratio, max_iter, False)
 
 
-def write_field_csv(field: ScalarField, path):
+def write_field_csv(grid: Grid, values: np.ndarray, path):
     """Row-major CSV with header "nx[,ny],hx[,hy]", one value per line."""
-    g = field.grid
-    header = [str(n) for n in g.shape] + [repr(h) for h in g.h]
+    header = [str(n) for n in grid.shape] + [repr(h) for h in grid.h]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         # one bare value per row, ended by the csv module's "\r\n"
-        fh.write("\r\n".join(map(repr, field.values.ravel().tolist())) + "\r\n")
+        fh.write("\r\n".join(map(repr, values.ravel().tolist())) + "\r\n")
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

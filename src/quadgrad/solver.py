@@ -106,7 +106,8 @@ class SolverConfig:
 class SolveData:
     """Grid-level problem data plus what the a priori estimate check reads.
 
-    alpha is ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
+    ``f`` and ``a0`` are nodal arrays, like a field ``model.mu``; alpha is
+    ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
     ``model.c0_cert``; ``norms`` is the experiment's dict of source norms,
     ``report`` its CriticalReport (theta, G) or None, and ``C_N`` is kept
     for the case without one.  ``op``, the stencil of A, is built from A
@@ -115,8 +116,8 @@ class SolveData:
 
     grid: Grid
     A: MatrixField
-    f: ScalarField
-    a0: ScalarField
+    f: np.ndarray
+    a0: np.ndarray
     model: HModel
     norms: dict
     C_N: float
@@ -171,8 +172,7 @@ class IterationTrace:
 def _rhs_from(data: SolveData, w_vals, one_p, g, sgn):
     """(1 + delta|w|) f + a0 w + a0 g_delta(w) sign(w) from its pointwise
     terms 1 + delta|w|, g_delta(w) and sign(w)."""
-    f, a0 = data.f.values, data.a0.values
-    return one_p * f + a0 * w_vals + a0 * g * sgn
+    return one_p * data.f + data.a0 * w_vals + data.a0 * g * sgn
 
 
 def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
@@ -233,11 +233,11 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig,
     try:
         with np.errstate(over="raise", invalid="raise"):
             b, rhs = inner_coefficients(data, w, delta, k, grad)
+            rhs_l2 = math.sqrt((rhs * rhs).sum())
     except FloatingPointError as exc:
         raise TransformOverflowError(
             "the transformed coefficients K_delta(w) and rhs(w) overflow double "
             f"precision at delta = {delta:g} ({exc})") from exc
-    rhs_l2 = math.sqrt((rhs * rhs).sum())
     op = data.op
     if x0 is None:
         W = np.zeros(data.grid.shape)
@@ -303,30 +303,29 @@ def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
     return bound - data.A.alpha * dW
 
 
-def fixed_point_residual(v: ScalarField, data: SolveData, delta: float,
+def fixed_point_residual(w: np.ndarray, data: SolveData, delta: float,
                          k: float | None = None) -> float:
     """Normalized weak residual of the discrete truncated equation.
 
     With k = None the gradient term enters untruncated and with the exact
     sign, matching the limit equation the truncation ladder approaches.
     """
-    a_quad, grad_sq = data.node_quadratic_forms(v.values)
-    kv, g, one_p, sgn = transformed_terms(v.values, a_quad, grad_sq, delta,
-                                          data.model)
+    a_quad, grad_sq = data.node_quadratic_forms(w)
+    kv, g, one_p, sgn = transformed_terms(w, a_quad, grad_sq, delta, data.model)
     if k is None:
         zo = kv * sgn
     else:
-        zo = truncate(kv, k) * sign_k(v.values, k)
-    rhs = _rhs_from(data, v.values, one_p, g, sgn)
-    return _relative_norm(data.op.apply(v.values) + zo - rhs, rhs)
+        zo = truncate(kv, k) * sign_k(w, k)
+    rhs = _rhs_from(data, w, one_p, g, sgn)
+    return _relative_norm(data.op.apply(w) + zo - rhs, rhs)
 
 
-def original_residual(w: ScalarField, data: SolveData, delta: float) -> float:
+def original_residual(w: np.ndarray, data: SolveData, delta: float) -> float:
     """Weak residual of the untransformed problem at u reconstructed from w."""
-    u_vals = transform_inverse(w.values, delta)
+    u_vals = transform_inverse(w, delta)
     a_quad, grad_sq = data.node_quadratic_forms(u_vals)
     h_vals = data.model.evaluate(u_vals, a_quad, grad_sq)
-    rhs = h_vals + data.f.values + data.a0.values * u_vals
+    rhs = h_vals + data.f + data.a0 * u_vals
     return _relative_norm(data.op.apply(u_vals) - rhs, rhs)
 
 
@@ -337,7 +336,8 @@ def _relative_norm(r, rhs) -> float:
     return r_norm / rhs_norm if rhs_norm else r_norm
 
 
-def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
+def norm_identity_gap(grid: Grid, u: np.ndarray, delta: float,
+                      exact_chain: bool = False):
     """Gap between the weighted gradient norm of u and the energy of w.
 
     The substitution satisfies |e^(delta|u|) Du|_2 = |Dw|_2 in the continuum.
@@ -346,11 +346,10 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
     roundoff; with the default endpoint-average weight the gap measures the
     discretization error and vanishes under refinement.
     """
-    g = u.grid
-    w = transform_forward(u.values, delta)
-    rhs = energy_norm(g, gradient(g, w))
+    w = transform_forward(u, delta)
+    rhs = energy_norm(grid, gradient(grid, w))
     total = 0.0
-    for h, (u_hi, u_lo), (w_hi, w_lo) in zip(g.h, edge_values(u.values),
+    for h, (u_hi, u_lo), (w_hi, w_lo) in zip(grid.h, edge_values(u),
                                              edge_values(w)):
         du = (u_hi - u_lo) / h
         if exact_chain:
@@ -363,7 +362,7 @@ def norm_identity_gap(u: ScalarField, delta: float, exact_chain: bool = False):
         else:
             weight = 0.5 * (np.exp(delta * np.abs(u_lo)) + np.exp(delta * np.abs(u_hi)))
         total += float(np.sum((weight * du) ** 2))
-    lhs = math.sqrt(total * g.node_measure)
+    lhs = math.sqrt(total * grid.node_measure)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -499,7 +498,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, anderson=False):
         if final:
             w_k = ScalarField(grid, W)
             trace.converged = True
-            trace.residual = fixed_point_residual(w_k, data, cfg.delta, k=k)
+            trace.residual = fixed_point_residual(W, data, cfg.delta, k=k)
             return w_k, trace
         w, grad_w, norm_w = w_next, grad_next, norm_next
         # defect <= tol implies the step's increment is small as well;

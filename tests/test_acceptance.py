@@ -26,7 +26,6 @@ from quadgrad.constants import (
 )
 from quadgrad.grid import (
     Grid,
-    ScalarField,
     field_from_expression,
     hminus1_norm,
     read_field_csv,
@@ -159,8 +158,8 @@ def test_criterion_03_transform():
     for n in (64, 128, 256):
         g = Grid((1.0,), (n,))
         xs = g.coords()[0]
-        smooth = ScalarField(g, 0.7 * np.sin(np.pi * xs))
-        _, _, gap = norm_identity_gap(smooth, gamma, exact_chain=False)
+        smooth = 0.7 * np.sin(np.pi * xs)
+        _, _, gap = norm_identity_gap(g, smooth, gamma, exact_chain=False)
         gaps.append(gap)
         hs.append(g.h[0])
     order = float(np.polyfit(np.log(hs), np.log(gaps), 1)[0])
@@ -190,7 +189,7 @@ def test_criterion_04_linear_oracle():
     err = float(np.max(np.abs(u - xs * (1.0 - xs) / 2.0)))
     g256 = Grid((1.0,), (256,))
     f256 = field_from_expression(g256, {"kind": "constant", "value": 1.0})
-    dual_err = abs(hminus1_norm(f256) - INV_SQRT12)
+    dual_err = abs(hminus1_norm(g256, f256.values) - INV_SQRT12)
     ok = err <= 2.0 * h * h and dual_err <= 1e-3
     report(4, ok, f"pipeline Linf {err:.2e} vs 2h^2 {2*h*h:.2e}, "
                   f"dual-norm gap {dual_err:.2e}")
@@ -290,7 +289,7 @@ def test_criterion_08_equivalence_refinement():
         exp = build_experiment(base, overrides={
             "n": [n], "solver": {"k_schedule": [5000.0]}})
         w, diag, traces = k_continuation(exp.data, exp.solver_cfg)
-        res.append(original_residual(w, exp.data, exp.solver_cfg.delta))
+        res.append(original_residual(w.values, exp.data, exp.solver_cfg.delta))
         hs.append(exp.grid.h[0])
     order = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
     ok = order >= 0.9 and res[-1] < res[0]

@@ -336,6 +336,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and quantity in err
 
+    @pytest.mark.parametrize("command, code", [("solve", 2), ("verify", 5)])
+    def test_overflowing_rhs_norm_is_a_transform_overflow(self, tmp_path,
+                                                          capsys, command, code):
+        # at delta = 20 delta0 an iterate's rhs(w) stays finite while its
+        # squared norm does not; RuntimeWarnings are errors in this suite
+        cfg = write_cfg(tmp_path, mutated_benchmark(("solver", "delta"), 138.563))
+        assert main([command, "--config", cfg]) == code
+        captured = capsys.readouterr()
+        message = "the transformed coefficients K_delta(w) and rhs(w) overflow"
+        if command == "solve":
+            assert captured.err.startswith(f"config error: {message}")
+        else:
+            assert "[FAIL] equivalence cross-check" in captured.out
+            assert message in captured.out
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("key", ["max_outter", "anderson"],
+                             ids=["misspelt", "retired"])
+    def test_unknown_solver_key_exits_2(self, tmp_path, capsys, command, key):
+        # an ignored key would leave the knob it meant at its default
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["solver"][key] = 3
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert captured.err.startswith("config error: unknown key")
+        assert repr(key) in captured.err
+
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
     @pytest.mark.parametrize("p", [1000.0, 1e308], ids=["1000", "1e308"])
@@ -397,9 +426,9 @@ class TestExitCodes:
         path = os.path.join(tmp_path, "f.csv")
         if content is None:
             # a well-formed file, written on a finer grid than the config's
-            write_field_csv(field_from_expression(Grid((1.0,), (128,)),
-                                                  cfg["problem"]["f"]["expr"]),
-                            path)
+            fine = Grid((1.0,), (128,))
+            f = field_from_expression(fine, cfg["problem"]["f"]["expr"])
+            write_field_csv(fine, f.values, path)
         else:
             with open(path, "w") as fh:
                 fh.write(content)
@@ -794,8 +823,8 @@ class TestVerifyCommand:
         # a CSV field has no coarse version, so the cross-check is skipped
         cfg = load_benchmark("benchmark_1d.json")
         grid = Grid((1.0,), tuple(cfg["problem"]["grid"]["n"]))
-        write_field_csv(field_from_expression(grid, cfg["problem"]["f"]["expr"]),
-                        os.path.join(tmp_path, "f.csv"))
+        f = field_from_expression(grid, cfg["problem"]["f"]["expr"])
+        write_field_csv(grid, f.values, os.path.join(tmp_path, "f.csv"))
         cfg["problem"]["f"] = {"csv": "f.csv"}
         assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
         text = capsys.readouterr().out
@@ -804,15 +833,14 @@ class TestVerifyCommand:
 
 class TestMuFromFile:
     def test_mu_field_via_csv(self, tmp_path, capsys):
-        from quadgrad.grid import Grid, ScalarField, write_field_csv
         cfg = load_benchmark("benchmark_2d.json")
         cfg["problem"]["grid"]["n"] = [16, 16]
         cfg["solver"]["k_schedule"] = [2000.0]
         g = Grid((1.0, 1.0), (16, 16))
         x, y = g.coords()
-        mu = ScalarField(g, 0.15 * np.sin(np.pi * x) * np.sin(np.pi * y))
+        mu = 0.15 * np.sin(np.pi * x) * np.sin(np.pi * y)
         mu_path = os.path.join(tmp_path, "mu.csv")
-        write_field_csv(mu, mu_path)
+        write_field_csv(g, mu, mu_path)
         cfg["problem"]["H"] = {"kind": "mu_gradsq", "mu": {"csv": "mu.csv"}}
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
@@ -829,9 +857,9 @@ class TestMuFromFile:
         if source == "expr":
             mu = {"expr": {"kind": "constant", "value": 0.15}}
         else:
-            write_field_csv(field_from_expression(
-                g, {"kind": "sine_bump", "amplitude": 0.15}),
-                os.path.join(tmp_path, "mu.csv"))
+            bump = field_from_expression(g, {"kind": "sine_bump",
+                                             "amplitude": 0.15})
+            write_field_csv(g, bump.values, os.path.join(tmp_path, "mu.csv"))
             mu = {"csv": "mu.csv"}
         cfg["problem"]["H"] = {"kind": "mu_gradsq", "mu": mu}
         assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0

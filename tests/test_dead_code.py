@@ -2,7 +2,8 @@
 the package or the benchmark harness; code that only tests reach belongs in
 the tests.  Every defaulted parameter of a package function is passed by some
 call in the package, the harness or the tests; one nobody sets is a constant.
-Every parameter of a package function is read by its body."""
+Every parameter of a package function is read by its body.  A ``ScalarField``
+is built only where nodal data enters or a solution leaves."""
 
 import ast
 import pathlib
@@ -13,6 +14,9 @@ PACKAGE = ROOT / "src" / "quadgrad"
 
 # the point reference that tests/test_solver.py checks inner_coefficients against
 EXEMPT = {"k_delta"}
+# data enters through a CSV file or an expression, and a solve's solution
+# leaves; everything else passes the grid and a plain nodal array
+FIELD_BUILDERS = {"read_field_csv", "field_from_expression", "outer_fixed_point"}
 
 
 def test_every_public_definition_has_a_caller():
@@ -120,3 +124,20 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}: {fn.name}({name})" for name in params
                        if name not in ("self", "cls") and name not in read]
     assert not unread, f"parameters that the body never reads: {unread}"
+
+
+def test_scalar_fields_are_built_only_where_data_enters_or_leaves():
+    misplaced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = [(fn.lineno, fn.end_lineno) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in FIELD_BUILDERS]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ScalarField" and not any(lo <= node.lineno <= hi
+                                                 for lo, hi in allowed):
+                misplaced.append(f"{path.name}:{node.lineno}")
+    assert not misplaced, f"ScalarField built outside {sorted(FIELD_BUILDERS)}: {misplaced}"

@@ -67,7 +67,7 @@ class TestInnerSolve:
         exp = make_exp(n=128, f_amp=0.0, a0_value=0.0,
                        model={"kind": "zero"}, delta=0.5)
         grid = exp.grid
-        data = replace(exp.data, f=ScalarField(grid, np.ones(grid.shape)))
+        data = replace(exp.data, f=np.ones(grid.shape))
         W, info = inner_solve(np.zeros(grid.shape), data, exp.solver_cfg)
         xs = grid.coords()[0]
         assert np.max(np.abs(W - xs * (1 - xs) / 2)) <= 1e-10
@@ -87,7 +87,7 @@ class TestInnerSolve:
         W1, _ = inner_solve(w, exp.data, exp.solver_cfg)
         W2, _ = inner_solve(w, exp.data, exp.solver_cfg,
                             x0=rng.standard_normal(exp.grid.shape))
-        gap = h1_seminorm(ScalarField(exp.grid, W1 - W2))
+        gap = h1_seminorm(exp.grid, W1 - W2)
         assert gap <= 1e-8
 
     def test_negative_coefficient_rejected(self):
@@ -95,9 +95,9 @@ class TestInnerSolve:
         exp = make_exp(model={"kind": "shape_times_quadratic",
                               "shape": "sign", "coeff": 0.5}, delta=0.6)
         xs = exp.grid.coords()[0]
-        steep = ScalarField(exp.grid, 0.5 * np.sin(np.pi * xs))
+        steep = 0.5 * np.sin(np.pi * xs)
         with pytest.raises(DomainError, match="zeroth-order coefficient"):
-            inner_coefficients(exp.data, steep.values, 0.1, 200.0)
+            inner_coefficients(exp.data, steep, 0.1, 200.0)
 
     def test_newton_budget_exhaustion(self):
         exp = make_exp(max_inner=0)
@@ -127,8 +127,9 @@ class TestEstimateCheck:
     def test_zero_data_zero_slack(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        z = ScalarField(exp.grid, np.zeros(exp.grid.shape))
-        assert solver._estimate_slack(h1_seminorm(z), h1_seminorm(z),
+        z = np.zeros(exp.grid.shape)
+        assert solver._estimate_slack(h1_seminorm(exp.grid, z),
+                                      h1_seminorm(exp.grid, z),
                                       exp.data, 0.5) == 0.0
 
     def test_ball_preservation(self):
@@ -139,15 +140,14 @@ class TestEstimateCheck:
         assert Z is not None
         xs = exp.grid.coords()[0]
         for scale in (0.0, 0.3, 0.9):
-            w_raw = np.sin(np.pi * xs)
-            w_raw *= scale * Z / h1_seminorm(ScalarField(exp.grid, w_raw))
-            w = ScalarField(exp.grid, w_raw)
-            assert h1_seminorm(w) <= Z * (1 + 1e-12)
-            W, info = inner_solve(w.values, data, cfg)
-            W = ScalarField(exp.grid, W)
+            w = np.sin(np.pi * xs)
+            w *= scale * Z / h1_seminorm(exp.grid, w)
+            assert h1_seminorm(exp.grid, w) <= Z * (1 + 1e-12)
+            W, info = inner_solve(w, data, cfg)
             eps = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2)
-            assert h1_seminorm(W) <= Z + eps
-            slack = solver._estimate_slack(h1_seminorm(w), h1_seminorm(W),
+            assert h1_seminorm(exp.grid, W) <= Z + eps
+            slack = solver._estimate_slack(h1_seminorm(exp.grid, w),
+                                           h1_seminorm(exp.grid, W),
                                            data, cfg.delta)
             assert slack >= -eps
 
@@ -168,8 +168,8 @@ class TestOuterIteration:
         exp = make_exp(n=64, f_amp=amp, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5, outer_tol=1e-6)
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
-        lin = np.linalg.solve(dense_operator(exp.data.op), exp.data.f.values)
-        gap = h1_seminorm(ScalarField(exp.grid, w.values - lin))
+        lin = np.linalg.solve(dense_operator(exp.data.op), exp.data.f)
+        gap = h1_seminorm(exp.grid, w.values - lin)
         assert gap <= 1e-6
 
     def test_ball_invariance_along_run(self):
@@ -290,7 +290,7 @@ class TestResiduals:
     def test_zero_everything(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        z = ScalarField(exp.grid, np.zeros(exp.grid.shape))
+        z = np.zeros(exp.grid.shape)
         assert fixed_point_residual(z, exp.data, 0.5, k=10.0) == 0.0
         assert fixed_point_residual(z, exp.data, 0.5, k=None) == 0.0
         assert original_residual(z, exp.data, 0.5) == 0.0
@@ -298,7 +298,8 @@ class TestResiduals:
     def test_untruncated_residual_after_saturated_solve(self):
         exp = make_exp(n=64, k=5000.0)
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
-        res = fixed_point_residual(w, exp.data, exp.solver_cfg.delta, k=None)
+        res = fixed_point_residual(w.values, exp.data, exp.solver_cfg.delta,
+                                   k=None)
         assert res <= 3.0 * exp.solver_cfg.outer_tol
 
     def test_original_residual_refines(self):
@@ -307,7 +308,8 @@ class TestResiduals:
         for n in (32, 64, 128):
             exp = make_exp(n=n, k=5000.0)
             w, _ = outer_fixed_point(exp.data, exp.solver_cfg)
-            res.append(original_residual(w, exp.data, exp.solver_cfg.delta))
+            res.append(original_residual(w.values, exp.data,
+                                         exp.solver_cfg.delta))
             hs.append(exp.grid.h[0])
         order = np.polyfit(np.log(hs), np.log(res), 1)[0]
         assert order >= 0.9
@@ -315,8 +317,8 @@ class TestResiduals:
     def test_norm_identity_exact_chain(self):
         g = Grid((1.0,), (48,))
         xs = g.coords()[0]
-        u = ScalarField(g, 0.7 * np.sin(np.pi * xs))
-        lhs, rhs, gap = norm_identity_gap(u, 0.8, exact_chain=True)
+        u = 0.7 * np.sin(np.pi * xs)
+        lhs, rhs, gap = norm_identity_gap(g, u, 0.8, exact_chain=True)
         assert gap <= 1e-10 * max(1.0, rhs)
 
     def test_norm_identity_refines(self):
@@ -324,8 +326,8 @@ class TestResiduals:
         for n in (32, 64, 128):
             g = Grid((1.0,), (n,))
             xs = g.coords()[0]
-            u = ScalarField(g, 0.7 * np.sin(np.pi * xs))
-            _, _, gap = norm_identity_gap(u, 0.8, exact_chain=False)
+            u = 0.7 * np.sin(np.pi * xs)
+            _, _, gap = norm_identity_gap(g, u, 0.8, exact_chain=False)
             gaps.append(gap)
             hs.append(g.h[0])
         assert np.polyfit(np.log(hs), np.log(gaps), 1)[0] >= 0.9
@@ -450,7 +452,7 @@ class TestInnerCoefficients:
         K = np.array([k_delta(np.diag(data.A.values), w[i], zeta[i], delta,
                               data.model)
                       for i in np.ndindex(shape)]).reshape(shape)
-        f, a0 = data.f.values, data.a0.values
+        f, a0 = data.f, data.a0
         rhs_ref = (1.0 + x) * f + a0 * w + a0 * g_delta(w, delta) * np.sign(w)
         for k in (5.0, 1e5):
             b, rhs = inner_coefficients(data, w, delta, k)
@@ -499,7 +501,7 @@ class TestOuterLoopEnergies:
         rho = exp.solver_cfg.rho
 
         def energy(v):
-            return h1_seminorm(ScalarField(exp.grid, v))
+            return h1_seminorm(exp.grid, v)
 
         for rec, (w, W) in zip(trace.records, pairs):
             defect = energy(W - w)
@@ -552,7 +554,8 @@ class TestAndersonMixing:
             return step(*args)
 
         monkeypatch.setattr(solver, "_relaxed_step", counting)
-        tight = replace(exp.data, ball_radius=h1_seminorm(w) * (1.0 + 1e-3))
+        tight = replace(exp.data,
+                        ball_radius=h1_seminorm(w.grid, w.values) * (1.0 + 1e-3))
         _, trace = outer_fixed_point(tight, cfg, anderson=True)
         # some steps fell back, the others mixed
         assert 0 < len(relaxed) < len(trace.records) - 1
@@ -574,4 +577,5 @@ class TestRemarkMode:
         assert exp.data.ball_radius < z0  # the smaller zero bounds tighter
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
         assert trace.converged
-        assert h1_seminorm(w) <= exp.data.ball_radius + trace.eps_solver
+        assert h1_seminorm(w.grid, w.values) \
+            <= exp.data.ball_radius + trace.eps_solver

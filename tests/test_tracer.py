@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps quadgrad functions by name; a rename or a
 deletion there would silently zero a per-layer counter.  One small traced
-``solve`` checks that the solver, CG and stencil layers are all seen, and
+``solve --out`` checks that the solver, CG and stencil layers, and the
+setup and output functions the per-layer seconds name, are all seen, and
 the harness's own self-test runs on every workload.
 """
 
@@ -35,9 +36,10 @@ def test_tracer_sees_every_layer_of_a_solve(tmp_path, capsys):
         json.dump(cfg, fh)
     tracer = load_tracer()
     with tracer.Tracer() as tr:
-        assert main(["solve", "--config", path]) == 0
+        assert main(["solve", "--config", path,
+                     "--out", os.path.join(tmp_path, "out")]) == 0
     capsys.readouterr()
-    counts, _ = tr.metrics()
+    counts, seconds = tr.metrics()
     picard, newton = tr.record_totals()
     assert picard > 0 and newton > 0
     assert (counts["solver.picard_iters"], counts["solver.newton_steps"]) \
@@ -46,6 +48,11 @@ def test_tracer_sees_every_layer_of_a_solve(tmp_path, capsys):
         assert tr.calls(label) > 0, label
     # one CG per Newton step; an inlined or renamed cg_solve reads 0 here
     assert tr.calls("grid.cg_solve") == newton
+    # the setup and output seconds hook these functions by name
+    for label, metric in (("grid.hminus1_norm", "config.hm1_s"),
+                          ("grid.estimate_sobolev_constant", "config.sobolev_s"),
+                          ("grid.write_field_csv", "cli.output_s")):
+        assert tr.calls(label) > 0 and seconds[metric] > 0, label
 
 
 def test_perfbench_selftest_runs():

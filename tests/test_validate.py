@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadgrad import constants, validate
-from quadgrad.grid import Grid, ScalarField
+from quadgrad.grid import Grid
 from quadgrad.nonlinearity import HModel
 
 TANH = HModel(kind="shape_times_quadratic", coeff=0.4, shape="tanh",
@@ -23,7 +23,7 @@ CASES = [
     ("dual-norm duality and Riesz equality",
      lambda rng, c: [validate.check_dual_norm(Grid((1.0,), (48,)), rng)],
      validate, "riesz_representative",
-     lambda lift: lambda f: ScalarField(f.grid, lift(f).values * (1.0 + 1e-6))),
+     lambda lift: lambda grid, f: lift(grid, f) * (1.0 + 1e-6)),
     ("substitution identity for the correction term",
      lambda rng, c: [validate.check_g_identity(rng)],
      validate, "g_delta", lambda g: lambda t, d: g(t, d) * (1.0 + 1e-9)),

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -237,6 +238,9 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+CROSSCHECK = "equivalence cross-check"
+
+
 def _equivalence_crosscheck(exp: Experiment):
     """Coarse two-resolution solve: the residual of the reconstructed original
     unknown must shrink under refinement (the two formulations agree in the
@@ -245,18 +249,10 @@ def _equivalence_crosscheck(exp: Experiment):
     of 1 or more resolves nothing, and the check is skipped.  Only the
     discrete fixed points matter here, not the paper's relaxed trajectory,
     so the coarse solves use Anderson mixing wherever a ball guards it."""
-    def skipped(why):
-        return validate.CheckResult.skipped("equivalence cross-check", why)
-
-    problem = exp.raw["problem"]
-    specs = {"f": problem["f"], "a0": problem["a0"]}
-    if problem["H"]["kind"] == "mu_gradsq":
-        specs["H.mu"] = problem["H"]["mu"]
-    from_csv = [name for name, spec in specs.items()
-                if isinstance(spec, dict) and "csv" in spec]
-    if from_csv:
+    skipped = partial(validate.CheckResult.skipped, CROSSCHECK)
+    if exp.from_csv:
         # a field read from CSV is fixed to its own grid: no coarse version
-        return skipped(f"{', '.join(from_csv)} read from CSV, on the "
+        return skipped(f"{', '.join(exp.from_csv)} read from CSV, on the "
                        f"{exp.grid.shape} grid only")
     shapes = [[max(8, n // scale) for n in exp.grid.shape] for scale in (4, 2)]
     if shapes[0] == shapes[1]:
@@ -280,8 +276,8 @@ def _equivalence_crosscheck(exp: Experiment):
             residuals.append(original_residual(w.values, coarse.data,
                                                coarse.solver_cfg.delta))
     except QuadgradError as exc:
-        return validate.CheckResult(
-            "equivalence cross-check", False, math.nan, f"solve failed: {exc}")
+        return validate.CheckResult(CROSSCHECK, False, math.nan,
+                                    f"solve failed: {exc}")
     energy = h1_seminorm(w.grid, w.values)  # w is the finer grid's
     tol = coarse.solver_cfg.outer_tol
     if energy <= tol:
@@ -290,12 +286,10 @@ def _equivalence_crosscheck(exp: Experiment):
     floor = tol / energy
     trend = f"original-form residual {residuals[0]:.3e} -> {residuals[1]:.3e}"
     if residuals[1] <= floor:
-        return validate.CheckResult(
-            "equivalence cross-check", True, residuals[1],
-            f"{trend} at the solver floor {floor:.3e}")
-    return validate.CheckResult(
-        "equivalence cross-check", residuals[1] < residuals[0], residuals[1],
-        f"{trend} under refinement")
+        return validate.CheckResult(CROSSCHECK, True, residuals[1],
+                                    f"{trend} at the solver floor {floor:.3e}")
+    return validate.CheckResult(CROSSCHECK, residuals[1] < residuals[0],
+                                residuals[1], f"{trend} under refinement")
 
 
 def cmd_verify(args):
@@ -336,9 +330,8 @@ def cmd_verify(args):
         results.append(_equivalence_crosscheck(exp))
     else:
         why = f"constants not computable: {exp.constants_error}"
-        results.extend(validate.CheckResult.skipped(name, why) for name in (
-            "growth-constant envelope", "growth constant against 30-digit decimal",
-            "profile minimum closed form", "equivalence cross-check"))
+        results.extend(validate.CheckResult.skipped(name, why)
+                       for name in (*validate.CONSTANTS_CHECKS, CROSSCHECK))
 
     for res in results:
         print(res.line())

@@ -11,8 +11,9 @@ A config is one JSON document with four blocks:
   solver    -- fixed-point knobs, delta either "delta0" or an explicit value;
   report    -- output ladder heights and optional sweep parameters.
 
-Norms entering the constants engine are always recomputed from the discrete
-fields; declared values in the config are advisory and merely cross-checked
+Each JSON object is read through `_block`, which refuses a key its reader
+would ignore.  Norms entering the constants engine are always recomputed
+from the discrete fields; declared values are advisory and cross-checked
 (1% tolerance), which keeps the estimate chain internally consistent.
 """
 
@@ -42,6 +43,7 @@ from .errors import (
     NoTwoZeros,
 )
 from .grid import (
+    EXPRESSION_KEYS,
     Grid,
     MatrixField,
     estimate_sobolev_constant,
@@ -71,6 +73,7 @@ class Experiment:
     knobs: dict
     n_ladder: tuple
     out_dir: str | None
+    from_csv: tuple
     constants_error: str | None = None
     norms: dict | None = None
     exponents: dict | None = None
@@ -86,16 +89,24 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _require(block: dict, key, context):
-    if key not in block:
-        raise ConfigError(f"missing key {key!r} in {context} block")
-    return block[key]
-
-
-def _object(value, name) -> dict:
-    """A config block that must be a JSON object; anything else is a ConfigError."""
+def _block(value, name, known, required=()) -> dict:
+    """`value` as a config object that has every key of `required` and no key
+    outside `known` and `required`; anything else is a ConfigError naming the
+    key and the block.  A kinded block passes `known` as a dict from each
+    kind to the keys it reads; a missing "kind" is the first one listed."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing key {key!r} in {name} block")
+    if isinstance(known, dict):
+        kind = value.get("kind", next(iter(known)))
+        if not isinstance(kind, str) or kind not in known:
+            raise ConfigError(f"unknown kind {kind!r} in {name} block")
+        known = ("kind", *known[kind])
+    unknown = value.keys() - {*known, *required}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name} block")
     return value
 
 
@@ -129,14 +140,8 @@ def _finite(name, compute, *args, **kwargs):
 
 
 def _solver_knobs(sspec: dict) -> dict:
-    """SolverConfig keyword arguments except delta, type-checked.
-
-    Each knob takes the type and the default of its SolverConfig field; a
-    key that names no field would be ignored, so it is refused.
-    """
-    unknown = sspec.keys() - {f.name for f in fields(SolverConfig)}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in solver block")
+    """SolverConfig keyword arguments except delta, type-checked; each knob
+    takes the type and the default of its SolverConfig field."""
     knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
                              type(f.default))
              for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
@@ -154,25 +159,27 @@ def _resolve_path(base_dir, path):
     return full
 
 
-def _build_scalar_field(spec, grid, base_dir, name) -> np.ndarray:
-    """Validated nodal values of a field spec, a CSV path or an expression."""
-    _object(spec, name)
+def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
+    """Validated nodal values of a field spec, a CSV path or an expression;
+    the name of a field read from CSV is appended to `from_csv`."""
+    _block(spec, name, ("csv", "expr"))
     if "csv" in spec:
         path = _resolve_path(base_dir, spec["csv"])
+        from_csv.append(name)
         try:
             return read_field_csv(path, grid).values
         except FieldValidationError as exc:
             # a malformed file, or one written on another grid
             raise ConfigError(f"{name}.csv: {exc}") from exc
     if "expr" in spec:
-        expr = _object(spec["expr"], f"{name}.expr")
+        expr = _block(spec["expr"], f"{name}.expr", EXPRESSION_KEYS, ("kind",))
         for key, value in expr.items():
             if key != "kind":
                 _number(value, f"{name}.expr.{key}")
         try:
             return _finite(f"{name}.expr", field_from_expression, grid, expr).values
         except (KeyError, TypeError, ValueError, FieldValidationError) as exc:
-            # FieldValidationError: a kind outside the expression catalog
+            # KeyError: a constant without its value
             raise ConfigError(f"malformed {name}.expr: {exc!r}") from exc
     raise ConfigError(f"{name} needs either a 'csv' path or an 'expr' entry")
 
@@ -180,7 +187,8 @@ def _build_scalar_field(spec, grid, base_dir, name) -> np.ndarray:
 def _build_matrix_field(spec, grid, alpha) -> MatrixField:
     """problem.A as its per-axis diagonal entries, the only A the stencil
     represents; an entry below alpha is left to ``MatrixField``."""
-    kind = _object(spec, "problem.A").get("kind", "identity")
+    kinds = {"identity": ("scale",), "diagonal": ("entries",), "constant": ("matrix",)}
+    kind = _block(spec, "problem.A", kinds).get("kind", "identity")
     d = grid.dim
     if alpha <= 0:
         raise ConfigError(f"problem.alpha must be positive, got {alpha:g}")
@@ -192,7 +200,7 @@ def _build_matrix_field(spec, grid, alpha) -> MatrixField:
             if len(entries) != d:
                 raise ConfigError(
                     f"diagonal coefficient needs {d} entries, got {len(entries)}")
-        elif kind == "constant":
+        else:  # constant
             matrix = np.array([_numbers(row, "problem.A.matrix")
                                for row in spec["matrix"]])
             if matrix.shape != (d, d) or np.any(matrix[~np.eye(d, dtype=bool)]):
@@ -200,32 +208,30 @@ def _build_matrix_field(spec, grid, alpha) -> MatrixField:
                     f"constant coefficient matrix must be diagonal and {d}x{d}, "
                     f"as the {2 * d + 1}-point stencil requires; got {matrix.tolist()}")
             entries = np.diag(matrix)
-        else:
-            raise ConfigError(f"unknown coefficient matrix kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed coefficient matrix spec: {exc}") from exc
     return MatrixField(grid, entries, alpha=alpha)
 
 
-def _build_model(spec, grid, base_dir, gamma, c0, alpha,
+def _build_model(spec, grid, base_dir, gamma, c0, alpha, from_csv,
                  enforce_certificate=True) -> HModel:
-    kind = _require(_object(spec, "problem.H"), "kind", "problem.H")
+    kinds = {"zero": (), "shape_times_quadratic": ("coeff", "shape"),
+             "mu_gradsq": ("mu",)}
+    kind = _block(spec, "problem.H", kinds, ("kind",))["kind"]
     try:
         if kind == "zero":
             model = HModel(kind="zero", gamma_cert=gamma, c0_cert=c0)
         elif kind == "shape_times_quadratic":
-            coeff = _number(_require(spec, "coeff", "problem.H"), "problem.H.coeff")
+            coeff = _number(spec.get("coeff"), "problem.H.coeff")
             model = HModel(kind=kind, coeff=coeff, shape=spec.get("shape", "tanh"),
                            gamma_cert=gamma, c0_cert=c0)
-        elif kind == "mu_gradsq":
-            mu_spec = _require(spec, "mu", "problem.H")
+        else:  # mu_gradsq
+            mu_spec = spec.get("mu")
             if isinstance(mu_spec, dict):
-                mu = _build_scalar_field(mu_spec, grid, base_dir, "H.mu")
+                mu = _build_scalar_field(mu_spec, grid, base_dir, "H.mu", from_csv)
             else:
                 mu = _number(mu_spec, "problem.H.mu")
             model = HModel(kind=kind, mu=mu, gamma_cert=gamma, c0_cert=c0)
-        else:
-            raise ConfigError(f"unknown nonlinearity kind {kind!r}")
     except (ValueError, TypeError, CertificateError) as exc:
         # CertificateError: a shape outside the catalog, or gamma/c0 out of range
         raise ConfigError(f"malformed nonlinearity spec: {exc}") from exc
@@ -235,19 +241,6 @@ def _build_model(spec, grid, base_dir, gamma, c0, alpha,
             f"(gamma={gamma:g}, c0={c0:g}, alpha={alpha:g})"
         )
     return model
-
-
-def _check_declared_norms(declared: dict, computed: dict):
-    for key, value in declared.items():
-        if key not in computed:
-            raise ConfigError(f"declared norm {key!r} is not a known norm")
-        ref = computed[key]
-        value = _number(value, f"constants.declared_norms.{key}")
-        if abs(value - ref) > 0.01 * max(abs(ref), 1e-300):
-            raise ConfigError(
-                f"declared norm {key} = {value:g} deviates more than 1% from "
-                f"the field-derived value {ref:g}"
-            )
 
 
 def build_experiment(cfg: dict, base_dir: str = ".",
@@ -270,24 +263,24 @@ def build_experiment(cfg: dict, base_dir: str = ".",
             cfg["problem"]["grid"]["n"] = overrides["n"]
         for key, val in overrides.get("solver", {}).items():
             cfg.setdefault("solver", {})[key] = val
-    _object(cfg, "config")
-    problem = _object(_require(cfg, "problem", "top-level"), "problem")
-    gspec = _object(_require(problem, "grid", "problem"), "problem.grid")
-    sspec = _object(cfg.get("solver", {}), "solver")
-    cspec = _object(cfg.get("constants", {}), "constants")
-    rspec = _object(cfg.get("report", {}), "report")
+    _block(cfg, "top-level", ("constants", "solver", "report", "seed"), ("problem",))
+    problem = _block(cfg["problem"], "problem", ("exponent_pair",), (
+        "grid", "A", "f", "a0", "H", "alpha", "gamma", "c0", "q", "N"))
+    gspec = _block(problem["grid"], "problem.grid", (), ("extents", "n"))
+    sspec = _block(cfg.get("solver", {}), "solver",
+                   [f.name for f in fields(SolverConfig)])
+    cspec = _block(cfg.get("constants", {}), "constants",
+                   ("C_N", "declared_norms", "root_tol"))
+    rspec = _block(cfg.get("report", {}), "report", ("n_ladder", "y_deltas", "out_dir"))
     try:
-        grid = Grid(_numbers(_require(gspec, "extents", "problem.grid"),
-                             "problem.grid.extents"),
-                    _numbers(_require(gspec, "n", "problem.grid"),
-                             "problem.grid.n", int))
+        grid = Grid(_numbers(gspec["extents"], "problem.grid.extents"),
+                    _numbers(gspec["n"], "problem.grid.n", int))
     except FieldValidationError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    alpha, gamma, c0, q = (_number(_require(problem, key, "problem"),
-                                   f"problem.{key}")
+    alpha, gamma, c0, q = (_number(problem[key], f"problem.{key}")
                            for key in ("alpha", "gamma", "c0", "q"))
-    N = _number(_require(problem, "N", "problem"), "problem.N", int)
+    N = _number(problem["N"], "problem.N", int)
     if N < 1:
         raise ConfigError(f"problem.N must be a positive integer, got {N}")
     knobs = _solver_knobs(sspec)
@@ -311,18 +304,23 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
 
-    A = _build_matrix_field(_require(problem, "A", "problem"), grid, alpha)
-    f = _build_scalar_field(_require(problem, "f", "problem"), grid, base_dir, "f")
-    a0 = _build_scalar_field(_require(problem, "a0", "problem"), grid, base_dir, "a0")
+    A = _build_matrix_field(problem["A"], grid, alpha)
+    from_csv = []
+    f = _build_scalar_field(problem["f"], grid, base_dir, "f", from_csv)
+    a0 = _build_scalar_field(problem["a0"], grid, base_dir, "a0", from_csv)
     if np.any(a0 < 0):
         raise ConfigError("a0 must be nonnegative")
-    model = _build_model(_require(problem, "H", "problem"), grid, base_dir,
-                         gamma, c0, alpha, enforce_certificate=for_solve)
+    model = _build_model(problem["H"], grid, base_dir, gamma, c0, alpha, from_csv,
+                         enforce_certificate=for_solve)
     # the knobs' range rules apply whether or not delta is ever resolved;
     # gamma, which the model has checked positive, stands in for it
     knob_cfg = SolverConfig(delta=gamma, **knobs)
+    if knob_cfg.k_schedule and "k" in sspec:  # the schedule sets every height
+        raise ConfigError("solver.k and a nonempty solver.k_schedule exclude "
+                          "each other; give one of the two")
 
-    pair = _object(problem.get("exponent_pair", {}), "problem.exponent_pair")
+    pair = _block(problem.get("exponent_pair", {}), "problem.exponent_pair",
+                  ("sobolev", "f_norm"))
     if N < 3 and not {"sobolev", "f_norm"} <= pair.keys():
         raise ConfigError(
             "N < 3 requires problem.exponent_pair with 'sobolev' and 'f_norm'")
@@ -333,9 +331,13 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     norms = {key: _finite(f"norm {key}", norm, *args) for key, norm, *args in (
         ("f_N2", lp_norm, grid, f, f_exp), ("f_Hm1", hminus1_norm, grid, f),
         ("a0_N2", lp_norm, grid, a0, f_exp), ("a0_q", lp_norm, grid, a0, q))}
-    declared = _object(cspec.get("declared_norms", {}),
-                       "constants.declared_norms")
-    _check_declared_norms(declared, norms)
+    declared = _block(cspec.get("declared_norms", {}), "constants.declared_norms",
+                      norms.keys())
+    for key, value in declared.items():
+        value, ref = _number(value, f"constants.declared_norms.{key}"), norms[key]
+        if abs(value - ref) > 0.01 * max(abs(ref), 1e-300):
+            raise ConfigError(f"declared norm {key} = {value:g} deviates more than "
+                              f"1% from the field-derived value {ref:g}")
 
     cn_spec = str(cspec.get("C_N", "estimate"))
     if cn_spec == "estimate":
@@ -400,8 +402,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raw=cfg, seed=seed, grid=grid, data=data,
         solver_cfg=solver_cfg, problem_constants=constants, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
-        knobs=knobs, out_dir=out_dir,
-        n_ladder=n_ladder,
+        knobs=knobs, out_dir=out_dir, n_ladder=n_ladder, from_csv=tuple(from_csv),
         constants_error=str(constants_error) if constants_error else None,
         norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},

@@ -457,6 +457,11 @@ def read_field_csv(path, grid: Grid | None = None) -> ScalarField:
     return ScalarField(file_grid, flat.reshape(shape))
 
 
+# the expression catalog: each kind and the parameters it reads besides "kind"
+EXPRESSION_KEYS = {"constant": ("value",), "coordinate_product": ("scale",),
+                   "sine_bump": ("amplitude",)}
+
+
 def field_from_expression(grid: Grid, spec: dict) -> ScalarField:
     """Small expression catalog: constant, product of coordinates, sine bump."""
     kind = spec.get("kind")

@@ -31,6 +31,11 @@ from .nonlinearity import HModel, g_delta, transformed_terms
 
 REL_SLACK = 1e-12
 
+# the checks that read the problem's constants, in the order verify runs them
+G_GROWTH, G_DECIMAL, PHI_MIN = CONSTANTS_CHECKS = (
+    "growth-constant envelope", "growth constant against 30-digit decimal",
+    "profile minimum closed form")
+
 
 @dataclass
 class CheckResult:
@@ -166,7 +171,7 @@ def check_g_growth(G, theta, delta1, rng, n=10_000) -> CheckResult:
     env = G * np.abs(t) ** (1.0 + theta)
     slack = REL_SLACK * env
     worst = float(min(np.min(g), np.min(env + slack - g)))
-    return CheckResult("growth-constant envelope", worst >= 0.0, worst)
+    return CheckResult(G_GROWTH, worst >= 0.0, worst)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -314,7 +319,6 @@ def constants_cross_checks(c: ProblemConstants, rng) -> list:
     """Engine identities on perturbed copies of the given constants."""
     from . import constants as cmod
 
-    results = []
     worst_g = 0.0
     worst_phi = 0.0
     for i in range(50):
@@ -334,8 +338,5 @@ def constants_cross_checks(c: ProblemConstants, rng) -> list:
         closed = cmod.phi_at_min(d, cc, theta, G1)
         direct = cmod.phi(d, cmod.z_delta(d, cc, theta, G1), cc, theta, G1)
         worst_phi = max(worst_phi, abs(closed - direct) / max(1.0, abs(closed)))
-    results.append(CheckResult("growth constant against 30-digit decimal",
-                               worst_g <= 1e-14, worst_g))
-    results.append(CheckResult("profile minimum closed form",
-                               worst_phi <= 1e-12, worst_phi))
-    return results
+    return [CheckResult(G_DECIMAL, worst_g <= 1e-14, worst_g),
+            CheckResult(PHI_MIN, worst_phi <= 1e-12, worst_phi)]

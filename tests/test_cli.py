@@ -353,17 +353,57 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
-    @pytest.mark.parametrize("key", ["max_outter", "anderson"],
-                             ids=["misspelt", "retired"])
-    def test_unknown_solver_key_exits_2(self, tmp_path, capsys, command, key):
-        # an ignored key would leave the knob it meant at its default
+    @pytest.mark.parametrize("edits, block, key", [
+        ({("solver", "max_outter"): 3}, "solver", "max_outter"),
+        ({("solver", "anderson"): 3}, "solver", "anderson"),
+        ({("sed",): 1}, "top-level", "sed"),
+        ({("problem", "Nn"): 3}, "problem", "Nn"),
+        ({("problem", "grid", "extent"): [1.0]}, "problem.grid", "extent"),
+        ({("problem", "exponent_pair"): {"sobolev": 6.0, "f_norm": 1.5,
+                                         "p": 6.0}},
+         "problem.exponent_pair", "p"),
+        ({("problem", "A", "entries"): [2.0]}, "problem.A", "entries"),
+        ({("problem", "H", "mu"): 0.1}, "problem.H", "mu"),
+        ({("problem", "f", "cvs"): "f.csv"}, "f", "cvs"),
+        ({("problem", "f", "expr", "amplitud"): 2.0}, "f.expr", "amplitud"),
+        ({("problem", "a0", "expr", "amplitude"): 2.0}, "a0.expr", "amplitude"),
+        ({("problem", "H"): {"kind": "mu_gradsq", "mu": {
+            "expr": {"kind": "constant", "value": 0.1}, "scale": 2.0}}},
+         "H.mu", "scale"),
+        ({("constants",): {"C_n": "literature:0.01"},
+          ("report",): {"n_laddr": [0.1]}}, "constants", "C_n"),
+        ({("constants", "declared_norms"): {"f_hm1": 0.225}},
+         "constants.declared_norms", "f_hm1"),
+        ({("report", "n_laddr"): [0.1]}, "report", "n_laddr"),
+    ], ids=["misspelt", "retired", "top-level", "problem", "grid",
+            "exponent_pair", "A-other-kind", "H-other-kind", "f", "f-expr",
+            "a0-expr-other-kind", "H-mu", "constants-and-report",
+            "declared_norms", "report"])
+    def test_unknown_solver_key_exits_2(self, tmp_path, capsys, command, edits,
+                                        block, key):
+        # an ignored key would leave the entry it meant at its default: a
+        # misspelt C_N would estimate the constant the literature value gives
         cfg = load_benchmark("benchmark_1d.json")
-        cfg["solver"][key] = 3
+        for path, value in edits.items():
+            target = cfg
+            for name in path[:-1]:
+                target = target[name]
+            target[path[-1]] = value
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
-        assert "[FAIL]" not in captured.out
-        assert captured.err.startswith("config error: unknown key")
-        assert repr(key) in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+        assert captured.err == (f"config error: unknown key(s) [{key!r}] in "
+                                f"{block} block\n")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    def test_k_beside_schedule_exits_2(self, tmp_path, capsys, command):
+        # the schedule sets every truncation height, so k would be ignored
+        cfg = mutated_benchmark(("solver", "k"), 7.0)
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: solver.k and a nonempty solver.k_schedule exclude "
+            "each other; give one of the two\n")
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])

@@ -3,7 +3,8 @@ the package or the benchmark harness; code that only tests reach belongs in
 the tests.  Every defaulted parameter of a package function is passed by some
 call in the package, the harness or the tests; one nobody sets is a constant.
 Every parameter of a package function is read by its body.  A ``ScalarField``
-is built only where nodal data enters or a solution leaves."""
+is built only where nodal data enters or a solution leaves.  Only ``config``
+reads inside the raw config document."""
 
 import ast
 import pathlib
@@ -141,3 +142,14 @@ def test_scalar_fields_are_built_only_where_data_enters_or_leaves():
                                                  for lo, hi in allowed):
                 misplaced.append(f"{path.name}:{node.lineno}")
     assert not misplaced, f"ScalarField built outside {sorted(FIELD_BUILDERS)}: {misplaced}"
+
+
+def test_only_config_reads_the_raw_document():
+    """Every other module takes what it needs from the Experiment's fields;
+    ``Experiment.raw`` leaves ``config`` only whole, to be rebuilt."""
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Subscript, ast.Attribute))
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "raw"]
+    assert not reads, f"the raw config document read outside config: {reads}"

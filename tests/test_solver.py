@@ -43,6 +43,8 @@ def make_exp(n=64, f_amp=1.0, a0_value=0.2, model=None, delta="delta0",
     }
     solver = {"delta": delta, "k": 200.0, "rho": 0.5, "outer_tol": 1e-10,
               "inner_tol": 1e-12, "max_outer": 300}
+    if solver_kw.get("k_schedule"):
+        del solver["k"]  # a nonempty schedule sets every truncation height
     solver.update(solver_kw)
     return build_experiment({"problem": problem,
                              "constants": {"C_N": "estimate"},

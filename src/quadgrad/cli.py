@@ -272,7 +272,7 @@ def _equivalence_crosscheck(exp: Experiment):
                 # (the check command reports it with its own exit code)
                 return skipped(exc)
             w, _, _ = k_continuation(coarse.data, coarse.solver_cfg,
-                                     anderson=True)
+                                     relaxed_heights=0)
             residuals.append(original_residual(w.values, coarse.data,
                                                coarse.solver_cfg.delta))
     except QuadgradError as exc:

@@ -163,6 +163,9 @@ def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
     """Validated nodal values of a field spec, a CSV path or an expression;
     the name of a field read from CSV is appended to `from_csv`."""
     _block(spec, name, ("csv", "expr"))
+    if "csv" in spec and "expr" in spec:
+        raise ConfigError(f"{name}.csv and {name}.expr exclude each other; "
+                          "give one of the two")
     if "csv" in spec:
         path = _resolve_path(base_dir, spec["csv"])
         from_csv.append(name)

@@ -22,8 +22,13 @@ Structure of one solve at truncation height k:
           (2011) 1715; Toth and Kelley, SIAM J. Numer. Anal. 53 (2015) 805),
           which falls back to the relaxed step whenever the mixed iterate
           would leave the ball |Dw| <= Z;
-  ladder: re-solve along an increasing truncation schedule and record tail
-          energies and increments as convergence diagnostics.
+  ladder: re-solve cold along an increasing truncation schedule and record
+          tail energies and increments as convergence diagnostics.  The
+          heights below the top two show only the limit k -> infinity, so
+          only their discrete fixed points matter and they are
+          Anderson-mixed; the top two keep the relaxed trajectory, the top
+          one for the reported solution and the one below it so that the
+          final increment compares two solves of the same scheme.
 
 Every inner solve is followed by the a priori estimate check: the energy of
 the output is bounded by the profile value at the input's energy, an exact
@@ -376,8 +381,47 @@ def _relaxed_step(grid, rho, w, W, grad_W, grad_D, defect):
 
 # history depth of the Anderson-mixed outer loop
 ANDERSON_DEPTH = 5
-# singular values below this share of the largest make the fit degenerate
+# a fit whose condition estimate exceeds 1 / DEGENERATE_FIT is degenerate
 DEGENERATE_FIT = 1e-10
+
+
+def _least_squares(columns, target):
+    """The coefficients gamma minimizing |target - sum_i gamma_i columns[i]|,
+    or None when the fit is degenerate.
+
+    Modified Gram-Schmidt QR of [columns | target] (Bjoerck 1967) and a
+    pure-Python back substitution, so the few columns need no LAPACK.  The
+    fit is degenerate when the condition estimate |R|_F |R^-1|_F, an upper
+    bound of kappa_2, exceeds 1 / DEGENERATE_FIT; this refuses at least
+    every fit whose singular values fall below DEGENERATE_FIT times the
+    largest.
+    """
+    m = len(columns)
+    R = [[0.0] * m for _ in range(m)]
+    c = [0.0] * m
+    q = []
+    for j, v in enumerate(columns):
+        for i, q_i in enumerate(q):
+            R[i][j] = r = float(np.vdot(q_i, v))
+            v = v - r * q_i
+        R[j][j] = norm = math.sqrt(float(np.vdot(v, v)))
+        if not norm > 0.0:
+            return None
+        q.append(v / norm)
+        c[j] = r = float(np.vdot(q[j], target))
+        target = target - r * q[j]
+    # R^-1 by back substitution, column by column; gamma = R^-1 c
+    inv = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        inv[j][j] = 1.0 / R[j][j]
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(R[i][l] * inv[l][j] for l in range(i + 1, j + 1)) \
+                / R[i][i]
+    fro = math.sqrt(sum(r * r for row in R for r in row))
+    fro_inv = math.sqrt(sum(r * r for row in inv for r in row))
+    if fro * fro_inv > 1.0 / DEGENERATE_FIT:
+        return None
+    return [sum(inv[i][l] * c[l] for l in range(i, m)) for i in range(m)]
 
 
 class _AndersonStep:
@@ -387,12 +431,12 @@ class _AndersonStep:
         w_next = W - sum_i gamma_i dW_i,
 
     over the last differences dW_i of the inner solutions, with gamma the
-    least-squares fit of the defect f = W - w by the differences df_i of the
-    defects in the energy inner product (edge gradients times
-    sqrt(node_measure)).  Without history the step is W itself.  A
-    degenerate fit, or a mixed iterate whose |Dw| exceeds the ball radius
-    plus the level's current ``eps_solver``, takes the relaxed step with
-    factor rho instead and restarts the history.
+    least-squares fit (``_least_squares``) of the defect f = W - w by the
+    differences df_i of the defects in the energy inner product (edge
+    gradients times sqrt(node_measure)).  Without history the step is W
+    itself.  A degenerate fit, or a mixed iterate whose |Dw| exceeds the
+    ball radius plus the level's current ``eps_solver``, takes the relaxed
+    step with factor rho instead and restarts the history.
     """
 
     def __init__(self, grid, rho, radius, trace):
@@ -411,9 +455,8 @@ class _AndersonStep:
         self.last = (W, Df)
         w_next = W.copy()
         if self.history:
-            columns = np.stack([dDf for _, dDf in self.history], axis=1)
-            gamma, _, rank, _ = np.linalg.lstsq(columns, Df, rcond=DEGENERATE_FIT)
-            if rank < len(self.history):
+            gamma = _least_squares([dDf for _, dDf in self.history], Df)
+            if gamma is None:
                 return self._fallback(w, W, grad_W, grad_D, defect)
             for g, (dW, _) in zip(gamma, self.history):
                 w_next -= g * dW
@@ -524,10 +567,16 @@ class LadderDiagnostics:
 
 
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
-                   anderson=False):
+                   relaxed_heights=2):
     """Solve along the truncation schedule and collect diagnostics; each
-    height is an ``outer_fixed_point`` solve, Anderson-mixed when
-    ``anderson`` is true.
+    height is an ``outer_fixed_point`` solve started cold from w = 0.
+
+    The top ``relaxed_heights`` heights keep the paper's relaxed trajectory;
+    the heights below them are Anderson-mixed (``_AndersonStep``, guarded by
+    the ball radius; relaxed without one), since only their discrete fixed
+    points enter the diagnostics.  Of the default two, the top height gives
+    the reported solution, and the one below it keeps the final increment a
+    comparison between two solves of the same scheme.
 
     A SolverFailure leaves with ``traces``: the finished heights' traces,
     then the failing height's partial one.
@@ -542,9 +591,11 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
         tail_energy=np.zeros((len(n_ladder), len(schedule))),
         increments=[], max_abs=[],
     )
+    mixed = len(schedule) - relaxed_heights
     for kidx, k in enumerate(schedule):
         try:
-            w_k, trace = outer_fixed_point(data, replace(cfg, k=k), anderson)
+            w_k, trace = outer_fixed_point(data, replace(cfg, k=k),
+                                           anderson=kidx < mixed)
         except SolverFailure as exc:
             exc.traces = traces + exc.traces
             raise

@@ -229,9 +229,10 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
 
 def test_benchmark_iteration_counts(run_1d, run_2d):
     # a change that only saves work must leave the trajectory where it is,
-    # and one that adds linear work must say so here
-    for run, picard, newton, cg in ((run_1d, [46, 42, 42, 42], 176, 544),
-                                    (run_2d, [54, 39, 38, 38], 178, 626)):
+    # and one that adds linear work must say so here; the two lower heights
+    # are Anderson-mixed, the top two keep the relaxed trajectory
+    for run, picard, newton, cg in ((run_1d, [13, 13, 42, 42], 115, 279),
+                                    (run_2d, [10, 12, 38, 38], 102, 269)):
         traces = run[3]
         assert [len(t.records) for t in traces] == picard
         assert sum(r.inner_iterations

@@ -407,6 +407,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
+    def test_csv_beside_expr_exits_2(self, tmp_path, capsys, command):
+        # the CSV field would be read and the expression silently ignored
+        cfg = load_benchmark("benchmark_1d.json")
+        grid = Grid((1.0,), tuple(cfg["problem"]["grid"]["n"]))
+        f = field_from_expression(grid, cfg["problem"]["f"]["expr"])
+        write_field_csv(grid, f.values, os.path.join(tmp_path, "f.csv"))
+        cfg["problem"]["f"] = {"csv": "f.csv", "expr": {"kind": "bogus"}}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+        assert captured.err == ("config error: f.csv and f.expr exclude each "
+                                "other; give one of the two\n")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
     @pytest.mark.parametrize("p", [1000.0, 1e308], ids=["1000", "1e308"])
     def test_sobolev_ascent_out_of_range_exits_2(self, tmp_path, capsys,
                                                  command, p):
@@ -499,8 +514,11 @@ class TestExitCodes:
 
     def test_inner_failure_exits_4_with_trace(self, tmp_path, capsys):
         # one Newton step per inner solve finishes the first level, then
-        # runs out of budget in a later one
-        cfg = write_cfg(tmp_path, mutated_benchmark(("solver", "max_inner"), 1))
+        # runs out of budget in the second; on a two-height ladder both are
+        # relaxed (a mixed lower height stalls at once with this budget)
+        raw = mutated_benchmark(("solver", "max_inner"), 1)
+        raw["solver"]["k_schedule"] = [5.0, 25.0]
+        cfg = write_cfg(tmp_path, raw)
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 4
         assert capsys.readouterr().err.startswith("solver non-convergence:")

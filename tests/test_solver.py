@@ -12,9 +12,10 @@ from quadgrad.config import build_experiment
 from quadgrad.errors import (DomainError, FieldValidationError,
                              MaxOuterIterations, NewtonStall)
 from quadgrad.grid import (DiffusionOperator, Grid, MatrixField, ScalarField,
-                           gradient, h1_seminorm, node_average, read_field_csv)
-from quadgrad.nonlinearity import (g_delta, k_delta, sign_k, transformed_terms,
-                                   truncate)
+                           energy_norm, gradient, h1_seminorm, node_average,
+                           read_field_csv)
+from quadgrad.nonlinearity import (g_delta, k_delta, remainder, sign_k,
+                                   transformed_terms, truncate)
 from quadgrad.solver import (
     IterationRecord,
     SolverConfig,
@@ -221,6 +222,44 @@ class TestContinuation:
         exp = make_exp(n=48, k_schedule=[1000.0, 4000.0])
         w, diag, traces = k_continuation(exp.data, exp.solver_cfg)
         assert diag.increments[0] <= 1e-13
+
+    def test_lower_heights_mix_and_the_top_two_stay_relaxed(self):
+        # the top two heights are the relaxed solves bit for bit; the lower
+        # ones reach their fixed points in fewer Picard iterations
+        exp = make_exp(n=48, k_schedule=[5.0, 25.0, 200.0, 5000.0])
+        data, cfg = exp.data, exp.solver_cfg
+        n_ladder = (0.05, 0.1, 0.2, 0.4)
+        w, diag, traces = k_continuation(data, cfg, n_ladder=n_ladder)
+        relaxed = [outer_fixed_point(data, replace(cfg, k=k))
+                   for k in cfg.k_schedule]
+        for (_, plain), trace in zip(relaxed[:2], traces[:2]):
+            assert trace.converged
+            assert len(trace.records) < len(plain.records)
+        for (_, plain), trace in zip(relaxed[2:], traces[2:]):
+            assert [r.to_dict() for r in trace.records] \
+                == [r.to_dict() for r in plain.records]
+            assert (trace.residual, trace.eps_solver) \
+                == (plain.residual, plain.eps_solver)
+        assert np.array_equal(w.values, relaxed[-1][0].values)
+        top_two = [v.values for v, _ in relaxed[2:]]
+        assert diag.increments[-1] == energy_norm(
+            exp.grid, gradient(exp.grid, top_two[0] - top_two[1]))
+        for col, values in zip((2, 3), top_two):
+            for row, n in enumerate(n_ladder):
+                tail = gradient(exp.grid, remainder(values, n))
+                assert diag.tail_energy[row, col] \
+                    == energy_norm(exp.grid, tail) ** 2
+
+    def test_without_ball_radius_every_height_stays_relaxed(self):
+        # an explicit delta above delta0 has no ball to guard the mixing
+        exp = make_exp(n=48, delta=8.0, k_schedule=[5.0, 25.0, 200.0])
+        data, cfg = exp.data, exp.solver_cfg
+        assert data.ball_radius is None
+        _, _, traces = k_continuation(data, cfg)
+        for k, trace in zip(cfg.k_schedule, traces):
+            _, plain = outer_fixed_point(data, replace(cfg, k=k))
+            assert [r.to_dict() for r in trace.records] \
+                == [r.to_dict() for r in plain.records]
 
     def test_benchmark_diagnostics(self):
         exp = make_exp(n=64, k_schedule=[5.0, 25.0, 200.0, 5000.0])
@@ -563,6 +602,52 @@ class TestAndersonMixing:
         assert 0 < len(relaxed) < len(trace.records) - 1
         assert all(r.in_ball for r in trace.records)
         assert trace.converged and trace.residual <= 3.0 * cfg.outer_tol
+
+
+class TestLeastSquaresFit:
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_matches_lstsq(self, rng, m):
+        columns = rng.standard_normal((200, m))
+        target = rng.standard_normal(200)
+        gamma = solver._least_squares(list(columns.T), target)
+        want = np.linalg.lstsq(columns, target, rcond=None)[0]
+        assert np.allclose(gamma, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("cond", [1e6, 1e9, 3e9, 3e10, 1e12, 1e16])
+    def test_refuses_every_fit_the_rank_test_refuses(self, rng, cond):
+        # |R|_F |R^-1|_F bounds kappa_2 from above, so a fit whose smallest
+        # singular value falls below DEGENERATE_FIT times the largest is
+        # refused; the estimate may refuse somewhat better fits as well
+        for m in (2, 5):
+            u, _ = np.linalg.qr(rng.standard_normal((200, m)))
+            v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            columns = (u * np.geomspace(1.0, 1.0 / cond, m)) @ v.T
+            rank = np.linalg.lstsq(columns, u[:, 0],
+                                   rcond=solver.DEGENERATE_FIT)[2]
+            gamma = solver._least_squares(list(columns.T), u[:, 0])
+            if rank < m:
+                assert gamma is None
+            if cond <= 1e9:
+                assert gamma is not None
+
+    def test_repeated_defect_difference_takes_the_relaxed_step(self, rng):
+        # seeded fault: the defects advance by one fixed difference, so the
+        # history holds two equal columns and the fit is degenerate
+        grid = Grid((1.0,), (32,))
+        mix = solver._AndersonStep(grid, 0.5, np.inf,
+                                   solver.IterationTrace(k=1.0))
+        w = 0.1 * rng.standard_normal(grid.shape)
+        base, diff = rng.standard_normal((2, *grid.shape))
+        for i in range(3):
+            W = w + base + i * diff
+            grad_W, grad_D = gradient(grid, W), gradient(grid, W - w)
+            args = (w, W, grad_W, grad_D, energy_norm(grid, grad_D))
+            got = mix(*args)
+        assert not mix.history
+        (w_got, grad_got, *rest), (w_want, grad_want, *rest_want) = \
+            got, solver._relaxed_step(grid, 0.5, *args)
+        assert np.array_equal(w_got, w_want) and rest == rest_want
+        assert all(map(np.array_equal, grad_got, grad_want))
 
 
 class TestRemarkMode:

@@ -393,7 +393,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         if admissible:
             if delta < report.delta0:
                 try:
-                    ball_radius, _ = zeros_y(delta, constants, report.theta, report.G)
+                    ball_radius, _ = zeros_y(delta, constants)
                 except NoTwoZeros:
                     ball_radius = report.Z_delta0
             elif delta == report.delta0:

@@ -19,13 +19,15 @@ norms.  From these the engine derives
                       found by bisection to the relative tolerance `root_tol`
                       (the only quantity that tolerance affects).
 
-All functions are pure.
+theta and G are properties of ``ProblemConstants``, so every engine function
+takes that one set, as in ``z_delta(delta, c)``.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +82,8 @@ class ProblemConstants:
     """Scalar data feeding the critical-constant formulas.
 
     `sobolev_exponent` is the p of theta = p(q-1)/q - 2, decided by the
-    config together with the exponent of the norms.
+    config together with the exponent of the norms.  theta is checked when
+    built; G is computed when first read, where a nonpositive delta1 raises.
     """
 
     alpha: float
@@ -108,12 +111,15 @@ class ProblemConstants:
             raise DomainError("f must not vanish: its integral norm is zero")
         if self.norm_a0_q <= 0:
             raise DomainError("a0 must not vanish: its L^q norm is zero")
-        object.__setattr__(self, "_theta",
-                           compute_theta(self.q, self.sobolev_exponent))
+        self.theta  # evaluated now to refuse a q outside the window
 
-    @property
+    @cached_property
     def theta(self):
-        return self._theta
+        return compute_theta(self.q, self.sobolev_exponent)
+
+    @cached_property
+    def G(self):
+        return compute_G(self, self.theta)
 
 
 def delta1(c: ProblemConstants) -> float:
@@ -142,7 +148,7 @@ class SmallnessVerdict:
     margin: float
 
 
-def check_smallness(c: ProblemConstants, theta: float, G: float):
+def check_smallness(c: ProblemConstants):
     """Evaluate both smallness conditions with their margins.
 
     The first condition demands strictly positive leftover coercivity at
@@ -152,7 +158,7 @@ def check_smallness(c: ProblemConstants, theta: float, G: float):
     """
     m1 = leftover_coercivity(c.gamma, c)
     # 0.0 - x rather than -x: an exactly zero margin stays +0.0
-    m3 = 0.0 - (phi_at_min(c.gamma, c, theta, G) if m1 > 0.0 else c.norm_f_Hm1)
+    m3 = 0.0 - (phi_at_min(c.gamma, c) if m1 > 0.0 else c.norm_f_Hm1)
     return SmallnessVerdict(m1 > 0.0, m1), SmallnessVerdict(m3 >= 0.0, m3)
 
 
@@ -167,14 +173,14 @@ def smallness_error(a1, a3) -> SmallnessViolated:
         f"{-a3.margin:g} > 0")
 
 
-def phi(delta: float, X: float, c: ProblemConstants, theta: float, G: float) -> float:
+def phi(delta: float, X: float, c: ProblemConstants) -> float:
     """Profile value G*C^(2+theta)*|a0|_q*X^(1+theta) - L_delta*X + |f|_dual."""
     if X < 0:
         raise DomainError(f"profile argument must be nonnegative, got X = {X}")
     if delta < 0:
         raise DomainError(f"substitution parameter must be nonnegative, got {delta}")
-    curv = G * c.C_N ** (2.0 + theta) * c.norm_a0_q
-    return curv * X ** (1.0 + theta) - leftover_coercivity(delta, c) * X + c.norm_f_Hm1
+    curv = c.G * c.C_N ** (2.0 + c.theta) * c.norm_a0_q
+    return curv * X ** (1.0 + c.theta) - leftover_coercivity(delta, c) * X + c.norm_f_Hm1
 
 
 def _leftover_or_raise(delta, c):
@@ -190,29 +196,31 @@ def _leftover_or_raise(delta, c):
     return L
 
 
-def z_delta(delta: float, c: ProblemConstants, theta: float, G: float) -> float:
+def z_delta(delta: float, c: ProblemConstants) -> float:
     """Unique minimizer of the profile on the nonnegative axis."""
     if delta < 0:
         raise DeltaOutOfRange(f"substitution parameter must be nonnegative, got {delta}")
     L = _leftover_or_raise(delta, c)
-    curv = G * c.C_N ** (2.0 + theta) * c.norm_a0_q
+    theta = c.theta
+    curv = c.G * c.C_N ** (2.0 + theta) * c.norm_a0_q
     return (L / ((1.0 + theta) * curv)) ** (1.0 / theta)
 
 
-def _depth_scale(c: ProblemConstants, theta: float, G: float) -> float:
+def _depth_scale(c: ProblemConstants) -> float:
     """D = ((1+theta)*G*C^(2+theta)*|a0|_q)^(1/theta) of the profile minimum."""
-    return ((1.0 + theta) * G * c.C_N ** (2.0 + theta) * c.norm_a0_q) ** (1.0 / theta)
+    theta = c.theta
+    return ((1.0 + theta) * c.G * c.C_N ** (2.0 + theta) * c.norm_a0_q) ** (1.0 / theta)
 
 
-def phi_at_min(delta: float, c: ProblemConstants, theta: float, G: float) -> float:
+def phi_at_min(delta: float, c: ProblemConstants) -> float:
     """Closed-form minimum |f|_dual - theta/(1+theta)*L_delta^((1+theta)/theta)/D."""
     L = _leftover_or_raise(delta, c)
+    theta = c.theta
     return c.norm_f_Hm1 - theta / (1.0 + theta) * L ** ((1.0 + theta) / theta) \
-        / _depth_scale(c, theta, G)
+        / _depth_scale(c)
 
 
-def solve_delta0(c: ProblemConstants, theta: float, G: float,
-                 tol: float = DEFAULT_ROOT_TOL):
+def solve_delta0(c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
     """Closed-form parameter at which the profile minimum crosses zero.
 
     The minimum (see `phi_at_min`) vanishes at the slope
@@ -225,7 +233,7 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
     second smallness condition counts as failed; delta0 is gamma when it is
     nonnegative.
     """
-    a1, a3 = check_smallness(c, theta, G)
+    a1, a3 = check_smallness(c)
     f_gamma = -a3.margin  # the profile minimum at gamma
     if not a1.holds or f_gamma > tol * max(1.0, c.norm_f_Hm1):
         raise smallness_error(a1, a3)
@@ -235,16 +243,16 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
             "never turns positive; constants are corrupted"
         )
     if f_gamma >= 0.0:
-        return c.gamma, z_delta(c.gamma, c, theta, G)
-    L_star = ((1.0 + theta) / theta * c.norm_f_Hm1 * _depth_scale(c, theta, G)) \
-        ** (theta / (1.0 + theta))
+        return c.gamma, z_delta(c.gamma, c)
+    L_star = ((1.0 + c.theta) / c.theta * c.norm_f_Hm1 * _depth_scale(c)) \
+        ** (c.theta / (1.0 + c.theta))
     d1 = delta1(c)
     d0 = max(c.gamma, d1 - L_star / (c.C_N**2 * c.norm_f_N2))
     # round up: one ulp of delta moves L_delta by far less than one of its own
     # ulps when delta0 << delta1, so double the step until the minimum is
     # nonnegative (it is |f|_dual > 0 at delta1), then bisect the last step
     lo, hi, step = d0, d0, math.ulp(d0)
-    while phi_at_min(hi, c, theta, G) < 0.0:
+    while phi_at_min(hi, c) < 0.0:
         if hi >= d1:
             raise BracketError(
                 f"profile minimum still negative at delta1 = {d1!r}; "
@@ -253,24 +261,23 @@ def solve_delta0(c: ProblemConstants, theta: float, G: float,
         lo, hi, step = hi, min(d0 + step, d1), 2.0 * step
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if phi_at_min(mid, c, theta, G) < 0.0:
+        if phi_at_min(mid, c) < 0.0:
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return hi, z_delta(hi, c, theta, G)
+    return hi, z_delta(hi, c)
 
 
-def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,
-            tol: float = DEFAULT_ROOT_TOL):
+def zeros_y(delta: float, c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
     """Two distinct zeros of the profile for gamma <= delta < delta0.
 
     Bisects on [0, Z_delta] and on [Z_delta, X_hi] where X_hi doubles until
     the profile turns positive.  Raises NoTwoZeros when the minimum is not
     strictly negative (delta at or above the double-zero parameter).
     """
-    zd = z_delta(delta, c, theta, G)
-    f_min = phi_at_min(delta, c, theta, G)
+    zd = z_delta(delta, c)
+    f_min = phi_at_min(delta, c)
     if f_min >= 0.0:
         raise NoTwoZeros(
             f"profile minimum at delta = {delta:g} is {f_min:g} >= 0: "
@@ -285,7 +292,7 @@ def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi or (hi - lo) <= width_target:
                 break
-            f_mid = phi(delta, mid, c, theta, G)
+            f_mid = phi(delta, mid, c)
             if (f_mid < 0.0) == (f_lo < 0.0):
                 lo, f_lo = mid, f_mid
             else:
@@ -294,12 +301,12 @@ def zeros_y(delta: float, c: ProblemConstants, theta: float, G: float,
 
     y_minus = bisect(0.0, zd, c.norm_f_Hm1)
     hi = max(2.0 * zd, 1.0)
-    f_hi = phi(delta, hi, c, theta, G)
+    f_hi = phi(delta, hi, c)
     while f_hi <= 0.0:
         hi *= 2.0
         if not math.isfinite(hi):
             raise BracketError("profile never turns positive above its minimum")
-        f_hi = phi(delta, hi, c, theta, G)
+        f_hi = phi(delta, hi, c)
     y_plus = bisect(zd, hi, f_min)
     return y_minus, y_plus
 
@@ -349,13 +356,11 @@ def critical_report(c: ProblemConstants, C_N_source: str = "user",
     The pipeline stops after the smallness verdicts when one of them fails,
     leaving a partial report (see ``CriticalReport``).
     """
-    theta = c.theta
-    G = compute_G(c, theta)
-    a1, a3 = check_smallness(c, theta, G)
+    a1, a3 = check_smallness(c)
     report = CriticalReport(
-        theta=theta,
-        c_theta=c_lambda_bound(theta),
-        G=G,
+        theta=c.theta,
+        c_theta=c_lambda_bound(c.theta),
+        G=c.G,
         delta1=delta1(c),
         delta0=None,
         Z_delta0=None,
@@ -367,10 +372,10 @@ def critical_report(c: ProblemConstants, C_N_source: str = "user",
     )
     if not report.admissible:
         return report
-    report.delta0, report.Z_delta0 = solve_delta0(c, theta, G, tol=tol)
+    report.delta0, report.Z_delta0 = solve_delta0(c, tol=tol)
     for d in y_deltas:
         try:
-            report.y_zeros[float(d)] = zeros_y(d, c, theta, G, tol=tol)
+            report.y_zeros[float(d)] = zeros_y(d, c, tol=tol)
         except (NoTwoZeros, DeltaOutOfRange):
             report.y_zeros[float(d)] = (math.nan, math.nan)
     return report

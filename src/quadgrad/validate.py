@@ -18,6 +18,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from . import constants as cmod
 from .constants import ProblemConstants, c_lambda_bound
 from .grid import (
     DiffusionOperator,
@@ -162,13 +163,13 @@ def check_g_envelope(rng, n=10_000) -> CheckResult:
     return CheckResult("correction-term envelope", worst >= 0.0, worst)
 
 
-def check_g_growth(G, theta, delta1, rng, n=10_000) -> CheckResult:
+def check_g_growth(c: ProblemConstants, rng, n=10_000) -> CheckResult:
     """0 <= g_delta(t) < G |t|^(1+theta) for 0 < delta <= delta1, t != 0."""
-    delta = delta1 * rng.uniform(1e-3, 1.0, n)
+    delta = cmod.delta1(c) * rng.uniform(1e-3, 1.0, n)
     t = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 3, n)
     t[t == 0.0] = 1e-3
     g = g_delta(t, delta)
-    env = G * np.abs(t) ** (1.0 + theta)
+    env = c.G * np.abs(t) ** (1.0 + c.theta)
     slack = REL_SLACK * env
     worst = float(min(np.min(g), np.min(env + slack - g)))
     return CheckResult(G_GROWTH, worst >= 0.0, worst)
@@ -299,7 +300,7 @@ def check_dual_norm(grid: Grid, rng) -> CheckResult:
                        float(worst))
 
 
-def growth_constant_decimal(c: ProblemConstants, theta: float) -> float:
+def growth_constant_decimal(c: ProblemConstants) -> float:
     """G = delta1^theta * max(1, 2^(1+theta)/(theta*e)) in 30-digit decimals.
 
     An evaluation independent of the double-precision engine, taken from the
@@ -307,7 +308,7 @@ def growth_constant_decimal(c: ProblemConstants, theta: float) -> float:
     """
     with localcontext() as ctx:
         ctx.prec = 30
-        th = Decimal(theta)
+        th = Decimal(c.theta)
         C2 = Decimal(c.C_N) ** 2
         d1 = (Decimal(c.alpha) - C2 * Decimal(c.norm_a0_N2)) \
             / (C2 * Decimal(c.norm_f_N2))
@@ -317,8 +318,6 @@ def growth_constant_decimal(c: ProblemConstants, theta: float) -> float:
 
 def constants_cross_checks(c: ProblemConstants, rng) -> list:
     """Engine identities on perturbed copies of the given constants."""
-    from . import constants as cmod
-
     worst_g = 0.0
     worst_phi = 0.0
     for i in range(50):
@@ -329,14 +328,12 @@ def constants_cross_checks(c: ProblemConstants, rng) -> list:
             norm_a0_N2=min(c.norm_a0_N2, 0.5 * c.alpha * scale / c.C_N**2),
             norm_a0_q=c.norm_a0_q * 10.0 ** rng.uniform(-0.3, 0.3),
         )
-        theta = cc.theta
-        G1 = cmod.compute_G(cc, theta)
         if i < 5:  # the decimal reference costs about 0.2 ms a set
-            G2 = growth_constant_decimal(cc, theta)
-            worst_g = max(worst_g, abs(G1 - G2) / G2)
+            G2 = growth_constant_decimal(cc)
+            worst_g = max(worst_g, abs(cc.G - G2) / G2)
         d = rng.uniform(0.0, cmod.delta1(cc))
-        closed = cmod.phi_at_min(d, cc, theta, G1)
-        direct = cmod.phi(d, cmod.z_delta(d, cc, theta, G1), cc, theta, G1)
+        closed = cmod.phi_at_min(d, cc)
+        direct = cmod.phi(d, cmod.z_delta(d, cc), cc)
         worst_phi = max(worst_phi, abs(closed - direct) / max(1.0, abs(closed)))
     return [CheckResult(G_DECIMAL, worst_g <= 1e-14, worst_g),
             CheckResult(PHI_MIN, worst_phi <= 1e-12, worst_phi)]

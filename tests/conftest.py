@@ -12,7 +12,6 @@ from quadgrad.constants import (
     ProblemConstants,
     c_lambda_bound,
     check_smallness,
-    compute_G,
     compute_theta,
 )
 from quadgrad.config import build_experiment
@@ -103,9 +102,7 @@ def random_admissible_constants(rng, wide=False):
         norm_a0_N2=na_p, norm_a0_q=na_q, C_N=C_N, sobolev_exponent=p,
     )
     # construction can only fail by roundoff at the A3 boundary
-    th = c.theta
-    Gc = compute_G(c, th)
-    a1, a3 = check_smallness(c, th, Gc)
+    a1, a3 = check_smallness(c)
     assert a1.holds and a3.holds
     return c
 
@@ -124,12 +121,6 @@ def benchmark_constants():
         norm_a0_N2=0.198965068257161, norm_a0_q=0.1991371842263885,
         C_N=0.3773773087934581, sobolev_exponent=6.0,
     )
-
-
-def constants_triplet(c):
-    theta = c.theta
-    G = compute_G(c, theta)
-    return c, theta, G
 
 
 def solver_overrides(**kw):

@@ -16,7 +16,6 @@ from conftest import config_path, golden_minimize, growth_constant_mp, \
 from quadgrad.cli import main
 from quadgrad.config import build_experiment, experiment_from_file
 from quadgrad.constants import (
-    compute_G,
     delta1,
     phi,
     phi_at_min,
@@ -95,23 +94,22 @@ def test_criterion_01_constants_engine():
     worst_g = worst_phi = worst_root = 0.0
     for _ in range(200):
         c = random_admissible_constants(rng)
-        theta = c.theta
-        assert 0.0 < theta < 1.0
-        G = compute_G(c, theta)
+        assert 0.0 < c.theta < 1.0
+        G = c.G
         G_ref = growth_constant_mp(c)
         worst_g = max(worst_g, abs(G - G_ref) / G_ref)
         d = float(rng.uniform(0.0, 1.0)) * delta1(c)
-        zd = z_delta(d, c, theta, G)
-        xm = golden_minimize(lambda X: phi(d, X, c, theta, G),
+        zd = z_delta(d, c)
+        xm = golden_minimize(lambda X: phi(d, X, c),
                              0.0, 2.0 * zd + 1.0)
-        closed = phi_at_min(d, c, theta, G)
+        closed = phi_at_min(d, c)
         scale = max(1.0, abs(closed))
-        worst_phi = max(worst_phi, abs(closed - phi(d, xm, c, theta, G)) / scale)
+        worst_phi = max(worst_phi, abs(closed - phi(d, xm, c)) / scale)
         # the criterion's root gate is absolute; request the tolerance that
         # implies it through the solver's max(1, |f|_dual) scaling
-        d0, zd0 = solve_delta0(c, theta, G, tol=1e-13 / max(1.0, c.norm_f_Hm1))
+        d0, zd0 = solve_delta0(c, tol=1e-13 / max(1.0, c.norm_f_Hm1))
         assert c.gamma <= d0 < delta1(c)
-        worst_root = max(worst_root, abs(phi(d0, zd0, c, theta, G)))
+        worst_root = max(worst_root, abs(phi(d0, zd0, c)))
     elapsed = time.monotonic() - t0
     ok = worst_g <= 1e-14 and worst_phi <= 1e-12 and worst_root <= 1e-12 \
         and elapsed < 5.0
@@ -135,8 +133,7 @@ def test_criterion_02_pointwise_bound_suite():
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
     c = exp.problem_constants
-    G = compute_G(c, c.theta)
-    r5 = check_g_growth(G, c.theta, delta1(c), rng, n=10_000)
+    r5 = check_g_growth(c, rng, n=10_000)
     elapsed = time.monotonic() - t0
     ok = ok and r3.ok and r4.ok and r5.ok and elapsed < 5.0
     report(2, ok, ", ".join(details) + f", identity {r3.worst:.1e}, "
@@ -147,7 +144,7 @@ def test_criterion_03_transform():
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
     c = exp.problem_constants
-    d0, _ = solve_delta0(c, c.theta, compute_G(c, c.theta))
+    d0, _ = solve_delta0(c)
     gamma = c.gamma
     u = np.linspace(-20.0, 20.0, 2001)
     worst = 0.0
@@ -301,20 +298,18 @@ def test_criterion_09_frontier_structure():
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
     c = exp.problem_constants
-    theta = c.theta
-    G = compute_G(c, theta)
-    d0, zd0 = solve_delta0(c, theta, G)
+    d0, zd0 = solve_delta0(c)
     ds = np.linspace(c.gamma, delta1(c), 60)
-    phis = [phi_at_min(float(d), c, theta, G) for d in ds]
-    zs = [z_delta(float(d), c, theta, G) for d in ds]
+    phis = [phi_at_min(float(d), c) for d in ds]
+    zs = [z_delta(float(d), c) for d in ds]
     signs = [p < 0 for p in phis]
     one_crossing = sum(a != b for a, b in zip(signs, signs[1:])) == 1
     z_decreasing = all(a > b for a, b in zip(zs, zs[1:]))
     ordering = True
     for d in ds:
         d = float(d)
-        if d < d0 and phi_at_min(d, c, theta, G) < 0.0:
-            ym, yp = zeros_y(d, c, theta, G)
+        if d < d0 and phi_at_min(d, c) < 0.0:
+            ym, yp = zeros_y(d, c)
             ordering = ordering and (0.0 < ym < zd0 < yp)
     ok = one_crossing and z_decreasing and ordering
     report(9, ok, f"single crossing={one_crossing}, Z decreasing="

@@ -211,7 +211,7 @@ class TestExitCodes:
         assert err.startswith("config error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check", "constants", "solve",
-                                         "verify"])
+                                         "sweep", "verify"])
     def test_nonpositive_delta1_exits_3(self, tmp_path, capsys, command):
         # alpha - C_N^2 |a0|_{N/2} <= 0: no substitution range, so the first
         # smallness condition fails as well
@@ -695,6 +695,22 @@ class TestSolveCommand:
             rows = [json.loads(line) for line in fh]
         assert any(row["in_ball"] is False for row in rows)
 
+    def test_slack_judged_by_its_own_height_tolerance(self, small_1d,
+                                                      monkeypatch, capsys):
+        # a loose tolerance at the lowest height must not excuse a negative
+        # slack at the top height beyond that height's own tolerance
+        def faulty(*args, **kwargs):
+            w, diag, traces = k_continuation(*args, **kwargs)
+            traces[0].eps_solver *= 1e3
+            traces[-1].records[-1].estimate_slack = -2.0 * traces[-1].eps_solver
+            return w, diag, traces
+
+        monkeypatch.setattr(cli, "k_continuation", faulty)
+        assert main(["solve", "--config", small_1d]) == 5
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["slack_violation"] is True
+        assert summary["ball_violation"] is False
+
 
 class TestSweepCommand:
     def test_delta_sweep_structure(self, tmp_path, capsys):
@@ -811,7 +827,8 @@ class TestVerifyCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["constants", "--config", path]) == 2
         reason = capsys.readouterr().err.split("constants not computable: ")[1]
-        assert main(["verify", "--config", path]) == 0
+        out = os.path.join(tmp_path, "out")
+        assert main(["verify", "--config", path, "--out", out]) == 0
         lines = capsys.readouterr().out.splitlines()
         for name in ("growth-constant envelope",
                      "growth constant against 30-digit decimal",
@@ -819,6 +836,15 @@ class TestVerifyCommand:
             (line,) = [line for line in lines if f"] {name}: " in line]
             assert line == (f"[PASS] {name}: worst margin nan (skipped: "
                             f"constants not computable: {reason.strip()})")
+
+        # the report is standard JSON: a skipped check's margin is null
+        def refuse(token):
+            raise ValueError(f"nonstandard JSON constant {token}")
+
+        with open(os.path.join(out, "verify_report.json")) as fh:
+            checks = json.load(fh, parse_constant=refuse)["checks"]
+        skipped = [c for c in checks if c["detail"].startswith("skipped: ")]
+        assert len(skipped) == 4 and all(c["worst"] is None for c in skipped)
 
     @pytest.mark.parametrize("scale, verdict", [
         (1e4, "at the solver floor"),       # residuals 2.9e-5 -> 3.1e-5

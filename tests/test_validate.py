@@ -12,11 +12,6 @@ TANH = HModel(kind="shape_times_quadratic", coeff=0.4, shape="tanh",
               gamma_cert=0.5, c0_cert=0.2)
 
 
-def _g_growth(rng, c):
-    G = constants.compute_G(c, c.theta)
-    return [validate.check_g_growth(G, c.theta, constants.delta1(c), rng)]
-
-
 # check name, the checks to run, and the fault: the owner and name of the
 # patched callable and a wrapper that corrupts it
 CASES = [
@@ -32,7 +27,8 @@ CASES = [
     ("correction-term envelope",
      lambda rng, c: [validate.check_g_envelope(rng)],
      validate, "g_delta", lambda g: lambda t, d: g(t, d) + np.abs(t)),
-    ("growth-constant envelope", _g_growth,
+    ("growth-constant envelope",
+     lambda rng, c: [validate.check_g_growth(c, rng)],
      validate, "g_delta", lambda g: lambda t, d: g(t, d) + np.abs(t)),
     ("nonlinearity vanishes at zero gradient",
      lambda rng, c: [validate.check_h_vanishes_at_zero_gradient(TANH, rng)],

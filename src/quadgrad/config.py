@@ -70,12 +70,10 @@ class Experiment:
     problem_constants: ProblemConstants | None
     report: CriticalReport | None
     delta_mode: str
-    knobs: dict
     n_ladder: tuple
     out_dir: str | None
     from_csv: tuple
     constants_error: str | None = None
-    norms: dict | None = None
     exponents: dict | None = None
 
 
@@ -366,8 +364,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         )
     except (DomainError, ExponentOutOfRange) as exc:
         constants_error = exc
-
-    if constants is not None:
+    else:
         report = critical_report(constants, C_N_source=cn_spec, tol=root_tol,
                                  y_deltas=y_deltas)
 
@@ -375,7 +372,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     # each axis's sine eigenvalues must stay in the double range (their sum
     # is formed from halves, so it cannot overflow on its own)
     data = _finite("problem.A", SolveData, grid=grid, A=A, f=f, a0=a0,
-                   model=model, norms=norms, C_N=C_N, report=report)
+                   model=model, norms=norms, C_N=C_N, constants=constants)
 
     admissible = report is not None and report.admissible
     ball_radius = solver_cfg = None
@@ -405,9 +402,8 @@ def build_experiment(cfg: dict, base_dir: str = ".",
         raw=cfg, seed=seed, grid=grid, data=data,
         solver_cfg=solver_cfg, problem_constants=constants, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
-        knobs=knobs, out_dir=out_dir, n_ladder=n_ladder, from_csv=tuple(from_csv),
+        out_dir=out_dir, n_ladder=n_ladder, from_csv=tuple(from_csv),
         constants_error=str(constants_error) if constants_error else None,
-        norms=norms,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},
     )
 

@@ -121,6 +121,11 @@ class ProblemConstants:
     def G(self):
         return compute_G(self, self.theta)
 
+    @cached_property
+    def curvature(self):
+        """G*C_N^(2+theta)*|a0|_q, the coefficient of X^(1+theta) in phi."""
+        return self.G * self.C_N ** (2.0 + self.theta) * self.norm_a0_q
+
 
 def delta1(c: ProblemConstants) -> float:
     """Largest substitution parameter with nonnegative leftover coercivity."""
@@ -179,8 +184,8 @@ def phi(delta: float, X: float, c: ProblemConstants) -> float:
         raise DomainError(f"profile argument must be nonnegative, got X = {X}")
     if delta < 0:
         raise DomainError(f"substitution parameter must be nonnegative, got {delta}")
-    curv = c.G * c.C_N ** (2.0 + c.theta) * c.norm_a0_q
-    return curv * X ** (1.0 + c.theta) - leftover_coercivity(delta, c) * X + c.norm_f_Hm1
+    return c.curvature * X ** (1.0 + c.theta) - leftover_coercivity(delta, c) * X \
+        + c.norm_f_Hm1
 
 
 def _leftover_or_raise(delta, c):
@@ -201,9 +206,7 @@ def z_delta(delta: float, c: ProblemConstants) -> float:
     if delta < 0:
         raise DeltaOutOfRange(f"substitution parameter must be nonnegative, got {delta}")
     L = _leftover_or_raise(delta, c)
-    theta = c.theta
-    curv = c.G * c.C_N ** (2.0 + theta) * c.norm_a0_q
-    return (L / ((1.0 + theta) * curv)) ** (1.0 / theta)
+    return (L / ((1.0 + c.theta) * c.curvature)) ** (1.0 / c.theta)
 
 
 def _depth_scale(c: ProblemConstants) -> float:

@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .constants import CriticalReport
+from .constants import ProblemConstants
 from .errors import (DomainError, MaxOuterIterations, NewtonStall, SolverFailure,
                      TransformOverflowError)
 from .grid import (
@@ -113,9 +113,10 @@ class SolveData:
 
     ``f`` and ``a0`` are nodal arrays, like a field ``model.mu``; alpha is
     ``A.alpha``, gamma and c0 are ``model.gamma_cert`` and
-    ``model.c0_cert``; ``norms`` is the experiment's dict of source norms,
-    ``report`` its CriticalReport (theta, G) or None, and ``C_N`` is kept
-    for the case without one.  ``op``, the stencil of A, is built from A
+    ``model.c0_cert``.  The estimate's linear terms read ``norms``, the
+    experiment's source norms, and ``C_N``; ``constants``, its
+    ProblemConstants, is None when f or a0 vanishes, q lies outside the
+    theta window or C_N <= 0.  ``op``, the stencil of A, is built from A
     with the data, so ``replace(data, A=...)`` rebuilds it.
     """
 
@@ -126,7 +127,7 @@ class SolveData:
     model: HModel
     norms: dict
     C_N: float
-    report: CriticalReport | None = None
+    constants: ProblemConstants | None = None
     ball_radius: float | None = None
     op: DiffusionOperator = field(init=False)
 
@@ -292,19 +293,19 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig,
 
 def _estimate_slack(dw, dW, data: SolveData, delta: float) -> float:
     """Slack of the a priori energy estimate, profile bound minus alpha|DW|,
-    from the energies dw = |Dw| of the input and dW = |DW| of the output.
+    from the energies dw = |Dw| of the input and dW = |DW| of the output;
+    its term curvature * dw^(1+theta) enters only with ``data.constants``.
 
     Nonnegative (up to solver tolerance) for every exact inner solve because
     the discrete Hoelder and Sobolev steps are exact with the discrete
     constants.
     """
-    norms, C_N, rep = data.norms, data.C_N, data.report
+    norms, C_N, c = data.norms, data.C_N, data.constants
     bound = norms["f_Hm1"] \
         + delta * C_N**2 * norms["f_N2"] * dw \
         + C_N**2 * norms["a0_N2"] * dw
-    if rep is not None:  # a report exists only when |a0|_q > 0
-        bound += rep.G * C_N ** (2.0 + rep.theta) * norms["a0_q"] \
-            * dw ** (1.0 + rep.theta)
+    if c is not None:
+        bound += c.curvature * dw ** (1.0 + c.theta)
     return bound - data.A.alpha * dW
 
 

@@ -8,6 +8,7 @@ inequalities are exact in real arithmetic while double precision is not.
 The checks whose bounds scale with the model constants or the exponents
 evaluate in extended arithmetic: a bound that overflows gives an infinite or
 NaN margin, which fails unless it is +inf, without a floating-point warning.
+The model checks read gamma and c0 from the ``HModel`` and draw A >= alpha.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def _sampled_model(model: HModel, rng, n) -> HModel:
     return replace(model, mu=rng.choice(np.ravel(model.mu), n))
 
 
-def _sample_k_values(model, rng, n, delta):
-    mats = random_spd_matrices(rng, n, 2)
+def _sample_k_values(model, alpha, rng, n, delta):
+    mats = random_spd_matrices(rng, n, 2, alpha_min=alpha)
     zetas = rng.standard_normal((n, 2)) * rng.uniform(0.0, 3.0, (n, 1))
     zetas[rng.random(n) < 0.02] = 0.0
     t = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)
@@ -106,15 +107,16 @@ def _sample_k_values(model, rng, n, delta):
     grad_sq = np.einsum("ni,ni->n", zetas, zetas)
     kv = transformed_terms(t, a_quad, grad_sq, delta,
                            _sampled_model(model, rng, n))[0]
-    return kv, a_quad, t
+    return kv, a_quad
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_k_two_sided(model: HModel, gamma, c0, rng, n=10_000,
+def check_k_two_sided(model: HModel, alpha, rng, n=10_000,
                       delta=None) -> CheckResult:
     """Two-sided squeeze -(|delta-gamma|) A z.z <= K <= (c0+delta) A z.z."""
+    gamma, c0 = model.gamma_cert, model.c0_cert
     delta = float(delta if delta is not None else rng.uniform(0.05, 3.0))
-    kv, a_quad, _ = _sample_k_values(model, rng, n, delta)
+    kv, a_quad = _sample_k_values(model, alpha, rng, n, delta)
     slack = REL_SLACK * (c0 + delta) * a_quad
     upper = (c0 + delta) * a_quad + slack - kv
     lower = kv + abs(delta - gamma) * a_quad + slack
@@ -125,12 +127,13 @@ def check_k_two_sided(model: HModel, gamma, c0, rng, n=10_000,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_k_nonnegative(model: HModel, gamma, c0, rng, n=10_000,
+def check_k_nonnegative(model: HModel, alpha, rng, n=10_000,
                         delta=None) -> CheckResult:
     """One-sided bound 0 <= K <= (c0+delta) A z.z for delta >= gamma."""
+    gamma = model.gamma_cert
     delta = float(delta if delta is not None else gamma * rng.uniform(1.0, 3.0))
-    kv, a_quad, _ = _sample_k_values(model, rng, n, delta)
-    slack = REL_SLACK * (c0 + delta) * a_quad
+    kv, a_quad = _sample_k_values(model, alpha, rng, n, delta)
+    slack = REL_SLACK * (model.c0_cert + delta) * a_quad
     worst = float(np.min(kv + slack))
     return CheckResult(
         f"nonnegativity of gradient term (delta={delta:.3g} >= gamma)",
@@ -176,10 +179,11 @@ def check_g_growth(c: ProblemConstants, rng, n=10_000) -> CheckResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_certificate(model: HModel, gamma, c0, rng, alpha_min=0.5) -> CheckResult:
+def check_certificate(model: HModel, alpha, rng) -> CheckResult:
     """Sampled growth certificate -c0 A x.x <= H sign(s) <= gamma A x.x."""
+    gamma, c0 = model.gamma_cert, model.c0_cert
     n = 10_000
-    mats = random_spd_matrices(rng, n, 2, alpha_min=alpha_min)
+    mats = random_spd_matrices(rng, n, 2, alpha_min=alpha)
     xis = rng.standard_normal((n, 2)) * rng.uniform(0.0, 3.0, (n, 1))
     s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)
     s[rng.random(n) < 0.05] = 0.0

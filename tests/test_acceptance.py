@@ -123,9 +123,8 @@ def test_criterion_02_pointwise_bound_suite():
     ok = True
     details = []
     for model in CATALOG:
-        gamma, c0 = model.gamma_cert, model.c0_cert
-        r1 = check_k_two_sided(model, gamma, c0, rng, n=10_000)
-        r2 = check_k_nonnegative(model, gamma, c0, rng, n=10_000)
+        r1 = check_k_two_sided(model, 0.5, rng, n=10_000)
+        r2 = check_k_nonnegative(model, 0.5, rng, n=10_000)
         ok = ok and r1.ok and r2.ok
         details.append(f"{model.kind}:{min(r1.worst, r2.worst):.1e}")
     r3 = check_g_identity(rng, n=10_000)

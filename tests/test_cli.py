@@ -903,6 +903,19 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "[FAIL] growth certificate" in text
 
+    def test_k_checks_sample_a_above_alpha(self, tmp_path, capsys):
+        # mu |xi|^2 meets the certificate only for A >= mu / min(gamma, c0):
+        # mu = 0.18 is within alpha min(gamma, c0) = 0.2, so the data solves,
+        # and the K checks must not draw A below alpha = 1 to refute it
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["H"] = {"kind": "mu_gradsq", "mu": 0.18}
+        path = write_cfg(tmp_path, cfg)
+        assert experiment_from_file(path).data.model.analytic_certificate_ok(1.0)
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] two-sided gradient-term bound" in out
+        assert "[PASS] nonnegativity of gradient term" in out
+
     def test_verify_with_f_from_csv(self, tmp_path, capsys):
         # a CSV field has no coarse version, so the cross-check is skipped
         cfg = load_benchmark("benchmark_1d.json")

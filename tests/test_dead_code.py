@@ -4,7 +4,8 @@ the tests.  Every defaulted parameter of a package function is passed by some
 call in the package, the harness or the tests; one nobody sets is a constant.
 Every parameter of a package function is read by its body.  A ``ScalarField``
 is built only where nodal data enters or a solution leaves.  Only ``config``
-reads inside the raw config document."""
+reads inside the raw config document.  The solver reads the problem's
+constants, never the constants command's report."""
 
 import ast
 import pathlib
@@ -142,6 +143,17 @@ def test_scalar_fields_are_built_only_where_data_enters_or_leaves():
                                                  for lo, hi in allowed):
                 misplaced.append(f"{path.name}:{node.lineno}")
     assert not misplaced, f"ScalarField built outside {sorted(FIELD_BUILDERS)}: {misplaced}"
+
+
+def test_solver_reads_no_report():
+    """The a priori estimate takes theta and the curvature from
+    ``ProblemConstants``; the ``CriticalReport`` is an output record."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    reads = [f"solver.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "CriticalReport")
+             or (isinstance(node, ast.Attribute) and node.attr == "report")
+             or (isinstance(node, ast.alias) and node.name == "CriticalReport")]
+    assert not reads, f"the solver reads the critical report: {reads}"
 
 
 def test_only_config_reads_the_raw_document():

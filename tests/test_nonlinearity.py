@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -260,10 +261,10 @@ class TestHModelCatalog:
         assert not bad_mu.analytic_certificate_ok(alpha=1.0)
 
     def test_sampled_certificate_flags_violation(self, rng):
-        ok = check_certificate(MU, 0.5, 0.3, rng, alpha_min=1.0)
+        ok = check_certificate(MU, 1.0, rng)
         assert ok.ok
         bad = HModel(kind="mu_gradsq", mu=2.0, gamma_cert=0.5, c0_cert=0.3)
-        res = check_certificate(bad, 0.5, 0.3, rng, alpha_min=1.0)
+        res = check_certificate(bad, 1.0, rng)
         assert not res.ok
 
     def test_mu_zero_s_flag(self):
@@ -306,33 +307,31 @@ class TestTransformedGradientTerm:
 
     def test_two_sided_bound_catalog(self, rng):
         for model in CATALOG:
-            res = check_k_two_sided(model, model.gamma_cert, model.c0_cert,
-                                    rng, n=10_000)
+            res = check_k_two_sided(model, 0.5, rng, n=10_000)
             assert res.ok, res.line()
 
     def test_nonnegative_above_gamma(self, rng):
         for model in CATALOG:
-            res = check_k_nonnegative(model, model.gamma_cert, model.c0_cert,
-                                      rng, n=10_000)
+            res = check_k_nonnegative(model, 0.5, rng, n=10_000)
             assert res.ok, res.line()
 
     def test_two_sided_bound_flags_understated_c0(self):
         # H = -0.3 tanh(s) A xi.xi needs c0 >= 0.3; passing 0 must fail
         model = HModel(kind="shape_times_quadratic", shape="tanh", coeff=-0.3,
                        gamma_cert=0.5, c0_cert=0.3)
-        bad = check_k_two_sided(model, 0.5, 0.0, np.random.default_rng(3),
-                                delta=0.3)
+        bad = check_k_two_sided(replace(model, c0_cert=0.0), 0.5,
+                                np.random.default_rng(3), delta=0.3)
         assert not bad.ok and bad.worst < -1.0, bad.line()
-        good = check_k_two_sided(model, 0.5, 0.3, np.random.default_rng(3),
+        good = check_k_two_sided(model, 0.5, np.random.default_rng(3),
                                  delta=0.3)
         assert good.ok, good.line()
 
     def test_nonnegativity_flags_delta_below_gamma(self):
         # the extremal model's K is negative for delta below its coefficient
-        bad = check_k_nonnegative(EXTREMAL, 0.5, 0.2, np.random.default_rng(3),
+        bad = check_k_nonnegative(EXTREMAL, 0.5, np.random.default_rng(3),
                                   delta=0.4)
         assert not bad.ok and bad.worst < -1.0, bad.line()
-        good = check_k_nonnegative(EXTREMAL, 0.5, 0.2, np.random.default_rng(3),
+        good = check_k_nonnegative(EXTREMAL, 0.5, np.random.default_rng(3),
                                    delta=0.5)
         assert good.ok, good.line()
 

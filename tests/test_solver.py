@@ -135,6 +135,20 @@ class TestEstimateCheck:
                                       h1_seminorm(exp.grid, z),
                                       exp.data, 0.5) == 0.0
 
+    def test_linear_bound_without_constants(self):
+        # a0 = 0 leaves the data without constants (|a0|_q must be positive),
+        # so the bound is the linear part alone, evaluated in the same order
+        exp = make_exp(n=48, a0_value=0.0, delta=0.5)
+        assert exp.problem_constants is None and exp.data.constants is None
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        norms, C_N = exp.data.norms, exp.data.C_N
+        assert norms["f_Hm1"] > 0.0 and norms["a0_N2"] == 0.0
+        for rec in trace.records:
+            dw = rec.grad_norm_w
+            bound = norms["f_Hm1"] + 0.5 * C_N**2 * norms["f_N2"] * dw \
+                + C_N**2 * norms["a0_N2"] * dw
+            assert rec.estimate_slack == bound - exp.data.A.alpha * rec.grad_norm_W
+
     def test_ball_preservation(self):
         # inputs inside the energy ball map to outputs inside the ball
         exp = make_exp(n=48)

@@ -1,9 +1,9 @@
 """Command-line entry points: constants | check | solve | sweep | verify.
 
-Exit-code contract: 0 success, 2 config error, 3 smallness violation,
-4 solver non-convergence, 5 invariant violation.  All reports are JSON (or
-CSV for fields and sweep tables) with deterministic content for a fixed
-config and seed; no timestamps, sorted keys.
+Exit-code contract: 0 success, 2 config error or unwritable output,
+3 smallness violation, 4 solver non-convergence, 5 invariant violation.
+All reports are JSON (or CSV for fields and sweep tables) with deterministic
+content for a fixed config and seed; no timestamps, sorted keys.
 """
 
 from __future__ import annotations
@@ -44,11 +44,14 @@ EXIT_SMALLNESS = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INVARIANT = 5
 
-# exit code and stderr prefix of an error escaping a command; first match wins
+# exit code and stderr prefix of an error escaping a command; first match wins.
+# The inputs are read by `config`, which maps their OSErrors to ConfigError,
+# so an OSError here is an output location that cannot be written.
 _EXIT_TABLE = (
     (SmallnessViolated, EXIT_SMALLNESS, "smallness violation"),
     (SolverFailure, EXIT_NONCONVERGENCE, "solver non-convergence"),
     (QuadgradError, EXIT_CONFIG, "config error"),
+    (OSError, EXIT_CONFIG, "cannot write output"),
 )
 
 
@@ -183,7 +186,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     exp = _constants_experiment(args)
-    c, report = exp.problem_constants, exp.report
+    c, report = exp.data.constants, exp.report
     d0 = report.delta0
     out_dir = args.out or exp.out_dir
     rows = []
@@ -268,8 +271,8 @@ def _equivalence_crosscheck(exp: Experiment):
                 # inadmissible data is a verdict, not an invariant violation
                 # (the check command reports it with its own exit code)
                 return skipped(exc)
-            cfg = coarse.solver_cfg  # one solve at the schedule's top height
-            cfg = replace(cfg, k=max(cfg.k_schedule or (cfg.k,)), k_schedule=())
+            cfg = coarse.solver_cfg  # one solve, at the schedule's last height
+            cfg = replace(cfg, k_schedule=cfg.k_schedule[-1:])
             w, _, _ = k_continuation(coarse.data, cfg, relaxed_heights=0)
             residuals.append(original_residual(w.values, coarse.data, cfg.delta))
     except QuadgradError as exc:
@@ -319,8 +322,8 @@ def cmd_verify(args):
     results.append(validate.check_sobolev_holds(exp.grid, p_star, data.C_N, rng))
     results.append(validate.check_dual_norm(exp.grid, rng))
     if exp.report is not None:
-        results.append(validate.check_g_growth(exp.problem_constants, rng))
-        results.extend(validate.constants_cross_checks(exp.problem_constants, rng))
+        results.append(validate.check_g_growth(data.constants, rng))
+        results.extend(validate.constants_cross_checks(data.constants, rng))
         results.append(_equivalence_crosscheck(exp))
     else:
         why = f"constants not computable: {exp.constants_error}"
@@ -380,7 +383,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except QuadgradError as exc:
+    except (QuadgradError, OSError) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_TABLE
                             if isinstance(exc, kind))
         print(f"{prefix}: {exc}{_work_so_far(exc)}", file=sys.stderr)

@@ -67,7 +67,6 @@ class Experiment:
     grid: Grid
     data: SolveData
     solver_cfg: SolverConfig | None
-    problem_constants: ProblemConstants | None
     report: CriticalReport | None
     delta_mode: str
     n_ladder: tuple
@@ -81,7 +80,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -151,10 +150,7 @@ def _solver_knobs(sspec: dict) -> dict:
 def _resolve_path(base_dir, path):
     if not isinstance(path, str):
         raise ConfigError(f"file path must be a string, got {path!r}")
-    full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-    if not os.path.exists(full):
-        raise ConfigError(f"referenced file does not exist: {full}")
-    return full
+    return os.path.join(base_dir, path)  # an absolute path discards base_dir
 
 
 def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
@@ -169,8 +165,8 @@ def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
         from_csv.append(name)
         try:
             return read_field_csv(path, grid).values
-        except FieldValidationError as exc:
-            # a malformed file, or one written on another grid
+        except (FieldValidationError, OSError, UnicodeError) as exc:
+            # an unreadable or malformed file, or one written on another grid
             raise ConfigError(f"{name}.csv: {exc}") from exc
     if "expr" in spec:
         expr = _block(spec["expr"], f"{name}.expr", EXPRESSION_KEYS, ("kind",))
@@ -188,7 +184,7 @@ def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
 def _build_matrix_field(spec, grid, alpha) -> MatrixField:
     """problem.A as its per-axis diagonal entries, the only A the stencil
     represents; an entry below alpha is left to ``MatrixField``."""
-    kinds = {"identity": ("scale",), "diagonal": ("entries",), "constant": ("matrix",)}
+    kinds = {"identity": ("scale",), "diagonal": ("entries",)}
     kind = _block(spec, "problem.A", kinds).get("kind", "identity")
     d = grid.dim
     if alpha <= 0:
@@ -196,19 +192,11 @@ def _build_matrix_field(spec, grid, alpha) -> MatrixField:
     try:
         if kind == "identity":
             entries = (_number(spec.get("scale", 1.0), "problem.A.scale"),) * d
-        elif kind == "diagonal":
+        else:  # diagonal
             entries = _numbers(spec["entries"], "problem.A.entries")
             if len(entries) != d:
                 raise ConfigError(
                     f"diagonal coefficient needs {d} entries, got {len(entries)}")
-        else:  # constant
-            matrix = np.array([_numbers(row, "problem.A.matrix")
-                               for row in spec["matrix"]])
-            if matrix.shape != (d, d) or np.any(matrix[~np.eye(d, dtype=bool)]):
-                raise ConfigError(
-                    f"constant coefficient matrix must be diagonal and {d}x{d}, "
-                    f"as the {2 * d + 1}-point stencil requires; got {matrix.tolist()}")
-            entries = np.diag(matrix)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed coefficient matrix spec: {exc}") from exc
     return MatrixField(grid, entries, alpha=alpha)
@@ -400,7 +388,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
 
     return Experiment(
         raw=cfg, seed=seed, grid=grid, data=data,
-        solver_cfg=solver_cfg, problem_constants=constants, report=report,
+        solver_cfg=solver_cfg, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
         out_dir=out_dir, n_ladder=n_ladder, from_csv=tuple(from_csv),
         constants_error=str(constants_error) if constants_error else None,

@@ -57,7 +57,7 @@ class CheckResult:
         return cls(name, True, math.nan, f"skipped: {why}")
 
 
-def random_spd_matrices(rng, n, dim, alpha_min=0.5):
+def random_spd_matrices(rng, n, dim, alpha_min):
     """SPD matrices 2 m m^T + alpha_min I, m standard normal, so the
     smallest eigenvalue is >= alpha_min.
 

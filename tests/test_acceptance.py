@@ -131,7 +131,7 @@ def test_criterion_02_pointwise_bound_suite():
     r4 = check_g_envelope(rng, n=10_000)
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
-    c = exp.problem_constants
+    c = exp.data.constants
     r5 = check_g_growth(c, rng, n=10_000)
     elapsed = time.monotonic() - t0
     ok = ok and r3.ok and r4.ok and r5.ok and elapsed < 5.0
@@ -142,7 +142,7 @@ def test_criterion_02_pointwise_bound_suite():
 def test_criterion_03_transform():
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
-    c = exp.problem_constants
+    c = exp.data.constants
     d0, _ = solve_delta0(c)
     gamma = c.gamma
     u = np.linspace(-20.0, 20.0, 2001)
@@ -296,7 +296,7 @@ def test_criterion_08_equivalence_refinement():
 def test_criterion_09_frontier_structure():
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
-    c = exp.problem_constants
+    c = exp.data.constants
     d0, zd0 = solve_delta0(c)
     ds = np.linspace(c.gamma, delta1(c), 60)
     phis = [phi_at_min(float(d), c) for d in ds]

@@ -495,6 +495,84 @@ class TestExitCodes:
         assert captured.err.startswith("config error: f.csv: ")
         assert message in captured.err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "cfg.json")
+        with open(path, "wb") as fh:
+            fh.write(b'{"seed": "\xff"}')
+        assert main(["constants", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {path}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("entry", ["directory", "not-utf8"])
+    def test_unreadable_csv_field_exits_2(self, tmp_path, capsys, command,
+                                          entry):
+        path = os.path.join(tmp_path, "f.csv")
+        if entry == "directory":
+            os.mkdir(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(b"64,0.015384615384615385\n\xff\n")
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["grid"]["n"] = [64]
+        cfg["problem"]["f"] = {"csv": "f.csv"}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL]" not in captured.out
+        assert captured.err.startswith("config error: f.csv: ")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    @pytest.mark.parametrize("via", ["--out", "report.out_dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, via):
+        # an existing file where the output directory should go
+        taken = os.path.join(tmp_path, "taken")
+        open(taken, "w").close()
+        cfg = load_benchmark("benchmark_1d.json")
+        out = ["--out", taken]
+        if via == "report.out_dir":
+            cfg["report"]["out_dir"] = taken
+            out = []
+        assert main([command, "--config", write_cfg(tmp_path, cfg), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert repr(taken) in err
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    def test_constant_matrix_spelling_exits_2(self, tmp_path, capsys, command):
+        # problem.A is "identity" or "diagonal"; the matrix spelling is
+        # refused even where it writes a diagonal A
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["problem"]["A"] = {"kind": "constant",
+                               "matrix": [[1.0, 0.0], [0.0, 1.25]]}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert captured.err == ("config error: unknown kind 'constant' in "
+                                "problem.A block\n")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
+    def test_negative_a0_exits_2(self, tmp_path, capsys, command):
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["a0"] = {"expr": {"kind": "constant", "value": -0.2}}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "config error: a0 must be nonnegative\n"
+
+    def test_delta0_solve_without_constants_exits_2(self, tmp_path, capsys):
+        # a0 = 0 leaves no constants, so there is no delta0 to solve at
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["a0"] = {"expr": {"kind": "constant", "value": 0.0}}
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: solver.delta = 'delta0' needs admissible constants: "
+            "a0 must not vanish")
+        assert not os.path.exists(out)
+
     def test_solve_nonconvergence(self, tmp_path, capsys):
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config",
@@ -794,8 +872,7 @@ class TestVerifyCommand:
         # a well-formed A that breaks the declared coercivity is a failed
         # invariant, reported as data
         cfg = load_benchmark("benchmark_2d.json")
-        cfg["problem"]["A"] = {"kind": "constant",
-                               "matrix": [[1.0, 0.0], [0.0, 0.5]]}
+        cfg["problem"]["A"] = {"kind": "diagonal", "entries": [1.0, 0.5]}
         assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 5
         out = capsys.readouterr().out
         assert out.startswith("[FAIL] field invariants")
@@ -879,6 +956,27 @@ class TestVerifyCommand:
         result = cli._equivalence_crosscheck(exp)
         assert result.ok and "under refinement" in result.detail
         assert len(counts) == 2 and max(counts) <= 15, counts
+
+    @pytest.mark.parametrize("edits, heights", [
+        ({}, [100000.0] * 2),
+        ({"k_schedule": [], "k": 2000.0}, [2000.0] * 2),
+    ], ids=["schedule", "single-height"])
+    def test_equivalence_crosscheck_solves_at_the_top_height(
+            self, tmp_path, monkeypatch, edits, heights):
+        # one solve per coarse grid, at the schedule's last height or at k
+        solved = []
+        outer = solver.outer_fixed_point
+
+        def recording(data, cfg, **kwargs):
+            solved.append(cfg.k)
+            return outer(data, cfg, **kwargs)
+
+        monkeypatch.setattr(solver, "outer_fixed_point", recording)
+        cfg = load_benchmark("benchmark_2d.json")
+        cfg["solver"].update(edits)
+        exp = experiment_from_file(write_cfg(tmp_path, cfg), for_solve=False)
+        assert cli._equivalence_crosscheck(exp).ok
+        assert solved == heights
 
     @pytest.mark.parametrize("name", ["benchmark_1d.json", "benchmark_2d.json"])
     def test_huge_coefficient_verifies(self, tmp_path, capsys, name):

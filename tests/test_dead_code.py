@@ -5,11 +5,17 @@ call in the package, the harness or the tests; one nobody sets is a constant.
 Every parameter of a package function is read by its body.  A ``ScalarField``
 is built only where nodal data enters or a solution leaves.  Only ``config``
 reads inside the raw config document.  The solver reads the problem's
-constants, never the constants command's report."""
+constants, never the constants command's report, and an ``Experiment`` holds
+those constants once, in ``data.constants``."""
 
 import ast
 import pathlib
 from collections import defaultdict
+from dataclasses import fields
+
+from conftest import config_path
+from quadgrad.config import experiment_from_file
+from quadgrad.constants import ProblemConstants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadgrad"
@@ -165,3 +171,11 @@ def test_only_config_reads_the_raw_document():
              if isinstance(node, (ast.Subscript, ast.Attribute))
              and isinstance(node.value, ast.Attribute) and node.value.attr == "raw"]
     assert not reads, f"the raw config document read outside config: {reads}"
+
+
+def test_experiment_holds_the_constants_once():
+    exp = experiment_from_file(config_path("benchmark_1d.json"), for_solve=False)
+    assert isinstance(exp.data.constants, ProblemConstants)
+    holders = [f.name for f in fields(exp)
+               if isinstance(getattr(exp, f.name), ProblemConstants)]
+    assert not holders, f"Experiment fields beside data.constants: {holders}"

@@ -402,7 +402,7 @@ class TestSampledMatrices:
         # bit for bit, and leaving the generator where the reference does
         for seed in range(6):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            mats = random_spd_matrices(rng, 10_000, dim)
+            mats = random_spd_matrices(rng, 10_000, dim, 0.5)
             ref = einsum_spd_matrices(ref_rng, 10_000, dim)
             assert mats.tobytes() == ref.tobytes()
             assert rng.random() == ref_rng.random()

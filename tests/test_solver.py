@@ -139,7 +139,7 @@ class TestEstimateCheck:
         # a0 = 0 leaves the data without constants (|a0|_q must be positive),
         # so the bound is the linear part alone, evaluated in the same order
         exp = make_exp(n=48, a0_value=0.0, delta=0.5)
-        assert exp.problem_constants is None and exp.data.constants is None
+        assert exp.data.constants is None
         _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
         norms, C_N = exp.data.norms, exp.data.C_N
         assert norms["f_Hm1"] > 0.0 and norms["a0_N2"] == 0.0

@@ -55,10 +55,18 @@ _EXIT_TABLE = (
 )
 
 
+def _out_dir(args, exp: Experiment):
+    """``--out``, else ``report.out_dir``, else None; created before any work,
+    so that an unwritable location fails first."""
+    out_dir = args.out or exp.out_dir
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
 def _dump_json(payload, out_dir, name):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text + "\n")
     return text
@@ -74,32 +82,33 @@ def _constants_experiment(args) -> Experiment:
 
 def cmd_constants(args):
     exp = _constants_experiment(args)
+    out_dir = _out_dir(args, exp)
     payload = {
         "report": exp.report.to_dict(),
         "norms": exp.data.norms,
         "exponents": exp.exponents,
         "seed": exp.seed,
     }
-    print(_dump_json(payload, args.out or exp.out_dir, "constants_report.json"))
+    print(_dump_json(payload, out_dir, "constants_report.json"))
     return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
 
 
 def cmd_check(args):
     exp = _constants_experiment(args)
+    out_dir = _out_dir(args, exp)
     a1, a3 = exp.report.smallness_A1, exp.report.smallness_A3
     payload = {
         "A1": {"holds": a1.holds, "margin": a1.margin},
         "A3": {"holds": a3.holds, "margin": a3.margin},
         "seed": exp.seed,
     }
-    print(_dump_json(payload, args.out or exp.out_dir, "smallness.json"))
+    print(_dump_json(payload, out_dir, "smallness.json"))
     return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
 
 
 def _write_trace(traces, out_dir):
     if not out_dir:
         return
-    os.makedirs(out_dir, exist_ok=True)
     # one encoder for every row; the rows stream into the file buffer rather
     # than being joined first, which would raise the peak memory
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -122,7 +131,6 @@ def _work_so_far(exc: QuadgradError):
 def _write_diagnostics(diag, ks, out_dir):
     if not out_dir:
         return
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "tail_energy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n"] + [repr(k) for k in ks])
@@ -138,7 +146,7 @@ def _write_diagnostics(diag, ks, out_dir):
 
 def cmd_solve(args):
     exp = experiment_from_file(args.config)
-    out_dir = args.out or exp.out_dir
+    out_dir = _out_dir(args, exp)
     data, cfg = exp.data, exp.solver_cfg
     try:
         w_star, diag, traces = k_continuation(data, cfg, n_ladder=exp.n_ladder)
@@ -151,7 +159,6 @@ def cmd_solve(args):
     w_vals = w_star.values
     u_vals = transform_inverse(w_vals, cfg.delta)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         write_field_csv(exp.grid, w_vals, os.path.join(out_dir, "solution_w.csv"))
         write_field_csv(exp.grid, u_vals, os.path.join(out_dir, "solution_u.csv"))
     lhs, rhs, gap = norm_identity_gap(exp.grid, u_vals, cfg.delta,
@@ -188,7 +195,7 @@ def cmd_sweep(args):
     exp = _constants_experiment(args)
     c, report = exp.data.constants, exp.report
     d0 = report.delta0
-    out_dir = args.out or exp.out_dir
+    out_dir = _out_dir(args, exp)
     rows = []
     if args.mode == "delta":
         for d in np.linspace(c.gamma, report.delta1, args.points):
@@ -224,7 +231,6 @@ def cmd_sweep(args):
                 rows.append(row)
         fields = ["f_scale", "a0_scale", "A1_margin", "A3_margin",
                   "admissible", "delta0", "status"]
-    target = os.path.join(out_dir, "sweep.csv") if out_dir else None
     lines = [",".join(fields)]
     for row in rows:
         lines.append(",".join(
@@ -232,9 +238,8 @@ def cmd_sweep(args):
             (repr(row[k]) if isinstance(row.get(k), float) else str(row[k]))
             for k in fields))
     text = "\n".join(lines)
-    if target:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(target, "w") as fh:
+    if out_dir:
+        with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
@@ -262,17 +267,16 @@ def _equivalence_crosscheck(exp: Experiment):
                        f"{tuple(shapes[0])} at both scales")
     residuals = []
     try:
-        for n_override in shapes:
+        for shape in shapes:
             try:
-                coarse = build_experiment(exp.raw, overrides={
-                    "n": n_override,
-                    "solver": {"rho": 0.5, "outer_tol": 1e-9, "max_outer": 500}})
+                coarse = build_experiment(exp.raw, n=shape)
             except SmallnessViolated as exc:
                 # inadmissible data is a verdict, not an invariant violation
                 # (the check command reports it with its own exit code)
                 return skipped(exc)
-            cfg = coarse.solver_cfg  # one solve, at the schedule's last height
-            cfg = replace(cfg, k_schedule=cfg.k_schedule[-1:])
+            # one solve at the schedule's last height, with the check's own stop
+            cfg = replace(coarse.solver_cfg, rho=0.5, outer_tol=1e-9, max_outer=500,
+                          k_schedule=coarse.solver_cfg.k_schedule[-1:])
             w, _, _ = k_continuation(coarse.data, cfg, relaxed_heights=0)
             residuals.append(original_residual(w.values, coarse.data, cfg.delta))
     except QuadgradError as exc:
@@ -302,6 +306,7 @@ def cmd_verify(args):
     seed = exp.seed if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    out_dir = _out_dir(args, exp)
     rng = np.random.default_rng(seed)
     results = []
     data = exp.data
@@ -335,8 +340,7 @@ def cmd_verify(args):
     # a skipped check's NaN margin is written as null: JSON has no NaN
     payload = [{**vars(r), "worst": r.worst if math.isfinite(r.worst) else None}
                for r in results]
-    _dump_json({"checks": payload, "seed": seed},
-               args.out or exp.out_dir, "verify_report.json")
+    _dump_json({"checks": payload, "seed": seed}, out_dir, "verify_report.json")
     return EXIT_OK if all(r.ok for r in results) else EXIT_INVARIANT
 
 
@@ -368,7 +372,7 @@ def build_parser():
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
         if name == "verify":
-            # only verify samples; it overrides the config's seed
+            # only verify samples; its --seed replaces the config's seed
             p.add_argument("--seed", type=int, default=None)
         if name == "sweep":
             p.add_argument("--mode", choices=("delta", "scales"),

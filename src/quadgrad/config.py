@@ -138,12 +138,15 @@ def _finite(name, compute, *args, **kwargs):
 
 def _solver_knobs(sspec: dict) -> dict:
     """SolverConfig keyword arguments except delta, type-checked; each knob
-    takes the type and the default of its SolverConfig field."""
+    takes the type and the default of its SolverConfig field.  ``k`` is the
+    one-height schedule (k,) unless ``k_schedule`` is nonempty."""
+    k = _number(sspec["k"], "solver.k") if "k" in sspec else None
     knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
                              type(f.default))
              for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
-    knobs["k_schedule"] = _numbers(sspec.get("k_schedule", ()),
-                                   "solver.k_schedule")
+    schedule = _numbers(sspec.get("k_schedule", ()), "solver.k_schedule")
+    if schedule or k is not None:
+        knobs["k_schedule"] = schedule or (k,)
     return knobs
 
 
@@ -165,7 +168,7 @@ def _build_scalar_field(spec, grid, base_dir, name, from_csv) -> np.ndarray:
         from_csv.append(name)
         try:
             return read_field_csv(path, grid).values
-        except (FieldValidationError, OSError, UnicodeError) as exc:
+        except (FieldValidationError, OSError) as exc:
             # an unreadable or malformed file, or one written on another grid
             raise ConfigError(f"{name}.csv: {exc}") from exc
     if "expr" in spec:
@@ -232,38 +235,32 @@ def _build_model(spec, grid, base_dir, gamma, c0, alpha, from_csv,
     return model
 
 
-def build_experiment(cfg: dict, base_dir: str = ".",
-                     overrides: dict | None = None,
+def build_experiment(cfg: dict, base_dir: str = ".", n=None,
                      for_solve: bool = True) -> Experiment:
     """Assemble and validate an experiment from a config dict.
 
-    Every entry is checked, whatever the command.  `overrides` may replace the
-    grid resolution ({"n": [..]}) and solver knobs without editing the
-    document, which the refinement studies rely on.  ``solver_cfg`` is built
+    Every entry is checked, whatever the command.  ``n``, a list of node
+    counts per axis, stands in for ``problem.grid.n`` and is checked the
+    same way; the document itself is never written, so refinement studies
+    rebuild one config at several resolutions.  ``solver_cfg`` is built
     whenever delta is known: an explicit value, or delta0 of admissible data.
     ``for_solve`` adds the two checks only a solve needs: delta0 mode refuses
     inadmissible data with ``SmallnessViolated``, and the nonlinearity must
     meet its growth certificate.  Without them, constants-only commands and
     ``verify`` can inspect configs that fail either.
     """
-    if overrides:
-        cfg = json.loads(json.dumps(cfg))
-        if "n" in overrides:
-            cfg["problem"]["grid"]["n"] = overrides["n"]
-        for key, val in overrides.get("solver", {}).items():
-            cfg.setdefault("solver", {})[key] = val
     _block(cfg, "top-level", ("constants", "solver", "report", "seed"), ("problem",))
     problem = _block(cfg["problem"], "problem", ("exponent_pair",), (
         "grid", "A", "f", "a0", "H", "alpha", "gamma", "c0", "q", "N"))
     gspec = _block(problem["grid"], "problem.grid", (), ("extents", "n"))
     sspec = _block(cfg.get("solver", {}), "solver",
-                   [f.name for f in fields(SolverConfig)])
+                   ["k", *(f.name for f in fields(SolverConfig))])
     cspec = _block(cfg.get("constants", {}), "constants",
                    ("C_N", "declared_norms", "root_tol"))
     rspec = _block(cfg.get("report", {}), "report", ("n_ladder", "y_deltas", "out_dir"))
     try:
         grid = Grid(_numbers(gspec["extents"], "problem.grid.extents"),
-                    _numbers(gspec["n"], "problem.grid.n", int))
+                    _numbers(gspec["n"] if n is None else n, "problem.grid.n", int))
     except FieldValidationError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
@@ -304,7 +301,7 @@ def build_experiment(cfg: dict, base_dir: str = ".",
     # the knobs' range rules apply whether or not delta is ever resolved;
     # gamma, which the model has checked positive, stands in for it
     knob_cfg = SolverConfig(delta=gamma, **knobs)
-    if knob_cfg.k_schedule and "k" in sspec:  # the schedule sets every height
+    if sspec.get("k_schedule") and "k" in sspec:  # the schedule sets every height
         raise ConfigError("solver.k and a nonempty solver.k_schedule exclude "
                           "each other; give one of the two")
 

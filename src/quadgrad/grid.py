@@ -427,8 +427,8 @@ def read_field_csv(path, grid: Grid | None = None) -> ScalarField:
     """Read a field CSV; reconstructs the grid from the header if not given."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        try:
+        try:  # a ValueError here includes bytes that are not UTF-8
+            header = next(reader, [])
             flat = np.array([float(row[0]) for row in reader if row])
         except ValueError as exc:
             raise FieldValidationError(f"field file {path}: {exc}") from exc

@@ -38,7 +38,7 @@ discrete inequality when the constants are the discrete ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -72,6 +72,8 @@ from .nonlinearity import (
 class SolverConfig:
     """Knobs of the fixed-point solve; delta is the resolved numeric value.
 
+    ``k_schedule`` holds the truncation heights, nonempty, positive and
+    increasing; a single solve at one height is a one-entry schedule.
     ``outer_tol`` bounds the Picard defect |D(W - w)|, an absolute energy;
     ``inner_tol`` bounds the inner Newton residual over |rhs(w)|, and
     ``cg_tol`` each Newton step's CG residual over the same |rhs(w)|,
@@ -80,22 +82,19 @@ class SolverConfig:
     """
 
     delta: float
-    k: float = 100.0
     rho: float = 0.5
     outer_tol: float = 1e-9
     inner_tol: float = 1e-11
     cg_tol: float = 1e-12
     max_outer: int = 200
     max_inner: int = 40
-    k_schedule: tuple = ()
+    k_schedule: tuple = (100.0,)
 
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise DomainError(f"relaxation must lie in (0, 1], got {self.rho}")
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.k <= 0:
-            raise DomainError(f"truncation height must be positive, got {self.k}")
         for name in ("outer_tol", "inner_tol", "cg_tol"):
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -103,7 +102,7 @@ class SolverConfig:
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
         ks = tuple(self.k_schedule)
-        if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        if not ks or any(b <= a for a, b in zip((0.0, *ks), ks)):
             raise DomainError(f"truncation schedule must be positive and increase, got {ks}")
 
 
@@ -214,10 +213,10 @@ class InnerResult:
     image: np.ndarray
 
 
-def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig,
+def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig, k: float,
                 x0=None, grad=None, image=None):
-    """Solve -div(A DW) + b sign_k(W) = rhs(w) by damped semismooth Newton;
-    w and the returned W are nodal arrays.
+    """Solve -div(A DW) + b sign_k(W) = rhs(w) at the truncation height k
+    by damped semismooth Newton; w and the returned W are nodal arrays.
 
     The zeroth-order term is monotone nondecreasing, so the solution is
     unique and independent of the start.  The Newton matrix is the operator
@@ -235,7 +234,7 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig,
     result counts the Newton steps, the CG iterations of all of them and the
     line-search halvings.
     """
-    delta, k = cfg.delta, cfg.k
+    delta = cfg.delta
     try:
         with np.errstate(over="raise", invalid="raise"):
             b, rhs = inner_coefficients(data, w, delta, k, grad)
@@ -473,11 +472,11 @@ class _AndersonStep:
         return self.relaxed(w, W, grad_W, grad_D, defect)
 
 
-def outer_fixed_point(data: SolveData, cfg: SolverConfig, anderson=False):
+def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float, anderson=False):
     """Relaxed Picard iteration on the inner solution map at the truncation
-    height ``cfg.k``, started at zero.  With ``anderson`` true and a ball
-    radius to guard it, the step is Anderson mixing (``_AndersonStep``)
-    instead; the rule is chosen once, before the first iteration.
+    height k, started at zero.  With ``anderson`` true and a ball radius to
+    guard it, the step is Anderson mixing (``_AndersonStep``) instead; the
+    rule is chosen once, before the first iteration.
 
     The iterates w, the inner solutions W and their edge gradients are plain
     arrays; only the returned solution is wrapped in a ``ScalarField``.
@@ -498,7 +497,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, anderson=False):
             f"delta = {cfg.delta:g} below gamma = {gamma:g}: the inner "
             "zeroth-order coefficient would lose its sign"
         )
-    grid, k = data.grid, float(cfg.k)
+    grid, k = data.grid, float(k)
     trace = IterationTrace(k=k)
     if anderson and data.ball_radius is not None:
         step = _AndersonStep(grid, cfg.rho, data.ball_radius, trace)
@@ -512,7 +511,7 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, anderson=False):
     W = image = None
     for m in range(cfg.max_outer + 1):
         try:
-            W, inner = inner_solve(w, data, cfg, x0=W, grad=grad_w, image=image)
+            W, inner = inner_solve(w, data, cfg, k, x0=W, grad=grad_w, image=image)
         except SolverFailure as exc:
             exc.traces = [trace]
             raise
@@ -582,7 +581,7 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
     A SolverFailure leaves with ``traces``: the finished heights' traces,
     then the failing height's partial one.
     """
-    schedule = tuple(cfg.k_schedule) or (cfg.k,)
+    schedule = tuple(cfg.k_schedule)
     n_ladder = tuple(n_ladder)
     grid = data.grid
     solutions = []
@@ -595,8 +594,7 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
     mixed = len(schedule) - relaxed_heights
     for kidx, k in enumerate(schedule):
         try:
-            w_k, trace = outer_fixed_point(data, replace(cfg, k=k),
-                                           anderson=kidx < mixed)
+            w_k, trace = outer_fixed_point(data, cfg, k, anderson=kidx < mixed)
         except SolverFailure as exc:
             exc.traces = traces + exc.traces
             raise

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -123,10 +122,6 @@ def benchmark_constants():
     )
 
 
-def solver_overrides(**kw):
-    return {"solver": kw}
-
-
 @pytest.fixture(scope="session", params=["1d", "2d"])
 def anderson_solve(request):
     """One Anderson-mixed height at the top of a benchmark config's
@@ -134,6 +129,6 @@ def anderson_solve(request):
     solver config, solution, trace)."""
     label = request.param
     exp = build_experiment(load_benchmark(f"benchmark_{label}.json"))
-    cfg = replace(exp.solver_cfg, k=exp.solver_cfg.k_schedule[-1])
-    w, trace = outer_fixed_point(exp.data, cfg, anderson=True)
+    cfg = exp.solver_cfg
+    w, trace = outer_fixed_point(exp.data, cfg, cfg.k_schedule[-1], anderson=True)
     return label, exp.data, cfg, w, trace

@@ -178,7 +178,8 @@ def test_criterion_04_linear_oracle():
                    "outer_tol": 1e-12, "inner_tol": 1e-12, "max_outer": 400},
     }
     exp = build_experiment(cfg)
-    w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+    w, trace = outer_fixed_point(exp.data, exp.solver_cfg,
+                                 exp.solver_cfg.k_schedule[-1])
     u = transform_inverse(w.values, 0.5)
     xs = exp.grid.coords()[0]
     h = exp.grid.h[0]
@@ -281,10 +282,10 @@ def test_criterion_07_continuation_diagnostics(run_1d, run_2d):
 
 def test_criterion_08_equivalence_refinement():
     base = load_benchmark("benchmark_1d.json")
+    base["solver"]["k_schedule"] = [5000.0]
     res, hs = [], []
     for n in (64, 128, 256):
-        exp = build_experiment(base, overrides={
-            "n": [n], "solver": {"k_schedule": [5000.0]}})
+        exp = build_experiment(base, n=[n])
         w, diag, traces = k_continuation(exp.data, exp.solver_cfg)
         res.append(original_residual(w.values, exp.data, exp.solver_cfg.delta))
         hs.append(exp.grid.h[0])

@@ -407,6 +407,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_exits_2(self, tmp_path, capsys, command, k):
+        # k is the one-height schedule (k,), held to the schedule's rules
+        cfg = load_benchmark("benchmark_1d.json")
+        del cfg["solver"]["k_schedule"]
+        cfg["solver"]["k"] = k
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: truncation schedule must be positive and increase, "
+            f"got ({float(k)!r},)\n")
+
+    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
+                                         "verify"])
     def test_csv_beside_expr_exits_2(self, tmp_path, capsys, command):
         # the CSV field would be read and the expression silently ignored
         cfg = load_benchmark("benchmark_1d.json")
@@ -521,12 +534,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "[FAIL]" not in captured.out
         assert captured.err.startswith("config error: f.csv: ")
+        assert path in captured.err
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
     @pytest.mark.parametrize("via", ["--out", "report.out_dir"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, via):
-        # an existing file where the output directory should go
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      command, via):
+        # an existing file where the output directory should go: refused
+        # before any work, so nothing is solved and nothing is printed
+        solves = []
+
+        def refusing(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("solved before the output was checked")
+
+        monkeypatch.setattr(cli, "k_continuation", refusing)
         taken = os.path.join(tmp_path, "taken")
         open(taken, "w").close()
         cfg = load_benchmark("benchmark_1d.json")
@@ -535,7 +558,9 @@ class TestExitCodes:
             cfg["report"]["out_dir"] = taken
             out = []
         assert main([command, "--config", write_cfg(tmp_path, cfg), *out]) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and not solves
+        err = captured.err
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
         assert repr(taken) in err
 
@@ -742,6 +767,14 @@ class TestSolveCommand:
             cells += [cell for row in body for cell in row]
             for cell in cells:
                 assert repr(float(cell)) == cell
+
+    def test_without_heights_solves_at_the_default(self, tmp_path, capsys):
+        # neither k nor k_schedule: the SolverConfig default, one height
+        cfg = load_benchmark("benchmark_1d.json")
+        cfg["problem"]["grid"]["n"] = [48]
+        del cfg["solver"]["k_schedule"]
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["k_schedule"] == [100.0]
 
     def test_solve_determinism(self, small_1d, tmp_path, capsys):
         outs = []
@@ -957,26 +990,27 @@ class TestVerifyCommand:
         assert result.ok and "under refinement" in result.detail
         assert len(counts) == 2 and max(counts) <= 15, counts
 
-    @pytest.mark.parametrize("edits, heights", [
-        ({}, [100000.0] * 2),
-        ({"k_schedule": [], "k": 2000.0}, [2000.0] * 2),
+    @pytest.mark.parametrize("edits, height", [
+        ({}, 100000.0),
+        ({"k_schedule": [], "k": 2000.0}, 2000.0),
     ], ids=["schedule", "single-height"])
     def test_equivalence_crosscheck_solves_at_the_top_height(
-            self, tmp_path, monkeypatch, edits, heights):
-        # one solve per coarse grid, at the schedule's last height or at k
+            self, tmp_path, monkeypatch, edits, height):
+        # one solve per coarse grid, at the schedule's last height, with the
+        # cross-check's own rho, outer_tol and max_outer, not the config's
         solved = []
         outer = solver.outer_fixed_point
 
-        def recording(data, cfg, **kwargs):
-            solved.append(cfg.k)
-            return outer(data, cfg, **kwargs)
+        def recording(data, cfg, k, **kwargs):
+            solved.append((k, cfg.rho, cfg.outer_tol, cfg.max_outer))
+            return outer(data, cfg, k, **kwargs)
 
         monkeypatch.setattr(solver, "outer_fixed_point", recording)
         cfg = load_benchmark("benchmark_2d.json")
-        cfg["solver"].update(edits)
+        cfg["solver"].update(rho=0.7, outer_tol=1e-10, max_outer=300, **edits)
         exp = experiment_from_file(write_cfg(tmp_path, cfg), for_solve=False)
         assert cli._equivalence_crosscheck(exp).ok
-        assert solved == heights
+        assert solved == [(height, 0.5, 1e-9, 500)] * 2
 
     @pytest.mark.parametrize("name", ["benchmark_1d.json", "benchmark_2d.json"])
     def test_huge_coefficient_verifies(self, tmp_path, capsys, name):

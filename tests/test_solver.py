@@ -1,7 +1,8 @@
+import copy
 import json
 import os
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import dense_operator, load_benchmark
 from quadgrad import solver
 from quadgrad.config import build_experiment
-from quadgrad.errors import (DomainError, FieldValidationError,
+from quadgrad.errors import (ConfigError, DomainError, FieldValidationError,
                              MaxOuterIterations, NewtonStall)
 from quadgrad.grid import (DiffusionOperator, Grid, MatrixField, ScalarField,
                            energy_norm, gradient, h1_seminorm, node_average,
@@ -52,6 +53,11 @@ def make_exp(n=64, f_amp=1.0, a0_value=0.2, model=None, delta="delta0",
                              "solver": solver})
 
 
+def top_height(exp):
+    """The last truncation height of the experiment's schedule."""
+    return exp.solver_cfg.k_schedule[-1]
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -61,7 +67,23 @@ class TestSolverConfig:
         with pytest.raises(DomainError):
             SolverConfig(delta=-0.1)
         with pytest.raises(DomainError):
-            SolverConfig(delta=0.5, k=0.0)
+            SolverConfig(delta=0.5, k_schedule=(0.0,))
+        with pytest.raises(DomainError, match="truncation schedule"):
+            SolverConfig(delta=0.5, k_schedule=())
+
+    def test_the_schedule_is_the_one_height_field(self):
+        assert "k" not in {f.name for f in fields(SolverConfig)}
+        assert SolverConfig(delta=0.5).k_schedule == (100.0,)
+        # k beside an empty schedule is the one-height schedule (k,)
+        assert make_exp(n=16, k_schedule=[]).solver_cfg.k_schedule == (200.0,)
+
+    def test_grid_argument_leaves_the_document(self):
+        cfg = load_benchmark("benchmark_2d.json")
+        before = copy.deepcopy(cfg)
+        exp = build_experiment(cfg, n=[10, 12])
+        assert exp.grid.shape == (10, 12) and cfg == before
+        with pytest.raises(ConfigError, match="problem.grid.n must be an integer"):
+            build_experiment(cfg, n=[10, 12.5])
 
 
 class TestInnerSolve:
@@ -71,7 +93,8 @@ class TestInnerSolve:
                        model={"kind": "zero"}, delta=0.5)
         grid = exp.grid
         data = replace(exp.data, f=np.ones(grid.shape))
-        W, info = inner_solve(np.zeros(grid.shape), data, exp.solver_cfg)
+        W, info = inner_solve(np.zeros(grid.shape), data, exp.solver_cfg,
+                              top_height(exp))
         xs = grid.coords()[0]
         assert np.max(np.abs(W - xs * (1 - xs) / 2)) <= 1e-10
         assert info.residual <= 1e-12 * info.rhs_l2 * 1.01
@@ -80,15 +103,15 @@ class TestInnerSolve:
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
         W, info = inner_solve(np.zeros(exp.grid.shape), exp.data,
-                              exp.solver_cfg)
+                              exp.solver_cfg, top_height(exp))
         assert np.all(W == 0.0)
         assert info.iterations == 0
 
     def test_uniqueness_start_independence(self, rng):
         exp = make_exp(n=48)
         w = 0.05 * np.sin(2 * np.pi * exp.grid.coords()[0])
-        W1, _ = inner_solve(w, exp.data, exp.solver_cfg)
-        W2, _ = inner_solve(w, exp.data, exp.solver_cfg,
+        W1, _ = inner_solve(w, exp.data, exp.solver_cfg, top_height(exp))
+        W2, _ = inner_solve(w, exp.data, exp.solver_cfg, top_height(exp),
                             x0=rng.standard_normal(exp.grid.shape))
         gap = h1_seminorm(exp.grid, W1 - W2)
         assert gap <= 1e-8
@@ -105,20 +128,21 @@ class TestInnerSolve:
     def test_newton_budget_exhaustion(self):
         exp = make_exp(max_inner=0)
         with pytest.raises(NewtonStall):
-            inner_solve(np.zeros(exp.grid.shape), exp.data, exp.solver_cfg)
+            inner_solve(np.zeros(exp.grid.shape), exp.data, exp.solver_cfg,
+                        top_height(exp))
 
     def test_energy_identity(self):
         # testing the discrete equation with its own solution: the energy
         # product plus the (nonnegative) zeroth-order pairing equals the load
         exp = make_exp(n=48)
-        cfg = exp.solver_cfg
+        cfg, k = exp.solver_cfg, top_height(exp)
         data = exp.data
         xs = exp.grid.coords()[0]
         w = 0.1 * np.sin(np.pi * xs)
-        W, info = inner_solve(w, data, cfg)
-        b, rhs = inner_coefficients(data, w, cfg.delta, cfg.k)
+        W, info = inner_solve(w, data, cfg, k)
+        b, rhs = inner_coefficients(data, w, cfg.delta, k)
         energy = float(np.sum(W * data.op.apply(W)))
-        zero_pair = float(np.sum(b * sign_k(W, cfg.k) * W))
+        zero_pair = float(np.sum(b * sign_k(W, k) * W))
         load = float(np.sum(rhs * W))
         assert zero_pair >= 0.0
         tol = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2) \
@@ -140,7 +164,7 @@ class TestEstimateCheck:
         # so the bound is the linear part alone, evaluated in the same order
         exp = make_exp(n=48, a0_value=0.0, delta=0.5)
         assert exp.data.constants is None
-        _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         norms, C_N = exp.data.norms, exp.data.C_N
         assert norms["f_Hm1"] > 0.0 and norms["a0_N2"] == 0.0
         for rec in trace.records:
@@ -160,7 +184,7 @@ class TestEstimateCheck:
             w = np.sin(np.pi * xs)
             w *= scale * Z / h1_seminorm(exp.grid, w)
             assert h1_seminorm(exp.grid, w) <= Z * (1 + 1e-12)
-            W, info = inner_solve(w, data, cfg)
+            W, info = inner_solve(w, data, cfg, top_height(exp))
             eps = 10.0 * (cfg.inner_tol + cfg.cg_tol) * (1.0 + info.rhs_l2)
             assert h1_seminorm(exp.grid, W) <= Z + eps
             slack = solver._estimate_slack(h1_seminorm(exp.grid, w),
@@ -173,7 +197,7 @@ class TestOuterIteration:
     def test_zero_source_immediate(self):
         exp = make_exp(f_amp=0.0, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5)
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert np.all(w.values == 0.0)
         assert trace.converged
         assert len(trace.records) == 2  # the converging step plus the pinning one
@@ -184,33 +208,33 @@ class TestOuterIteration:
         amp = 1e-3
         exp = make_exp(n=64, f_amp=amp, a0_value=0.0, model={"kind": "zero"},
                        delta=0.5, outer_tol=1e-6)
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         lin = np.linalg.solve(dense_operator(exp.data.op), exp.data.f)
         gap = h1_seminorm(exp.grid, w.values - lin)
         assert gap <= 1e-6
 
     def test_ball_invariance_along_run(self):
         exp = make_exp(n=64)
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.converged
         assert all(r.in_ball for r in trace.records)
         assert all(r.estimate_slack >= -trace.eps_solver for r in trace.records)
 
     def test_fixed_point_residual_bound(self):
         exp = make_exp(n=64, k=5000.0)
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.residual <= 3.0 * exp.solver_cfg.outer_tol
 
     def test_delta_below_gamma_rejected(self):
         exp = make_exp()
-        cfg = SolverConfig(delta=0.3, k=200.0)
+        cfg = SolverConfig(delta=0.3)
         with pytest.raises(DomainError):
-            outer_fixed_point(exp.data, cfg)
+            outer_fixed_point(exp.data, cfg, 200.0)
 
     def test_budget_exhaustion_keeps_trace(self):
         exp = make_exp(max_outer=3, rho=1.0, outer_tol=1e-14)
         with pytest.raises(MaxOuterIterations) as err:
-            outer_fixed_point(exp.data, exp.solver_cfg)
+            outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         (trace,) = err.value.traces
         assert len(trace.records) == 3 and not trace.converged
         rows = [r.to_dict() for r in trace.records]
@@ -244,8 +268,7 @@ class TestContinuation:
         data, cfg = exp.data, exp.solver_cfg
         n_ladder = (0.05, 0.1, 0.2, 0.4)
         w, diag, traces = k_continuation(data, cfg, n_ladder=n_ladder)
-        relaxed = [outer_fixed_point(data, replace(cfg, k=k))
-                   for k in cfg.k_schedule]
+        relaxed = [outer_fixed_point(data, cfg, k) for k in cfg.k_schedule]
         for (_, plain), trace in zip(relaxed[:2], traces[:2]):
             assert trace.converged
             assert len(trace.records) < len(plain.records)
@@ -271,7 +294,7 @@ class TestContinuation:
         assert data.ball_radius is None
         _, _, traces = k_continuation(data, cfg)
         for k, trace in zip(cfg.k_schedule, traces):
-            _, plain = outer_fixed_point(data, replace(cfg, k=k))
+            _, plain = outer_fixed_point(data, cfg, k)
             assert [r.to_dict() for r in trace.records] \
                 == [r.to_dict() for r in plain.records]
 
@@ -304,11 +327,11 @@ class TestContinuation:
         # stall the third inner solve of the second height
         calls = []
 
-        def stalling(w, data, cfg, **kw):
-            calls.append(cfg.k)
+        def stalling(w, data, cfg, k, **kw):
+            calls.append(k)
             if calls.count(25.0) == 3:
                 raise NewtonStall("stalled", residual=1.0, iterations=40)
-            return inner_solve(w, data, cfg, **kw)
+            return inner_solve(w, data, cfg, k, **kw)
 
         monkeypatch.setattr(solver, "inner_solve", stalling)
         exp = make_exp(n=48, k_schedule=[5.0, 25.0])
@@ -352,7 +375,7 @@ class TestResiduals:
 
     def test_untruncated_residual_after_saturated_solve(self):
         exp = make_exp(n=64, k=5000.0)
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         res = fixed_point_residual(w.values, exp.data, exp.solver_cfg.delta,
                                    k=None)
         assert res <= 3.0 * exp.solver_cfg.outer_tol
@@ -362,7 +385,7 @@ class TestResiduals:
         hs = []
         for n in (32, 64, 128):
             exp = make_exp(n=n, k=5000.0)
-            w, _ = outer_fixed_point(exp.data, exp.solver_cfg)
+            w, _ = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
             res.append(original_residual(w.values, exp.data,
                                          exp.solver_cfg.delta))
             hs.append(exp.grid.h[0])
@@ -407,8 +430,7 @@ class TestExtremalModel:
 
 class TestVariableCoefficient2D:
     def test_per_cell_matrix_field(self, rng):
-        exp = build_experiment(load_benchmark("benchmark_2d.json"),
-                               overrides={"n": [10, 12]})
+        exp = build_experiment(load_benchmark("benchmark_2d.json"), n=[10, 12])
         with pytest.raises(FieldValidationError,
                            match=re.escape("(11, 13, 2) is not (2,)")):
             MatrixField(exp.grid, rng.uniform(1.0, 2.0, (11, 13, 2)), alpha=1.0)
@@ -442,7 +464,7 @@ class TestNewtonCG:
 
         monkeypatch.setattr(DiffusionOperator, "apply", counted_apply)
         monkeypatch.setattr(solver, "cg_solve", counted_cg)
-        _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.converged and trace.residual <= 1e-8
         newton = sum(r.inner_iterations for r in trace.records)
         cg_iterations = sum(r.cg_iterations for r in trace.records)
@@ -475,7 +497,7 @@ class TestNewtonCG:
 
         monkeypatch.setattr(solver, "cg_solve", recording_cg)
         monkeypatch.setattr(solver, "inner_solve", recording_inner)
-        _, trace = outer_fixed_point(exp.data, cfg)
+        _, trace = outer_fixed_point(exp.data, cfg, top_height(exp))
         assert trace.converged and len(results) == len(trace.records)
         forcing = min(cfg.cg_tol, 0.01 * cfg.inner_tol)
         for info, calls in zip(results, steps):
@@ -493,7 +515,7 @@ class TestInnerCoefficients:
     def test_one_pass_matches_the_separate_functions(self, rng, name, n):
         # b against the point reference k_delta at every node, rhs against
         # g_delta bit for bit
-        exp = build_experiment(load_benchmark(name), overrides={"n": n})
+        exp = build_experiment(load_benchmark(name), n=n)
         data, delta = exp.data, exp.solver_cfg.delta
         shape = exp.grid.shape
         # delta|w| from 1e-3 to 10, both signs, a fifth of the nodes zero
@@ -523,7 +545,7 @@ class TestPlainArrays:
         # inside a level the iterates and inner solutions are plain arrays:
         # the returned solution is the only field built (and validated)
         exp = build_experiment(load_benchmark("benchmark_1d.json"))
-        cfg = replace(exp.solver_cfg, k=exp.solver_cfg.k_schedule[0])
+        cfg = exp.solver_cfg
         built, post_init = [], ScalarField.__post_init__
 
         def counting(field):
@@ -531,7 +553,7 @@ class TestPlainArrays:
             post_init(field)
 
         monkeypatch.setattr(ScalarField, "__post_init__", counting)
-        w, trace = outer_fixed_point(exp.data, cfg)
+        w, trace = outer_fixed_point(exp.data, cfg, cfg.k_schedule[0])
         assert trace.converged and len(trace.records) > 1
         assert len(built) == 1 and built[0] is w
 
@@ -551,7 +573,7 @@ class TestOuterLoopEnergies:
             return W, info
 
         monkeypatch.setattr(solver, "inner_solve", recording)
-        _, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.converged and len(pairs) == len(trace.records)
         rho = exp.solver_cfg.rho
 
@@ -599,8 +621,8 @@ class TestAndersonMixing:
         # a ball radius just above the first height's |Dw|: mixed iterates
         # that overshoot it are replaced by relaxed steps, which stay inside
         exp = build_experiment(load_benchmark(name))
-        cfg = replace(exp.solver_cfg, k=exp.solver_cfg.k_schedule[0])
-        w, _ = outer_fixed_point(exp.data, cfg, anderson=True)
+        cfg, k = exp.solver_cfg, exp.solver_cfg.k_schedule[0]
+        w, _ = outer_fixed_point(exp.data, cfg, k, anderson=True)
         relaxed = []
         step = solver._relaxed_step
 
@@ -611,7 +633,7 @@ class TestAndersonMixing:
         monkeypatch.setattr(solver, "_relaxed_step", counting)
         tight = replace(exp.data,
                         ball_radius=h1_seminorm(w.grid, w.values) * (1.0 + 1e-3))
-        _, trace = outer_fixed_point(tight, cfg, anderson=True)
+        _, trace = outer_fixed_point(tight, cfg, k, anderson=True)
         # some steps fell back, the others mixed
         assert 0 < len(relaxed) < len(trace.records) - 1
         assert all(r.in_ball for r in trace.records)
@@ -667,16 +689,16 @@ class TestLeastSquaresFit:
 class TestRemarkMode:
     def test_explicit_delta_below_delta0_uses_lower_zero(self):
         base = load_benchmark("benchmark_1d.json")
-        exp0 = build_experiment(base, overrides={"n": [48]})
+        exp0 = build_experiment(base, n=[48])
         d0 = exp0.report.delta0
         z0 = exp0.report.Z_delta0
         delta = 0.5 * (0.5 + d0)  # inside [gamma, delta0)
-        exp = build_experiment(base, overrides={
-            "n": [48], "solver": {"delta": delta, "k_schedule": []}})
+        base["solver"].update(delta=delta, k_schedule=[])
+        exp = build_experiment(base, n=[48])
         assert exp.delta_mode == "explicit"
         assert exp.data.ball_radius is not None
         assert exp.data.ball_radius < z0  # the smaller zero bounds tighter
-        w, trace = outer_fixed_point(exp.data, exp.solver_cfg)
+        w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.converged
         assert h1_seminorm(w.grid, w.values) \
             <= exp.data.ball_radius + trace.eps_solver

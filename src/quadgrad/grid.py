@@ -339,7 +339,14 @@ def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
         maxiter = 20 * rhs.size + 100
     for it in range(1, maxiter + 1):
         ap = lp + shift * p
-        alpha = rz / float(np.vdot(p, ap).real)
+        pap = float(np.vdot(p, ap).real)
+        if not (pap > 0.0 and rz > 0.0):  # divisors; a huge A underflows them
+            res = float(np.sqrt(np.vdot(r, r).real))
+            raise IterativeSolveFailure(
+                f"conjugate gradients broke down (p.(L + shift)p = {pap:g}, "
+                f"r.z = {rz:g}) at residual {res:g} after {it - 1} iterations",
+                residual=res, iterations=it - 1)
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         if np.sqrt(np.vdot(r, r).real) <= target:

@@ -231,6 +231,14 @@ class TestOperator:
             cg_solve(op.fast_inverse, np.ones(32), shift, tol=1e-14, maxiter=2)
         assert err.value.residual > 0 and err.value.iterations == 2
 
+    def test_cg_breakdown_reported(self):
+        # an inverse that underflows every residual to 0 leaves r.z and
+        # p.(L + shift)p at 0: a failed solve, not a ZeroDivisionError
+        with pytest.raises(IterativeSolveFailure,
+                           match="^conjugate gradients broke down") as err:
+            cg_solve(np.zeros_like, np.full(8, 1e-20), np.zeros(8))
+        assert err.value.residual > 0 and err.value.iterations == 0
+
     @pytest.mark.parametrize("extents, shape", [((1.0,), (13,)),
                                                 ((1.0, 2.0), (6, 5))],
                              ids=["1d", "2d"])

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import validate
 from .config import Experiment, build_experiment, experiment_from_file
-from .constants import critical_report, phi_at_min, z_delta, zeros_y
+from .constants import (
+    critical_report,
+    phi_at_min,
+    smallness_error,
+    z_delta,
+    zeros_y,
+)
 from .errors import (
     ConfigError,
     FieldValidationError,
@@ -267,6 +273,10 @@ def _equivalence_crosscheck(exp: Experiment):
     if min(coarsest) < 3:
         return skipped(f"the {exp.grid.shape} grid has no three nested coarse "
                        f"grids of at least 3 nodes per axis")
+    # inadmissible data is the check command's verdict (exit 3)
+    report = exp.report
+    if exp.delta_mode == "delta0" and not report.admissible:
+        return skipped(smallness_error(report.smallness_A1, report.smallness_A3))
     shapes = [tuple((m + 1) * 2**lvl - 1 for m in coarsest) for lvl in range(3)]
     us = []
     try:
@@ -274,8 +284,7 @@ def _equivalence_crosscheck(exp: Experiment):
             try:
                 coarse = build_experiment(exp.raw, n=shape)
             except SmallnessViolated as exc:
-                # inadmissible data is the check command's verdict (exit 3)
-                return skipped(exc)
+                return skipped(f"{exc} on the {shape} grid")
             # one solve at the schedule's last height, with the check's own stop
             cfg = replace(coarse.solver_cfg, rho=0.5, outer_tol=1e-9, max_outer=500,
                           k_schedule=coarse.solver_cfg.k_schedule[-1:])
@@ -319,13 +328,8 @@ def cmd_verify(args):
     results.append(validate.check_k_nonnegative(model, alpha, rng))
     results.append(validate.check_g_identity(rng))
     results.append(validate.check_g_envelope(rng))
-    results.append(validate.check_operator_symmetry(data.op, rng))
-    results.append(validate.check_integration_by_parts(data.op, rng))
-    p_star = exp.exponents["sobolev"]
-    p_f = exp.exponents["f_norm"]
-    results.append(validate.check_holder(exp.grid, (p_f, p_star, p_star), rng))
-    results.append(validate.check_sobolev_holds(exp.grid, p_star, data.C_N, rng))
-    results.append(validate.check_dual_norm(exp.grid, rng))
+    results.extend(validate.grid_checks(data.op, exp.exponents["f_norm"],
+                                        exp.exponents["sobolev"], data.C_N, rng))
     if exp.report is not None:
         results.append(validate.check_g_growth(data.constants, rng))
         results.extend(validate.constants_cross_checks(data.constants, rng))

@@ -9,6 +9,7 @@ The checks whose bounds scale with the model constants or the exponents
 evaluate in extended arithmetic: a bound that overflows gives an infinite or
 NaN margin, which fails unless it is +inf, without a floating-point warning.
 The model checks read gamma and c0 from the ``HModel`` and draw A >= alpha.
+The five grid checks share one draw of random fields (``grid_checks``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import constants as cmod
 from .constants import ProblemConstants, c_lambda_bound
 from .grid import (
     DiffusionOperator,
-    Grid,
+    energy_norm,
     gradient,
     h1_seminorm,
     lp_norm,
@@ -32,6 +33,9 @@ from .grid import (
 from .nonlinearity import HModel, g_delta, transformed_terms
 
 REL_SLACK = 1e-12
+# pairs of random fields that the grid checks share, and how many of them
+# the dual-norm check lifts by a Poisson solve
+GRID_PAIRS, DUAL_PAIRS = 20, 10
 
 # the checks that read the problem's constants, in the order verify runs them
 G_GROWTH, G_DECIMAL, PHI_MIN = CONSTANTS_CHECKS = (
@@ -66,10 +70,13 @@ def random_spd_matrices(rng, n, dim, alpha_min):
     order to the last bit, so it is fixed here.
     """
     m = rng.standard_normal((n, dim, dim))
-    cols = [m[:, :, j] for j in range(dim)]
-    mats = cols[0][:, :, None] * cols[0][:, None, :]
-    for col in cols[1:]:
-        mats += col[:, :, None] * col[:, None, :]
+    mats = np.empty((n, dim, dim))
+    for i in range(dim):
+        for k in range(dim):
+            entry = m[:, i, 0] * m[:, k, 0]
+            for j in range(1, dim):
+                entry += m[:, i, j] * m[:, k, j]
+            mats[:, i, k] = entry
     mats *= 2.0
     mats += alpha_min * np.eye(dim)
     return mats
@@ -207,101 +214,91 @@ def check_h_vanishes_at_zero_gradient(model: HModel, rng) -> CheckResult:
 def _field_scale(op: DiffusionOperator) -> float:
     """2^-max(0, e - 500), e the binary exponent of the largest A/h^2.
 
-    Random fields drawn times this keep the stencil image and the products
-    of the grid checks in the double range however large A is; the factor
-    is exactly 1 unless A/h^2 exceeds 2^500, so it changes no other draw.
+    The symmetry and integration-by-parts fields are drawn times this, so
+    their stencil images and products stay in the double range however
+    large A is; the factor is exactly 1 unless A/h^2 exceeds 2^500.
     """
     top = max(c / (h * h) for c, h in zip(op.coef, op.grid.h))
     return math.ldexp(1.0, -max(0, math.frexp(top)[1] - 500))
 
 
-def check_operator_symmetry(op: DiffusionOperator, rng) -> CheckResult:
-    """<op u, v> = <u, op v> for random pairs, relative to the rounding scale.
+@np.errstate(over="ignore", invalid="ignore")
+def grid_checks(op: DiffusionOperator, p_f, p_star, sobolev_constant,
+                rng) -> list:
+    """The five grid checks of ``verify``, in its order, on shared fields.
 
-    The scale is the sum of the absolute products in either dot product: the
-    dot products themselves can cancel to nearly zero, which would make a
-    relative error against them meaningless; its floor is the fields'
-    factor squared, not 1, so it holds for fields drawn at any size.
+    GRID_PAIRS = 20 pairs (u, v) are drawn once, u0, v0, u1, v1, ..., and
+    one pair at a time is alive:
+
+    * operator symmetry, <op u, v> = <u, op v>: all 20 pairs;
+    * discrete integration by parts, <op u, v> equal to the A-weighted
+      energy product (both summed without the common node measure): all 20
+      pairs, sharing op u and op v with symmetry;
+    * the three-factor Hoelder inequality at exponents (p_f, p_star, p_star)
+      and the extremal triple f, |f|^(p_f/p_star), |f|^(p_f/p_star): the 20
+      u.  It is an equality when 1/p_f + 2/p_star = 1, false when the sum is
+      larger and the grid's total measure is below 1;
+    * the Sobolev inequality |w|_p_star <= C |grad w|_2, C the estimated
+      constant: all 40 fields;
+    * duality <f, v> <= |f|_dual |grad v|_2, with equality at the Riesz
+      representative of f = u: the first DUAL_PAIRS = 10 pairs.
+
+    Symmetry and integration by parts take the fields times ``_field_scale``
+    and measure their errors against the sums of absolute products, floored
+    at the factor squared: <op u, v> itself can cancel to nearly zero, which
+    would make an error relative to it meaningless.
     """
-    g = op.grid
-    scale_uv = _field_scale(op)
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(g.shape) * scale_uv
-        v = rng.standard_normal(g.shape) * scale_uv
-        left_terms = op.apply(u) * v
-        right_terms = u * op.apply(v)
-        scale = max(scale_uv**2, float(np.sum(np.abs(left_terms))),
-                    float(np.sum(np.abs(right_terms))))
-        diff = abs(float(np.sum(left_terms)) - float(np.sum(right_terms)))
-        worst = max(worst, diff / scale)
-    return CheckResult("operator symmetry", worst <= 1e-14, worst)
+    g, scale = op.grid, _field_scale(op)
+    # the energy product of the scaled fields from the drawn fields' gradients
+    energy_coef = [c * scale * scale for c in op.coef]
+    sym = ibp = 0.0
+    holder = sobolev = dual = np.inf
+    for i in range(GRID_PAIRS):
+        u = rng.standard_normal(g.shape)
+        v = rng.standard_normal(g.shape)
+        us, vs = u * scale, v * scale
+        left = op.apply(us) * vs
+        right = us * op.apply(vs)
+        left_sum, left_abs = float(np.sum(left)), float(np.sum(np.abs(left)))
+        sym = max(sym, abs(left_sum - float(np.sum(right))) / max(
+            scale**2, left_abs, float(np.sum(np.abs(right)))))
 
+        grad_u, grad_v = gradient(g, u), gradient(g, v)
+        energy = [c * a * b for c, a, b in zip(energy_coef, grad_u, grad_v)]
+        rhs = sum(float(np.sum(e)) for e in energy)
+        rhs_abs = sum(float(np.sum(np.abs(e))) for e in energy)
+        ibp = max(ibp, abs(left_sum - rhs) / max(scale**2, left_abs, rhs_abs))
 
-def check_integration_by_parts(op: DiffusionOperator, rng) -> CheckResult:
-    """<op u, v> equals the A-weighted energy product to roundoff."""
-    g = op.grid
-    scale_uv = _field_scale(op)
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(g.shape) * scale_uv
-        v = rng.standard_normal(g.shape) * scale_uv
-        lhs = float(np.sum(op.apply(u) * v) * g.node_measure)
-        gu, gv = gradient(g, u), gradient(g, v)
-        rhs = sum(float(np.sum(c * a * b)) for c, a, b in zip(op.coef, gu, gv))
-        rhs *= g.node_measure
-        worst = max(worst, abs(lhs - rhs) / max(scale_uv**2, abs(rhs)))
-    return CheckResult("discrete integration by parts", worst <= 1e-12, worst)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def check_holder(grid: Grid, exponents, rng) -> CheckResult:
-    """Three-factor Hoelder inequality on the shared nodal quadrature, at
-    the extremal triple f, |f|^(p1/p2), |f|^(p1/p3): an equality when
-    1/p1 + 1/p2 + 1/p3 = 1, false when the sum is larger and the grid's
-    total measure is below 1."""
-    p1, p2, p3 = exponents
-    worst = np.inf
-    for _ in range(20):
-        f = rng.standard_normal(grid.shape)
-        # two fields drawn and left unused: later checks sample from here on
-        rng.standard_normal((2,) + grid.shape)
-        v = np.abs(f) ** (p1 / p2)
-        w = np.abs(f) ** (p1 / p3)
-        lhs = float(np.sum(np.abs(f * v * w)) * grid.node_measure)
-        rhs = lp_norm(grid, f, p1) * lp_norm(grid, v, p2) * lp_norm(grid, w, p3)
+        power = np.abs(u) ** (p_f / p_star)
+        power_norm = lp_norm(g, power, p_star)
+        lhs = float(np.sum(np.abs(u * power * power)) * g.node_measure)
+        bound = lp_norm(g, u, p_f) * power_norm * power_norm
         # np.minimum keeps a NaN margin (an overflowed pair), which then fails
-        worst = np.minimum(worst, rhs * (1.0 + REL_SLACK) - lhs)
-    return CheckResult("discrete Hoelder inequality", bool(worst >= 0.0), float(worst))
+        holder = np.minimum(holder, bound * (1.0 + REL_SLACK) - lhs)
 
+        h1_v = energy_norm(g, grad_v)
+        for w, h1 in ((u, energy_norm(g, grad_u)), (v, h1_v)):
+            sobolev = min(sobolev, sobolev_constant * (1.0 + 1e-9) * h1
+                          - lp_norm(g, w, p_star))
 
-@np.errstate(over="ignore", invalid="ignore")
-def check_sobolev_holds(grid: Grid, p, constant, rng) -> CheckResult:
-    """|v|_p <= C_h |grad v|_2 for random fields, C_h the estimated constant."""
-    worst = np.inf
-    for _ in range(40):
-        v = rng.standard_normal(grid.shape)
-        worst = min(worst, constant * (1.0 + 1e-9) * h1_seminorm(grid, v)
-                    - lp_norm(grid, v, p))
-    return CheckResult("discrete Sobolev inequality at estimated constant",
-                       worst >= 0.0, float(worst))
-
-
-def check_dual_norm(grid: Grid, rng) -> CheckResult:
-    """<f, v> <= |f|_dual |grad v|_2, equality at the Riesz representative."""
-    worst = np.inf
-    for _ in range(10):
-        f = rng.standard_normal(grid.shape)
-        z = riesz_representative(grid, f)
-        dual = h1_seminorm(grid, z)
-        v = rng.standard_normal(grid.shape)
-        gap = dual * h1_seminorm(grid, v) * (1.0 + 1e-10) \
-            - float(np.sum(f * v) * grid.node_measure)
-        eq_gap = abs(float(np.sum(f * z) * grid.node_measure) - dual * dual) \
-            / max(dual**2, 1e-300)
-        worst = min(worst, float(gap), float(1e-8 - eq_gap))
-    return CheckResult("dual-norm duality and Riesz equality", worst >= 0.0,
-                       float(worst))
+        if i < DUAL_PAIRS:
+            z = riesz_representative(g, u)
+            norm = h1_seminorm(g, z)
+            gap = norm * h1_v * (1.0 + 1e-10) \
+                - float(np.sum(u * v) * g.node_measure)
+            eq_gap = abs(float(np.sum(u * z) * g.node_measure) - norm * norm) \
+                / max(norm**2, 1e-300)
+            dual = min(dual, float(gap), float(1e-8 - eq_gap))
+    return [
+        CheckResult("operator symmetry", sym <= 1e-14, sym),
+        CheckResult("discrete integration by parts", ibp <= 1e-12, ibp),
+        CheckResult("discrete Hoelder inequality", bool(holder >= 0.0),
+                    float(holder)),
+        CheckResult("discrete Sobolev inequality at estimated constant",
+                    sobolev >= 0.0, float(sobolev)),
+        CheckResult("dual-norm duality and Riesz equality", dual >= 0.0,
+                    float(dual)),
+    ]
 
 
 def growth_constant_decimal(c: ProblemConstants) -> float:

@@ -14,7 +14,9 @@ from quadgrad.constants import (
     compute_theta,
 )
 from quadgrad.config import build_experiment
+from quadgrad.grid import Grid, laplacian
 from quadgrad.solver import outer_fixed_point
+from quadgrad.validate import grid_checks
 
 # reproducible property tests: same cases on every run
 settings.register_profile("deterministic", derandomize=True)
@@ -41,6 +43,16 @@ def dense_operator(op):
     shape = op.grid.shape
     units = np.eye(int(np.prod(shape))).reshape((-1,) + shape)
     return np.stack([op.apply(e).ravel() for e in units], axis=1)
+
+
+def grid_check(name, op, rng, p_f=1.5, p_star=6.0, constant=1.0):
+    """The result named ``name`` of ``validate.grid_checks`` on ``op``, or on
+    the Laplacian of ``op`` when it is a grid.  The exponents default to the
+    L^(3/2) x L^6 x L^6 of the 3D a priori estimate, and ``constant`` is the
+    Sobolev constant, 1 by default (above the 1D and 2D ones)."""
+    op = laplacian(op) if isinstance(op, Grid) else op
+    return next(res for res in grid_checks(op, p_f, p_star, constant, rng)
+                if res.name == name)
 
 
 def golden_minimize(fn, lo, hi, tol=1e-11):

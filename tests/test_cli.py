@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_path, load_benchmark
-from quadgrad import cli, errors, solver
+from quadgrad import cli, errors, solver, validate
 from quadgrad.cli import main
 from quadgrad.config import experiment_from_file
-from quadgrad.grid import (Grid, MatrixField, field_from_expression, read_field_csv,
+from quadgrad.grid import (DiffusionOperator, Grid, MatrixField,
+                           field_from_expression, read_field_csv,
                            write_field_csv)
 from quadgrad.nonlinearity import transform_inverse
 from quadgrad.solver import k_continuation
@@ -927,7 +928,42 @@ class TestVerifyCommand:
         # check must measure its error against the rounding scale instead
         assert main(["verify", "--config", config_path("benchmark_2d.json"),
                      "--seed", "2086932655"]) == 0
-        assert "[PASS] operator symmetry" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PASS] operator symmetry" in out
+        assert "[PASS] discrete integration by parts" in out
+
+    @pytest.mark.parametrize("seed, worst", [
+        (None, 1.6959394362057927e-17), ("2086932655", 1.6643064477217127e-17),
+    ], ids=["config-seed", "cancelling-seed"])
+    def test_benchmark_2d_symmetry_margin_pinned(self, tmp_path, capsys, seed,
+                                                 worst):
+        # the grid checks share the symmetry check's pairs u0, v0, u1, v1,
+        # ..., so its margin is the one it had when it drew its own
+        out = os.path.join(tmp_path, "out")
+        argv = ["verify", "--config", config_path("benchmark_2d.json"),
+                "--out", out] + (["--seed", seed] if seed else [])
+        assert main(argv) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "verify_report.json")) as fh:
+            checks = {c["name"]: c for c in json.load(fh)["checks"]}
+        assert checks["operator symmetry"]["worst"] == worst
+
+    @pytest.mark.parametrize("name", ["benchmark_1d.json", "benchmark_2d.json"],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("owner, attr, fault, check", [
+        (validate, "riesz_representative",
+         lambda lift: lambda grid, f: lift(grid, f) * (1.0 + 1e-6),
+         "dual-norm duality and Riesz equality"),
+        (DiffusionOperator, "apply",
+         lambda apply: lambda self, v: apply(self, v)
+         + 1e-10 * np.roll(apply(self, v), 1),
+         "operator symmetry"),
+    ], ids=["riesz-lift", "stencil"])
+    def test_planted_grid_fault_exits_5(self, monkeypatch, capsys, name, owner,
+                                        attr, fault, check):
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        assert main(["verify", "--config", config_path(name)]) == 5
+        assert f"[FAIL] {check}: " in capsys.readouterr().out
 
     def test_corrupted_matrix_reported(self, tmp_path, capsys):
         # a well-formed A that breaks the declared coercivity is a failed
@@ -938,6 +974,40 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.startswith("[FAIL] field invariants")
         assert "smallest diagonal entry 0.5 falls below" in out
+
+    def test_inadmissible_data_skips_crosscheck_with_its_own_margin(
+            self, capsys, monkeypatch):
+        # the skip quotes the config's own A3 margin, the one check gives,
+        # and builds no coarse grid
+        path = config_path("fail_smallness.json")
+        assert main(["check", "--config", path]) == 3
+        a3 = json.loads(capsys.readouterr().out)["A3"]["margin"]
+        monkeypatch.setattr(cli, "build_experiment", None)
+        assert main(["verify", "--config", path]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "equivalence cross-check" in line)
+        assert line == ("[PASS] equivalence cross-check: worst margin nan "
+                        "(skipped: second smallness condition fails: profile "
+                        f"minimum at gamma is {-a3:g} > 0)")
+
+    def test_crosscheck_names_the_refused_coarse_grid(self, monkeypatch):
+        # admissible data whose coarse version is not: the skip says which
+        # grid refused it
+        build = cli.build_experiment
+
+        def refusing(cfg, **kwargs):
+            if kwargs["n"] == (15,):
+                raise errors.SmallnessViolated("first smallness condition "
+                                               "fails: margin -1 <= 0")
+            return build(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "build_experiment", refusing)
+        exp = experiment_from_file(config_path("benchmark_1d.json"),
+                                   for_solve=False)
+        result = cli._equivalence_crosscheck(exp)
+        assert result.ok and result.detail == (
+            "skipped: first smallness condition fails: margin -1 <= 0 "
+            "on the (15,) grid")
 
     def test_unrefinable_grid_skips_equivalence_crosscheck(self, tmp_path,
                                                            capsys):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_operator
+from conftest import dense_operator, grid_check
 from quadgrad.errors import DomainError, FieldValidationError, IterativeSolveFailure
 from quadgrad.grid import (
     DiffusionOperator,
@@ -28,13 +29,10 @@ from quadgrad.grid import (
     write_field_csv,
 )
 from quadgrad.grid import _sine_basis
-from quadgrad.validate import (
-    check_dual_norm,
-    check_holder,
-    check_integration_by_parts,
-    check_operator_symmetry,
-    check_sobolev_holds,
-)
+
+HOLDER = "discrete Hoelder inequality"
+SYMMETRY = "operator symmetry"
+PARTS = "discrete integration by parts"
 
 INV_SQRT12 = 0.288675134594812882254574390251
 
@@ -139,16 +137,17 @@ class TestNorms:
 
     def test_holder_exact(self, rng):
         g = Grid((1.0, 1.0), (9, 11))
-        res = check_holder(g, (1.5, 6.0, 6.0), rng)
+        res = grid_check(HOLDER, g, rng, p_f=1.5, p_star=6.0)
         assert res.ok, res.line()
 
     def test_holder_overflow_fails(self, rng):
         # |f|^(p1/p2) overflows, so both sides are infinite: a NaN margin
-        res = check_holder(Grid((1.0,), (128,)), (1e6, 6.0, 6.0), rng)
+        res = grid_check(HOLDER, Grid((1.0,), (128,)), rng, p_f=1e6, p_star=6.0)
         assert not res.ok and math.isnan(res.worst), res.line()
 
     def test_duality_and_riesz(self, rng):
-        res = check_dual_norm(Grid((1.0,), (48,)), rng)
+        res = grid_check("dual-norm duality and Riesz equality",
+                         Grid((1.0,), (48,)), rng)
         assert res.ok, res.line()
 
 
@@ -168,13 +167,13 @@ class TestOperator:
     def test_symmetry(self, rng):
         g = Grid((1.0, 2.0), (10, 7))
         A = MatrixField(g, [1.4, 0.7], alpha=0.7)
-        res = check_operator_symmetry(DiffusionOperator(A), rng)
+        res = grid_check(SYMMETRY, DiffusionOperator(A), rng)
         assert res.ok, res.line()
 
     def test_integration_by_parts(self, rng):
         for A in (MatrixField(Grid((1.0,), (20,)), [1.7], alpha=1.7),
                   MatrixField(Grid((1.0, 1.0), (9, 12)), [2.0, 0.5], alpha=0.5)):
-            res = check_integration_by_parts(DiffusionOperator(A), rng)
+            res = grid_check(PARTS, DiffusionOperator(A), rng)
             assert res.ok, res.line()
 
     def test_rayleigh_floor(self, rng):
@@ -271,7 +270,7 @@ class TestOperator:
                 av = op.apply(v)
                 return av + 1e-12 * np.roll(av, 1, axis=0)
 
-        res = check_operator_symmetry(Skewed(), np.random.default_rng(0))
+        res = grid_check(SYMMETRY, Skewed(), np.random.default_rng(0))
         assert not res.ok, res.line()
 
     @pytest.mark.parametrize("grid", [Grid((1.0,), (128,)),
@@ -292,11 +291,32 @@ class TestOperator:
                 out = op.apply(v)
                 return out + self.fault * np.roll(out, 1)
 
-        for check in (check_operator_symmetry, check_integration_by_parts):
-            res = check(Skewed(1e-10), np.random.default_rng(0))
+        for name in (SYMMETRY, PARTS):
+            res = grid_check(name, Skewed(1e-10), np.random.default_rng(0))
             assert not res.ok, res.line()
-            res = check(Skewed(0.0), np.random.default_rng(0))
+            res = grid_check(name, Skewed(0.0), np.random.default_rng(0))
             assert res.ok, res.line()
+
+    def test_integration_by_parts_at_a_cancelling_pair(self):
+        # v is u's image under the operator projected out of a random field,
+        # so <op u, v> is 0 to roundoff; an error relative to that product,
+        # floored at 1, read 1.35e-12 here against the limit of 1e-12
+        op = DiffusionOperator(MatrixField.identity(Grid((1.0,), (128,))))
+        draw = np.random.default_rng(5)
+        u, w = draw.standard_normal((2, 128))
+        au = op.apply(u)
+        v = w - np.sum(au * w) / np.sum(au * au) * au
+        assert abs(np.sum(au * v)) <= 1e-15 * np.sum(np.abs(au * v))
+
+        class Pairs:
+            """A generator that draws u, v, u, v, ..."""
+            fields = itertools.cycle([u, v])
+
+            def standard_normal(self, shape):
+                return next(self.fields).copy()
+
+        res = grid_check(PARTS, op, Pairs())
+        assert res.ok and res.worst <= 1e-15, res.line()
 
 
 class TestFastInverse:
@@ -407,7 +427,8 @@ class TestSobolevEstimator:
     def test_sobolev_inequality_holds_at_estimate(self, rng):
         g = Grid((1.0, 1.0), (16, 16))
         est = estimate_sobolev_constant(g, 6.0)
-        res = check_sobolev_holds(g, 6.0, est.value, rng)
+        res = grid_check("discrete Sobolev inequality at estimated constant",
+                         g, rng, p_star=6.0, constant=est.value)
         assert res.ok, res.line()
 
     def test_p_validation(self):

@@ -51,6 +51,20 @@ def einsum_spd_matrices(rng, n, dim, alpha_min=0.5, spread=2.0):
     return mats
 
 
+def broadcast_spd_matrices(rng, n, dim, alpha_min=0.5):
+    """``random_spd_matrices`` by broadcast outer products of m's columns,
+    summed in j order: the same draw and the same sums as the package's
+    entry-by-entry loop, for any dim."""
+    m = rng.standard_normal((n, dim, dim))
+    cols = [m[:, :, j] for j in range(dim)]
+    mats = cols[0][:, :, None] * cols[0][:, None, :]
+    for col in cols[1:]:
+        mats += col[:, :, None] * col[:, None, :]
+    mats *= 2.0
+    mats += alpha_min * np.eye(dim)
+    return mats
+
+
 def entropy_core_both_branches(x):
     """(1+x)log1p(x) - x with the series evaluated on every entry."""
     x = np.asarray(x, dtype=float)
@@ -404,6 +418,16 @@ class TestSampledMatrices:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             mats = random_spd_matrices(rng, 10_000, dim, 0.5)
             ref = einsum_spd_matrices(ref_rng, 10_000, dim)
+            assert mats.tobytes() == ref.tobytes()
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_spd_samples_match_broadcast_reference(self, dim):
+        # einsum sums in another order from dim 3 on; the outer products do not
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mats = random_spd_matrices(rng, 10_000, dim, 0.5)
+            ref = broadcast_spd_matrices(ref_rng, 10_000, dim)
             assert mats.tobytes() == ref.tobytes()
             assert rng.random() == ref_rng.random()
 

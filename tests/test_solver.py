@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from conftest import dense_operator, load_benchmark
+from conftest import dense_operator, grid_check, load_benchmark
 from quadgrad import solver
 from quadgrad.config import build_experiment
 from quadgrad.errors import (ConfigError, DomainError, FieldValidationError,
@@ -28,7 +28,6 @@ from quadgrad.solver import (
     original_residual,
     outer_fixed_point,
 )
-from quadgrad.validate import check_integration_by_parts
 
 
 def make_exp(n=64, f_amp=1.0, a0_value=0.2, model=None, delta="delta0",
@@ -438,7 +437,7 @@ class TestVariableCoefficient2D:
         A = MatrixField(exp.grid, [1.1, 1.3], alpha=1.0)
         data = replace(exp.data, A=A)
         assert data.op.coef == (1.1, 1.3) and exp.data.op.coef == (1.0, 1.25)
-        res = check_integration_by_parts(data.op, rng)
+        res = grid_check("discrete integration by parts", data.op, rng)
         assert res.ok, res.line()
 
 

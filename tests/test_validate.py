@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadgrad import constants, validate
-from quadgrad.grid import Grid
+from quadgrad.grid import Grid, laplacian
 from quadgrad.nonlinearity import HModel
 
 TANH = HModel(kind="shape_times_quadratic", coeff=0.4, shape="tanh",
@@ -16,7 +16,8 @@ TANH = HModel(kind="shape_times_quadratic", coeff=0.4, shape="tanh",
 # patched callable and a wrapper that corrupts it
 CASES = [
     ("dual-norm duality and Riesz equality",
-     lambda rng, c: [validate.check_dual_norm(Grid((1.0,), (48,)), rng)],
+     lambda rng, c: validate.grid_checks(laplacian(Grid((1.0,), (48,))),
+                                         1.5, 6.0, 1.0, rng),
      validate, "riesz_representative",
      lambda lift: lambda grid, f: lift(grid, f) * (1.0 + 1e-6)),
     ("substitution identity for the correction term",
@@ -36,10 +37,11 @@ CASES = [
     # L^1 x L^6 x L^6, whose reciprocals sum to 4/3, in place of the
     # L^(3/2) x L^6 x L^6 of the a priori estimate
     ("discrete Hoelder inequality",
-     lambda rng, c: [validate.check_holder(Grid((1.0,), (128,)),
-                                           (1.5, 6.0, 6.0), rng)],
-     validate, "check_holder",
-     lambda check: lambda grid, exponents, rng: check(grid, (1.0, 6.0, 6.0), rng)),
+     lambda rng, c: validate.grid_checks(laplacian(Grid((1.0,), (128,))),
+                                         1.5, 6.0, 1.0, rng),
+     validate, "grid_checks",
+     lambda checks: lambda op, p_f, p_star, constant, rng:
+         checks(op, 1.0, p_star, constant, rng)),
     ("growth constant against 30-digit decimal",
      lambda rng, c: validate.constants_cross_checks(c, rng),
      constants, "compute_G", lambda G: lambda c, th: G(c, th) * (1.0 + 1e-13)),

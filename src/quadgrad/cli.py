@@ -321,11 +321,14 @@ def cmd_verify(args):
     data = exp.data
     model, alpha = data.model, data.A.alpha
 
-    results.append(validate.check_certificate(model, alpha, rng))
+    samples = validate.model_samples(model, alpha, rng)
+    results.append(validate.check_certificate(model, alpha, rng, samples))
     if model.vanishes_at_zero_s:
         results.append(validate.check_h_vanishes_at_zero_gradient(model, rng))
-    results.append(validate.check_k_two_sided(model, alpha, rng))
-    results.append(validate.check_k_nonnegative(model, alpha, rng))
+    results.append(validate.check_k_two_sided(model, alpha, rng,
+                                              samples=samples))
+    results.append(validate.check_k_nonnegative(model, alpha, rng,
+                                                samples=samples))
     results.append(validate.check_g_identity(rng))
     results.append(validate.check_g_envelope(rng))
     results.extend(validate.grid_checks(data.op, exp.exponents["f_norm"],

@@ -275,6 +275,29 @@ class TestOperator:
 
     @pytest.mark.parametrize("grid", [Grid((1.0,), (128,)),
                                       Grid((1.0, 1.0), (64, 64))],
+                             ids=["1d-128", "2d-64x64"])
+    def test_integration_by_parts_catches_planted_skew(self, grid):
+        # clean pairs read at most about 1.6e-16; a skew of 1e-12 reads
+        # 3.3e-13 (1D) and 3.8e-14 (2D), which a limit of 1e-12 passed
+        op = laplacian(grid)
+
+        class Skewed:
+            coef = op.coef
+
+            def __init__(self, fault):
+                self.grid, self.fault = grid, fault
+
+            def apply(self, v):
+                out = op.apply(v)
+                return out + self.fault * np.roll(out, 1)
+
+        res = grid_check(PARTS, Skewed(1e-12), np.random.default_rng(0))
+        assert not res.ok, res.line()
+        res = grid_check(PARTS, Skewed(0.0), np.random.default_rng(0))
+        assert res.ok and res.worst <= 1e-15, res.line()
+
+    @pytest.mark.parametrize("grid", [Grid((1.0,), (128,)),
+                                      Grid((1.0, 1.0), (64, 64))],
                              ids=["benchmark_1d", "benchmark_2d"])
     def test_grid_checks_catch_planted_fault_on_huge_coefficient(self, grid):
         # the fields are drawn tiny on A = 1e304, so the errors must be

@@ -27,6 +27,7 @@ from quadgrad.validate import (
     check_certificate,
     check_k_nonnegative,
     check_k_two_sided,
+    model_samples,
     random_spd_matrices,
 )
 
@@ -349,6 +350,23 @@ class TestTransformedGradientTerm:
                                    delta=0.5)
         assert good.ok, good.line()
 
+    def test_k_checks_show_their_slack_where_the_gradient_is_live(self, rng):
+        # the zero-gradient rows hold worst at 0, so the detail gives the
+        # smallest relative slack of the rest, which c0 = 0 turns negative
+        model = HModel(kind="shape_times_quadratic", shape="tanh", coeff=-0.3,
+                       gamma_cert=0.5, c0_cert=0.3)
+        samples = model_samples(model, 0.5, rng)
+
+        def slack(res):
+            return float(res.detail.split("relative slack ")[1].split()[0])
+
+        for check in (check_k_two_sided, check_k_nonnegative):
+            res = check(model, 0.5, rng, samples=samples)
+            assert res.ok and res.worst == 0.0 and slack(res) > 0.0, res.line()
+        bad = check_k_two_sided(replace(model, c0_cert=0.0), 0.5, rng,
+                                delta=0.3, samples=samples)
+        assert not bad.ok and slack(bad) < 0.0, bad.line()
+
     def test_continuity_away_from_zero(self, rng):
         A = random_spd_matrices(rng, 1, 2, alpha_min=1.0)[0]
         t0, z0 = 0.8, np.array([0.3, -0.5])
@@ -438,6 +456,28 @@ class TestSampledMatrices:
         zetas[::17] = 0.0
         ref = np.einsum("ni,nij,nj->n", zetas, mats, zetas)
         assert _quad_forms(mats, zetas).tobytes() == ref.tobytes()
+
+    def test_model_samples_match_the_certificate_draw(self):
+        # the draw check_certificate made inline, in its order, bit for bit;
+        # zeroing a row's forms afterwards equals forming them from a zero xi
+        n, mu = 5000, np.linspace(0.0, 0.15, 16).reshape(4, 4)
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = model_samples(replace(MU, mu=mu), 0.5, rng, n)
+            mats = random_spd_matrices(ref, n, 2, alpha_min=0.5)
+            xis = ref.standard_normal((n, 2)) * ref.uniform(0.0, 3.0, (n, 1))
+            s = ref.standard_normal(n) * 10.0 ** ref.uniform(-3, 2, n)
+            s[ref.random(n) < 0.05] = 0.0
+            assert got.model.mu.tobytes() == ref.choice(mu.ravel(), n).tobytes()
+            assert rng.random() == ref.random()
+            assert got.s.tobytes() == s.tobytes()
+            flat = ref.random(n) < 0.02
+            for keep in (np.ones(n, bool), ~flat):
+                xis[~keep] = 0.0
+                assert np.where(keep, got.a_quad, 0.0).tobytes() \
+                    == _quad_forms(mats, xis).tobytes()
+                assert np.where(keep, got.grad_sq, 0.0).tobytes() \
+                    == np.einsum("ni,ni->n", xis, xis).tobytes()
 
     def test_symmetric_with_floor_eigenvalue_in_3d(self, rng):
         mats = random_spd_matrices(rng, 10_000, 3, alpha_min=0.7)

@@ -138,15 +138,12 @@ def _finite(name, compute, *args, **kwargs):
 
 def _solver_knobs(sspec: dict) -> dict:
     """SolverConfig keyword arguments except delta, type-checked; each knob
-    takes the type and the default of its SolverConfig field.  ``k`` is the
-    one-height schedule (k,) unless ``k_schedule`` is nonempty."""
-    k = _number(sspec["k"], "solver.k") if "k" in sspec else None
+    takes the type and the default of its SolverConfig field."""
     knobs = {f.name: _number(sspec.get(f.name, f.default), f"solver.{f.name}",
                              type(f.default))
              for f in fields(SolverConfig) if f.name not in ("delta", "k_schedule")}
-    schedule = _numbers(sspec.get("k_schedule", ()), "solver.k_schedule")
-    if schedule or k is not None:
-        knobs["k_schedule"] = schedule or (k,)
+    knobs["k_schedule"] = _numbers(sspec.get("k_schedule", SolverConfig.k_schedule),
+                                   "solver.k_schedule")
     return knobs
 
 
@@ -254,7 +251,7 @@ def build_experiment(cfg: dict, base_dir: str = ".", n=None,
         "grid", "A", "f", "a0", "H", "alpha", "gamma", "c0", "q", "N"))
     gspec = _block(problem["grid"], "problem.grid", (), ("extents", "n"))
     sspec = _block(cfg.get("solver", {}), "solver",
-                   ["k", *(f.name for f in fields(SolverConfig))])
+                   [f.name for f in fields(SolverConfig)])
     cspec = _block(cfg.get("constants", {}), "constants",
                    ("C_N", "declared_norms", "root_tol"))
     rspec = _block(cfg.get("report", {}), "report", ("n_ladder", "y_deltas", "out_dir"))
@@ -301,9 +298,6 @@ def build_experiment(cfg: dict, base_dir: str = ".", n=None,
     # the knobs' range rules apply whether or not delta is ever resolved;
     # gamma, which the model has checked positive, stands in for it
     knob_cfg = SolverConfig(delta=gamma, **knobs)
-    if sspec.get("k_schedule") and "k" in sspec:  # the schedule sets every height
-        raise ConfigError("solver.k and a nonempty solver.k_schedule exclude "
-                          "each other; give one of the two")
 
     pair = _block(problem.get("exponent_pair", {}), "problem.exponent_pair",
                   ("sobolev", "f_norm"))

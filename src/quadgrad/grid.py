@@ -385,6 +385,10 @@ def hminus1_norm(grid: Grid, f: np.ndarray) -> float:
     return h1_seminorm(grid, riesz_representative(grid, f))
 
 
+# relative change of the ratio at which the Sobolev ascent stops
+SOBOLEV_TOL = 1e-8
+
+
 @dataclass
 class SobolevEstimate:
     value: float
@@ -392,7 +396,7 @@ class SobolevEstimate:
     converged: bool
 
 
-def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
+def estimate_sobolev_constant(grid: Grid, p: float,
                               max_iter: int = 400) -> SobolevEstimate:
     """Maximize |v|_p / |grad v|_2 by preconditioned ascent.
 
@@ -400,8 +404,8 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
     (``DiffusionOperator.fast_inverse``) and renormalizes in energy; the
     achieved ratio increases monotonically, so the returned value is a
     certified lower bound of the discrete constant.
-    Stagnation before `tol` relative change returns the best ratio found with
-    ``converged=False``.
+    Stagnation before a relative change of SOBOLEV_TOL returns the best ratio
+    found with ``converged=False``.
     """
     if p <= 2:
         raise DomainError(f"estimator requires p > 2, got {p}")
@@ -415,7 +419,7 @@ def estimate_sobolev_constant(grid: Grid, p: float, tol: float = 1e-8,
         z = z / h1_seminorm(grid, z)
         new_ratio = lp_norm(grid, z, p)
         v = z
-        if abs(new_ratio - ratio) <= tol * max(ratio, 1e-300):
+        if abs(new_ratio - ratio) <= SOBOLEV_TOL * max(ratio, 1e-300):
             return SobolevEstimate(max(new_ratio, ratio), it, True)
         ratio = max(ratio, new_ratio)
     return SobolevEstimate(ratio, max_iter, False)

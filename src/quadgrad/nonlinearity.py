@@ -200,9 +200,10 @@ def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
 
     ``a_quad`` = A(x) Dw.Dw and ``grad_sq`` = |Dw|^2 evaluated at the nodes.
     delta|t|, 1 + delta|t|, log1p(delta|t|) and sign(t) are evaluated once;
-    the second result equals ``g_delta(t, delta)`` bit for bit.
+    the second result equals ``g_delta(t, delta)`` bit for bit.  ``delta``
+    broadcasts like ``t``, so a sampled check can draw one per point.
     """
-    if delta <= 0:
+    if np.any(delta <= 0):
         raise DomainError(f"substitution parameter must be positive, got {delta}")
     t = np.asarray(t, dtype=float)
     x = delta * np.abs(t)

@@ -8,10 +8,9 @@ inequalities are exact in real arithmetic while double precision is not.
 The checks whose bounds scale with the model constants or the exponents
 evaluate in extended arithmetic: a bound that overflows gives an infinite or
 NaN margin, which fails unless it is +inf, without a floating-point warning.
-The model checks read gamma and c0 from the ``HModel`` and draw A >= alpha;
-``verify`` runs the growth certificate and both K checks on one draw
-(``model_samples``), and the five grid checks on one draw of random fields
-(``grid_checks``).
+The growth certificate and both K checks take one draw of A >= alpha
+(``model_samples``) and read gamma, c0 and the kind from its model; the five
+grid checks take one draw of random fields (``grid_checks``).
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .grid import (
 from .nonlinearity import HModel, g_delta, transformed_terms
 
 REL_SLACK = 1e-12
+# draws per sampled check
+SAMPLES = 10_000
 # pairs of random fields that the grid checks share, and how many of them
 # the dual-norm check lifts by a Poisson solve
 GRID_PAIRS, DUAL_PAIRS = 20, 10
@@ -116,12 +117,13 @@ class ModelSamples(NamedTuple):
     model: HModel
 
 
-def model_samples(model: HModel, alpha, rng, n=10_000) -> ModelSamples:
+def model_samples(model: HModel, alpha, rng) -> ModelSamples:
     """The (A, xi, s) draw that the growth certificate and both K checks of
-    ``verify`` share, in this order: n SPD matrices A >= alpha, gradients
-    xi = N(0,1)^2 * U(0,3), values s = N(0,1) * 10^U(-3,2) with 5% of them
-    set to 0, and for a field mu one nodal value per sample.  Only the forms
-    are kept, so the matrices are freed on return."""
+    ``verify`` share, in this order: SAMPLES SPD matrices A >= alpha,
+    gradients xi = N(0,1)^2 * U(0,3), values s = N(0,1) * 10^U(-3,2) with 5%
+    of them set to 0, and for a field mu one nodal value per sample.  Only
+    the forms are kept, so the matrices are freed on return."""
+    n = SAMPLES
     mats = random_spd_matrices(rng, n, 2, alpha_min=alpha)
     xis = rng.standard_normal((n, 2)) * rng.uniform(0.0, 3.0, (n, 1))
     s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)
@@ -155,41 +157,36 @@ def _k_result(name, margin, bound) -> CheckResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_k_two_sided(model: HModel, alpha, rng, n=10_000,
-                      delta=None, samples=None) -> CheckResult:
-    """Two-sided squeeze -(|delta-gamma|) A z.z <= K <= (c0+delta) A z.z,
-    on ``samples`` when given, else on a draw of its own."""
-    gamma, c0 = model.gamma_cert, model.c0_cert
-    delta = float(delta if delta is not None else rng.uniform(0.05, 3.0))
-    if samples is None:
-        samples = model_samples(model, alpha, rng, n)
+def check_k_two_sided(samples: ModelSamples, rng) -> CheckResult:
+    """Two-sided squeeze -(|delta-gamma|) A z.z <= K <= (c0+delta) A z.z on
+    the shared samples, one delta ~ U(0.05, 3) per sample."""
+    model = samples.model
+    delta = rng.uniform(0.05, 3.0, len(samples.s))
     kv, a_quad = _k_values(samples, rng, delta)
-    bound = (c0 + delta) * a_quad
+    bound = (model.c0_cert + delta) * a_quad
     slack = REL_SLACK * bound
     margin = np.minimum(bound + slack - kv,
-                        kv + abs(delta - gamma) * a_quad + slack)
-    return _k_result(f"two-sided gradient-term bound (delta={delta:.3g})",
+                        kv + np.abs(delta - model.gamma_cert) * a_quad + slack)
+    return _k_result("two-sided gradient-term bound (delta in [0.05, 3])",
                      margin, bound)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_k_nonnegative(model: HModel, alpha, rng, n=10_000,
-                        delta=None, samples=None) -> CheckResult:
-    """One-sided bound 0 <= K <= (c0+delta) A z.z for delta >= gamma, on
-    ``samples`` when given, else on a draw of its own."""
-    gamma = model.gamma_cert
-    delta = float(delta if delta is not None else gamma * rng.uniform(1.0, 3.0))
-    if samples is None:
-        samples = model_samples(model, alpha, rng, n)
+def check_k_nonnegative(samples: ModelSamples, rng) -> CheckResult:
+    """One-sided bound 0 <= K <= (c0+delta) A z.z for delta >= gamma on the
+    shared samples, one delta ~ gamma * U(1, 3) per sample."""
+    model = samples.model
+    delta = model.gamma_cert * rng.uniform(1.0, 3.0, len(samples.s))
     kv, a_quad = _k_values(samples, rng, delta)
     bound = (model.c0_cert + delta) * a_quad
     return _k_result(
-        f"nonnegativity of gradient term (delta={delta:.3g} >= gamma)",
+        "nonnegativity of gradient term (delta in [gamma, 3 gamma])",
         kv + REL_SLACK * bound, bound)
 
 
-def check_g_identity(rng, n=10_000) -> CheckResult:
+def check_g_identity(rng) -> CheckResult:
     """Algebraic identity linking t + g*sign(t) to the substitution factor."""
+    n = SAMPLES
     t = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
     delta = 10.0 ** rng.uniform(-2, 1, n)
     lhs = t + g_delta(t, delta) * np.sign(t)
@@ -200,11 +197,12 @@ def check_g_identity(rng, n=10_000) -> CheckResult:
                        worst <= REL_SLACK, worst)
 
 
-def check_g_envelope(rng, n=10_000) -> CheckResult:
+def check_g_envelope(rng) -> CheckResult:
     """0 <= g_delta(t) <= dstar^lam * C(lam) * |t|^(1+lam) for delta <= dstar.
 
     ``worst`` is the g >= 0 side's; the detail gives the largest sampled
     g / envelope, the envelope side's slack."""
+    n = SAMPLES
     lam = rng.uniform(0.05, 0.95, n)
     dstar = 10.0 ** rng.uniform(-2, 1, n)
     delta = dstar * rng.uniform(0.01, 1.0, n)
@@ -217,8 +215,12 @@ def check_g_envelope(rng, n=10_000) -> CheckResult:
                        f"largest g/envelope {np.max(g / env):.3e}")
 
 
-def check_g_growth(c: ProblemConstants, rng, n=10_000) -> CheckResult:
-    """0 <= g_delta(t) < G |t|^(1+theta) for 0 < delta <= delta1, t != 0."""
+def check_g_growth(c: ProblemConstants, rng) -> CheckResult:
+    """0 <= g_delta(t) < G |t|^(1+theta) for 0 < delta <= delta1, t != 0.
+
+    ``worst`` is the smaller side's margin; the detail gives the largest
+    sampled g / (G |t|^(1+theta)), the envelope side's slack."""
+    n = SAMPLES
     delta = cmod.delta1(c) * rng.uniform(1e-3, 1.0, n)
     t = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 3, n)
     t[t == 0.0] = 1e-3
@@ -226,18 +228,17 @@ def check_g_growth(c: ProblemConstants, rng, n=10_000) -> CheckResult:
     env = c.G * np.abs(t) ** (1.0 + c.theta)
     slack = REL_SLACK * env
     worst = float(min(np.min(g), np.min(env + slack - g)))
-    return CheckResult(G_GROWTH, worst >= 0.0, worst)
+    return CheckResult(G_GROWTH, worst >= 0.0, worst,
+                       f"largest g/envelope {np.max(g / env):.3e}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_certificate(model: HModel, alpha, rng, samples=None) -> CheckResult:
-    """Sampled growth certificate -c0 A x.x <= H sign(s) <= gamma A x.x, on
-    ``samples`` when given, else on a draw of its own."""
+def check_certificate(samples: ModelSamples) -> CheckResult:
+    """Sampled growth certificate -c0 A x.x <= H sign(s) <= gamma A x.x on
+    the shared samples."""
+    s, a_quad, xi_sq, model = samples
     gamma, c0 = model.gamma_cert, model.c0_cert
-    if samples is None:
-        samples = model_samples(model, alpha, rng)
-    s, a_quad, xi_sq, sampled = samples
-    hs = sampled.evaluate(s, a_quad, xi_sq) * np.sign(s)
+    hs = model.evaluate(s, a_quad, xi_sq) * np.sign(s)
     slack = REL_SLACK * np.maximum(gamma, c0 + 1.0) * a_quad
     worst = float(min(np.min(gamma * a_quad + slack - hs),
                       np.min(hs + c0 * a_quad + slack)))

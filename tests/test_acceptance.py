@@ -46,6 +46,7 @@ from quadgrad.validate import (
     check_g_identity,
     check_k_nonnegative,
     check_k_two_sided,
+    model_samples,
 )
 
 INV_SQRT12 = 0.288675134594812882254574390251
@@ -123,16 +124,17 @@ def test_criterion_02_pointwise_bound_suite():
     ok = True
     details = []
     for model in CATALOG:
-        r1 = check_k_two_sided(model, 0.5, rng, n=10_000)
-        r2 = check_k_nonnegative(model, 0.5, rng, n=10_000)
+        samples = model_samples(model, 0.5, rng)
+        r1 = check_k_two_sided(samples, rng)
+        r2 = check_k_nonnegative(samples, rng)
         ok = ok and r1.ok and r2.ok
         details.append(f"{model.kind}:{min(r1.worst, r2.worst):.1e}")
-    r3 = check_g_identity(rng, n=10_000)
-    r4 = check_g_envelope(rng, n=10_000)
+    r3 = check_g_identity(rng)
+    r4 = check_g_envelope(rng)
     exp = experiment_from_file(config_path("benchmark_1d.json"),
                                for_solve=False)
     c = exp.data.constants
-    r5 = check_g_growth(c, rng, n=10_000)
+    r5 = check_g_growth(c, rng)
     elapsed = time.monotonic() - t0
     ok = ok and r3.ok and r4.ok and r5.ok and elapsed < 5.0
     report(2, ok, ", ".join(details) + f", identity {r3.worst:.1e}, "
@@ -174,7 +176,7 @@ def test_criterion_04_linear_oracle():
             "alpha": 1.0, "gamma": 0.5, "c0": 0.0, "q": 1.8, "N": 3,
         },
         "constants": {"C_N": "estimate"},
-        "solver": {"delta": 0.5, "k": 10000.0, "rho": 0.5,
+        "solver": {"delta": 0.5, "k_schedule": [10000.0], "rho": 0.5,
                    "outer_tol": 1e-12, "inner_tol": 1e-12, "max_outer": 400},
     }
     exp = build_experiment(cfg)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,21 +402,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
     def test_k_beside_schedule_exits_2(self, tmp_path, capsys, command):
-        # the schedule sets every truncation height, so k would be ignored
+        # the schedule is the one spelling of the truncation heights
         cfg = mutated_benchmark(("solver", "k"), 7.0)
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == (
-            "config error: solver.k and a nonempty solver.k_schedule exclude "
-            "each other; give one of the two\n")
+            "config error: unknown key(s) ['k'] in solver block\n")
 
     @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
                                          "verify"])
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_exits_2(self, tmp_path, capsys, command, k):
-        # k is the one-height schedule (k,), held to the schedule's rules
+        # a single height is a one-entry schedule, held to the schedule's rules
         cfg = load_benchmark("benchmark_1d.json")
-        del cfg["solver"]["k_schedule"]
-        cfg["solver"]["k"] = k
+        cfg["solver"]["k_schedule"] = [k]
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == (
             "config error: truncation schedule must be positive and increase, "
@@ -763,9 +762,8 @@ class TestConstantsCommand:
             assert main(["constants", "--config",
                          config_path("benchmark_1d.json"), "--out", out]) == 0
         capsys.readouterr()
-        b1 = open(os.path.join(out1, "constants_report.json"), "rb").read()
-        b2 = open(os.path.join(out2, "constants_report.json"), "rb").read()
-        assert b1 == b2
+        assert Path(out1, "constants_report.json").read_bytes() \
+            == Path(out2, "constants_report.json").read_bytes()
 
 
 class TestSolveCommand:
@@ -813,8 +811,8 @@ class TestSolveCommand:
             outs.append(out)
         capsys.readouterr()
         for name in ("solution_w.csv", "residuals.json", "trace.jsonl"):
-            assert open(os.path.join(outs[0], name), "rb").read() == \
-                open(os.path.join(outs[1], name), "rb").read()
+            assert Path(outs[0], name).read_bytes() \
+                == Path(outs[1], name).read_bytes()
 
     def test_invariant_violation_exits_5_with_trace(self, tmp_path, capsys):
         # a literature C_N of 0.1 shrinks the ball radius to 0.229, below
@@ -913,8 +911,8 @@ class TestSweepCommand:
 
 
 # a verify seed whose grid checks draw a pair with |<Au, v>| / sum |Au v|
-# of 9.7e-7 on benchmark_2d
-CANCELLING_SEED = "22"
+# of 4.9e-6 on benchmark_2d
+CANCELLING_SEED = "121"
 
 
 class TestVerifyCommand:
@@ -938,7 +936,7 @@ class TestVerifyCommand:
         assert "[PASS] discrete integration by parts" in out
 
     @pytest.mark.parametrize("seed, worst", [
-        (None, 1.7380055768096916e-17), (CANCELLING_SEED, 8.474918062063368e-18),
+        (None, 1.712562183700568e-17), (CANCELLING_SEED, 1.9921990764709578e-17),
     ], ids=["config-seed", "cancelling-seed"])
     def test_benchmark_2d_symmetry_margin_pinned(self, tmp_path, capsys, seed,
                                                  worst):
@@ -1128,7 +1126,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("edits, height", [
         ({}, 100000.0),
-        ({"k_schedule": [], "k": 2000.0}, 2000.0),
+        ({"k_schedule": [2000.0]}, 2000.0),
     ], ids=["schedule", "single-height"])
     def test_equivalence_crosscheck_solves_at_the_top_height(
             self, tmp_path, monkeypatch, edits, height):
@@ -1286,8 +1284,7 @@ class TestVerifyDeterminism:
             assert main(["verify", "--config", path, "--out", out]) == 0
             outs.append(out)
         capsys.readouterr()
-        b = [open(os.path.join(o, "verify_report.json"), "rb").read()
-             for o in outs]
+        b = [Path(o, "verify_report.json").read_bytes() for o in outs]
         assert b[0] == b[1]
 
 

@@ -1,7 +1,7 @@
 """Every public module-level function or class of the package has a caller in
 the package or the benchmark harness; code that only tests reach belongs in
 the tests.  Every defaulted parameter of a package function is passed by some
-call in the package, the harness or the tests; one nobody sets is a constant.
+call in the package or the harness; one that only tests set is a constant.
 Every parameter of a package function is read by its body.  A ``ScalarField``
 is built only where nodal data enters or a solution leaves.  Only ``config``
 reads inside the raw config document.  The solver reads the problem's
@@ -22,6 +22,16 @@ PACKAGE = ROOT / "src" / "quadgrad"
 
 # the point reference that tests/test_solver.py checks inner_coefficients against
 EXEMPT = {"k_delta"}
+# defaulted parameters that only tests pass, each with the reason
+EXEMPT_PARAMETERS = {
+    # only a test can exhaust CG's budget: with the exact preconditioner, CG
+    # at tol 1e-300 breaks down after about 100 iterations, far short of its
+    # 20 n + 100
+    "grid.py: cg_solve(maxiter)",
+    # the Sobolev ascent converges in a few of its 400 steps; only a test can
+    # stop it short to reach the unconverged result
+    "grid.py: estimate_sobolev_constant(max_iter)",
+}
 # data enters through a CSV file or an expression, and a solve's solution
 # leaves; everything else passes the grid and a plain nodal array
 FIELD_BUILDERS = {"read_field_csv", "field_from_expression", "outer_fixed_point"}
@@ -73,13 +83,12 @@ def _passes(call, name, index):
 
 
 def test_every_defaulted_parameter_is_passed():
-    """A parameter with a default that no call in the package, the benchmark
-    harness or the tests ever passes has one value in use: a constant."""
+    """A parameter with a default that no call in the package or the
+    benchmark harness ever passes has one value in use: a constant."""
     package = {path: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
     others = [ast.parse(path.read_text())
-              for folder in (ROOT / "perfbench", ROOT / "tests")
-              for path in sorted(folder.glob("*.py"))]
+              for path in sorted((ROOT / "perfbench").glob("*.py"))]
     calls = defaultdict(list)  # callee name -> every call of that name
     for tree in list(package.values()) + others:
         for node in ast.walk(tree):
@@ -113,7 +122,9 @@ def test_every_defaulted_parameter_is_passed():
             unset += [f"{path.name}: {fn.name}({name})"
                       for name, index in _defaulted(fn)
                       if not any(_passes(c, name, index) for c in sites)]
-    assert not unset, f"defaulted parameters that no call passes: {unset}"
+    assert set(unset) == EXEMPT_PARAMETERS, \
+        f"defaulted parameters that no call passes, against the exemptions: " \
+        f"{sorted(set(unset) ^ EXEMPT_PARAMETERS)}"
 
 
 def test_every_parameter_is_read():

@@ -459,8 +459,8 @@ class TestSobolevEstimator:
             estimate_sobolev_constant(Grid((1.0,), (8,)), 2.0)
 
     def test_stagnation_reports_best_found(self):
-        est = estimate_sobolev_constant(Grid((1.0,), (32,)), 6.0, max_iter=1,
-                                        tol=1e-30)
+        # the ascent needs 6 iterations to reach SOBOLEV_TOL on this grid
+        est = estimate_sobolev_constant(Grid((1.0,), (32,)), 6.0, max_iter=1)
         assert not est.converged
         assert est.value > 0.0
 

@@ -42,10 +42,8 @@ def make_exp(n=64, f_amp=1.0, a0_value=0.2, model=None, delta="delta0",
                        "coeff": 0.4},
         "alpha": 1.0, "gamma": 0.5, "c0": 0.2, "q": 1.8, "N": 3,
     }
-    solver = {"delta": delta, "k": 200.0, "rho": 0.5, "outer_tol": 1e-10,
-              "inner_tol": 1e-12, "max_outer": 300}
-    if solver_kw.get("k_schedule"):
-        del solver["k"]  # a nonempty schedule sets every truncation height
+    solver = {"delta": delta, "k_schedule": [200.0], "rho": 0.5,
+              "outer_tol": 1e-10, "inner_tol": 1e-12, "max_outer": 300}
     solver.update(solver_kw)
     return build_experiment({"problem": problem,
                              "constants": {"C_N": "estimate"},
@@ -73,8 +71,10 @@ class TestSolverConfig:
     def test_the_schedule_is_the_one_height_field(self):
         assert "k" not in {f.name for f in fields(SolverConfig)}
         assert SolverConfig(delta=0.5).k_schedule == (100.0,)
-        # k beside an empty schedule is the one-height schedule (k,)
-        assert make_exp(n=16, k_schedule=[]).solver_cfg.k_schedule == (200.0,)
+        # a config's one height is a one-entry schedule; an empty one is refused
+        assert make_exp(n=16).solver_cfg.k_schedule == (200.0,)
+        with pytest.raises(DomainError, match="truncation schedule"):
+            make_exp(n=16, k_schedule=[])
 
     def test_grid_argument_leaves_the_document(self):
         cfg = load_benchmark("benchmark_2d.json")
@@ -220,7 +220,7 @@ class TestOuterIteration:
         assert all(r.estimate_slack >= -trace.eps_solver for r in trace.records)
 
     def test_fixed_point_residual_bound(self):
-        exp = make_exp(n=64, k=5000.0)
+        exp = make_exp(n=64, k_schedule=[5000.0])
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         assert trace.residual <= 3.0 * exp.solver_cfg.outer_tol
 
@@ -373,7 +373,7 @@ class TestResiduals:
         assert original_residual(z, exp.data, 0.5) == 0.0
 
     def test_untruncated_residual_after_saturated_solve(self):
-        exp = make_exp(n=64, k=5000.0)
+        exp = make_exp(n=64, k_schedule=[5000.0])
         w, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
         res = fixed_point_residual(w.values, exp.data, exp.solver_cfg.delta,
                                    k=None)
@@ -383,7 +383,7 @@ class TestResiduals:
         res = []
         hs = []
         for n in (32, 64, 128):
-            exp = make_exp(n=n, k=5000.0)
+            exp = make_exp(n=n, k_schedule=[5000.0])
             w, _ = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
             res.append(original_residual(w.values, exp.data,
                                          exp.solver_cfg.delta))
@@ -692,7 +692,7 @@ class TestRemarkMode:
         d0 = exp0.report.delta0
         z0 = exp0.report.Z_delta0
         delta = 0.5 * (0.5 + d0)  # inside [gamma, delta0)
-        base["solver"].update(delta=delta, k_schedule=[])
+        base["solver"].update(delta=delta, k_schedule=[100.0])
         exp = build_experiment(base, n=[48])
         assert exp.delta_mode == "explicit"
         assert exp.data.ball_radius is not None

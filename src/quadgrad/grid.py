@@ -326,15 +326,18 @@ def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
     """
     b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
     target = tol * max(b_norm, np.finfo(float).tiny)
-    x = np.zeros(rhs.shape)
     if b_norm == 0.0 or b_norm <= target:
-        return x, 0
+        return np.zeros(rhs.shape), 0
     # the zero start's residual is rhs itself, and L p = r for p = inverse(r)
     r = np.array(rhs, dtype=float)
     z = inverse(r)
+    rz = float(np.vdot(r, z).real)
+    if 0.0 < rz < np.inf and not np.any(shift):
+        # L z = rhs: the loop's first step, alpha = r.z / z.r = 1, returns z
+        return z, 1
+    x = np.zeros(rhs.shape)
     p = z.copy()
     lp = r.copy()
-    rz = float(np.vdot(r, z).real)
     if maxiter is None:
         maxiter = 20 * rhs.size + 100
     for it in range(1, maxiter + 1):

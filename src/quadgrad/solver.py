@@ -24,11 +24,12 @@ Structure of one solve at truncation height k:
           would leave the ball |Dw| <= Z;
   ladder: re-solve cold along an increasing truncation schedule and record
           tail energies and increments as convergence diagnostics.  The
-          heights below the top two show only the limit k -> infinity, so
-          only their discrete fixed points matter and they are
-          Anderson-mixed; the top two keep the relaxed trajectory, the top
-          one for the reported solution and the one below it so that the
-          final increment compares two solves of the same scheme.
+          heights below the top show only the limit k -> infinity, so only
+          their discrete fixed points matter and they are Anderson-mixed;
+          the top height keeps the relaxed trajectory and gives the reported
+          solution.  The final increment then compares a mixed solve with a
+          relaxed one, so it carries the relaxed solve's stopping error
+          (below outer_tol) even where both heights pose the same problem.
 
 Every inner solve is followed by the a priori estimate check: the energy of
 the output is bounded by the profile value at the input's energy, an exact
@@ -385,43 +386,71 @@ ANDERSON_DEPTH = 5
 DEGENERATE_FIT = 1e-10
 
 
-def _least_squares(columns, target):
-    """The coefficients gamma minimizing |target - sum_i gamma_i columns[i]|,
-    or None when the fit is degenerate.
+class _WindowFit:
+    """Least-squares fits over a window of at most ``depth`` columns, from QR
+    factors updated as a column enters and the oldest leaves (Walker and Ni
+    2011, section 4): the window's columns, oldest first, are Q^T R with the
+    rows of Q orthonormal and R upper triangular.  Q is allocated once, at
+    the first column.
 
-    Modified Gram-Schmidt QR of [columns | target] (Bjoerck 1967) and a
-    pure-Python back substitution, so the few columns need no LAPACK.  The
-    fit is degenerate when the condition estimate |R|_F |R^-1|_F, an upper
-    bound of kappa_2, exceeds 1 / DEGENERATE_FIT; this refuses at least
-    every fit whose singular values fall below DEGENERATE_FIT times the
-    largest.
+    A fit is degenerate when the entering column has no component
+    orthogonal to the window, or when the condition estimate
+    |R|_F |R^-1|_F, an upper bound of kappa_2, exceeds 1 / DEGENERATE_FIT;
+    this refuses at least every window whose singular values fall below
+    DEGENERATE_FIT times the largest.
     """
-    m = len(columns)
-    R = [[0.0] * m for _ in range(m)]
-    c = [0.0] * m
-    q = []
-    for j, v in enumerate(columns):
-        for i, q_i in enumerate(q):
-            R[i][j] = r = float(np.vdot(q_i, v))
-            v = v - r * q_i
-        R[j][j] = norm = math.sqrt(float(np.vdot(v, v)))
+
+    def __init__(self, depth):
+        self.R = np.zeros((depth, depth))
+        self.Q = None
+        self.m = 0
+
+    def push(self, column, target):
+        """Enter ``column`` as the newest and return the coefficients gamma
+        minimizing |target - sum_i gamma_i column_i| over the window, or None
+        when the fit is degenerate.  The column enters by two classical
+        Gram-Schmidt passes against the rows of Q."""
+        m, R = self.m, self.R
+        if self.Q is None:
+            self.Q = np.empty((len(R), column.size))
+        if m:
+            Q = self.Q[:m]
+            s = Q @ column
+            column = column - s @ Q
+            s2 = Q @ column
+            column -= s2 @ Q
+            R[:m, m] = s + s2
+        R[m, m] = norm = math.sqrt(float(np.vdot(column, column)))
         if not norm > 0.0:
             return None
-        q.append(v / norm)
-        c[j] = r = float(np.vdot(q[j], target))
-        target = target - r * q[j]
-    # R^-1 by back substitution, column by column; gamma = R^-1 c
-    inv = [[0.0] * m for _ in range(m)]
-    for j in range(m):
-        inv[j][j] = 1.0 / R[j][j]
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -sum(R[i][l] * inv[l][j] for l in range(i + 1, j + 1)) \
-                / R[i][i]
-    fro = math.sqrt(sum(r * r for row in R for r in row))
-    fro_inv = math.sqrt(sum(r * r for row in inv for r in row))
-    if fro * fro_inv > 1.0 / DEGENERATE_FIT:
-        return None
-    return [sum(inv[i][l] * c[l] for l in range(i, m)) for i in range(m)]
+        np.divide(column, norm, out=self.Q[m])
+        self.m = m = m + 1
+        R = R[:m, :m]
+        inv = np.linalg.inv(R)
+        fro = math.sqrt(float(np.vdot(R, R)))
+        if fro * math.sqrt(float(np.vdot(inv, inv))) > 1.0 / DEGENERATE_FIT:
+            return None
+        return inv @ (self.Q[:m] @ target)
+
+    def drop_oldest(self):
+        """Remove the oldest column.  The rest of R is upper Hessenberg;
+        Givens rotations restore its triangular form, and their product G
+        turns Q into the factor of the remaining columns."""
+        m = self.m
+        H = self.R[:m, 1:m].tolist()
+        G = np.eye(m).tolist()
+        for i in range(m - 1):
+            a, b = H[i][i], H[i + 1][i]
+            r = math.hypot(a, b)
+            c, s = a / r, b / r
+            for rows in (H, G):
+                top, bottom = rows[i], rows[i + 1]
+                rows[i] = [c * x + s * y for x, y in zip(top, bottom)]
+                rows[i + 1] = [c * y - s * x for x, y in zip(top, bottom)]
+            H[i][i], H[i + 1][i] = r, 0.0
+        self.Q[:m - 1] = np.array(G[:m - 1]) @ self.Q[:m]
+        self.R[:m - 1, :m - 1] = H[:m - 1]
+        self.m = m - 1
 
 
 class _AndersonStep:
@@ -431,12 +460,14 @@ class _AndersonStep:
         w_next = W - sum_i gamma_i dW_i,
 
     over the last differences dW_i of the inner solutions, with gamma the
-    least-squares fit (``_least_squares``) of the defect f = W - w by the
-    differences df_i of the defects in the energy inner product (edge
-    gradients times sqrt(node_measure)).  Without history the step is W
-    itself.  A degenerate fit, or a mixed iterate whose |Dw| exceeds the
-    ball radius plus the level's current ``eps_solver``, takes the relaxed
-    step with factor rho instead and restarts the history.
+    least-squares fit of the defect f = W - w by the differences df_i of the
+    defects in the energy inner product (edge gradients times
+    sqrt(node_measure)).  The fit's QR factors are kept and updated as the
+    window moves (``_WindowFit``), not rebuilt at every step.  Without
+    history the step is W itself.  A degenerate fit, or a mixed iterate
+    whose |Dw| exceeds the ball radius plus the level's current
+    ``eps_solver``, takes the relaxed step with factor rho instead and
+    restarts the history.
     """
 
     def __init__(self, grid, rho, radius, trace):
@@ -444,21 +475,22 @@ class _AndersonStep:
         self.relaxed = partial(_relaxed_step, grid, rho)
         self.scale = math.sqrt(grid.node_measure)
         self.last = None      # (W, Df) of the previous iterate
-        self.history = []     # (dW_i, dDf_i), oldest first
+        self.history = []     # dW_i, oldest first; the df_i are in self.fit
+        self.fit = _WindowFit(ANDERSON_DEPTH)
 
     def __call__(self, w, W, grad_W, grad_D, defect):
         Df = np.concatenate([g.ravel() for g in grad_D]) * self.scale
-        if self.last is not None:
-            W_prev, Df_prev = self.last
-            self.history.append((W - W_prev, Df - Df_prev))
-            del self.history[:-ANDERSON_DEPTH]
-        self.last = (W, Df)
+        last, self.last = self.last, (W, Df)
         w_next = W.copy()
-        if self.history:
-            gamma = _least_squares([dDf for _, dDf in self.history], Df)
+        if last is not None:
+            if len(self.history) == ANDERSON_DEPTH:
+                del self.history[0]
+                self.fit.drop_oldest()
+            self.history.append(W - last[0])
+            gamma = self.fit.push(Df - last[1], Df)
             if gamma is None:
                 return self._fallback(w, W, grad_W, grad_D, defect)
-            for g, (dW, _) in zip(gamma, self.history):
+            for g, dW in zip(gamma, self.history):
                 w_next -= g * dW
         grad_next = gradient(self.grid, w_next)
         norm_next = energy_norm(self.grid, grad_next)
@@ -469,6 +501,7 @@ class _AndersonStep:
 
     def _fallback(self, w, W, grad_W, grad_D, defect):
         self.history.clear()
+        self.fit.m = 0
         return self.relaxed(w, W, grad_W, grad_D, defect)
 
 
@@ -567,16 +600,17 @@ class LadderDiagnostics:
 
 
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
-                   relaxed_heights=2):
+                   relaxed_heights=1):
     """Solve along the truncation schedule and collect diagnostics; each
     height is an ``outer_fixed_point`` solve started cold from w = 0.
 
     The top ``relaxed_heights`` heights keep the paper's relaxed trajectory;
     the heights below them are Anderson-mixed (``_AndersonStep``, guarded by
     the ball radius; relaxed without one), since only their discrete fixed
-    points enter the diagnostics.  Of the default two, the top height gives
-    the reported solution, and the one below it keeps the final increment a
-    comparison between two solves of the same scheme.
+    points enter the diagnostics.  By default only the top height, which
+    gives the reported solution, stays relaxed; the final increment then
+    compares a mixed solve with a relaxed one and carries the relaxed
+    solve's stopping error.
 
     A SolverFailure leaves with ``traces``: the finished heights' traces,
     then the failing height's partial one.

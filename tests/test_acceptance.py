@@ -228,10 +228,10 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
 
 def test_benchmark_iteration_counts(run_1d, run_2d):
     # a change that only saves work must leave the trajectory where it is,
-    # and one that adds linear work must say so here; the two lower heights
-    # are Anderson-mixed, the top two keep the relaxed trajectory
-    for run, picard, newton, cg in ((run_1d, [13, 13, 42, 42], 115, 279),
-                                    (run_2d, [10, 12, 38, 38], 102, 269)):
+    # and one that adds linear work must say so here; the three lower
+    # heights are Anderson-mixed, the top one keeps the relaxed trajectory
+    for run, picard, newton, cg in ((run_1d, [13, 13, 14, 42], 91, 233),
+                                    (run_2d, [10, 12, 13, 38], 77, 205)):
         traces = run[3]
         assert [len(t.records) for t in traces] == picard
         assert sum(r.inner_iterations

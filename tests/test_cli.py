@@ -618,11 +618,10 @@ class TestExitCodes:
             f" (so far: Picard {len(rows)}, Newton {newton}, CG {cg})\n")
 
     def test_inner_failure_exits_4_with_trace(self, tmp_path, capsys):
-        # one Newton step per inner solve finishes the first level, then
-        # runs out of budget in the second; on a two-height ladder both are
-        # relaxed (a mixed lower height stalls at once with this budget)
-        raw = mutated_benchmark(("solver", "max_inner"), 1)
-        raw["solver"]["k_schedule"] = [5.0, 25.0]
+        # one Newton step per inner solve finishes the first, mixed level of
+        # benchmark_2d, then runs out of budget in the relaxed second one
+        raw = load_benchmark("benchmark_2d.json")
+        raw["solver"].update(max_inner=1, k_schedule=[5.0, 25.0])
         cfg = write_cfg(tmp_path, raw)
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 4

@@ -230,6 +230,19 @@ class TestOperator:
             cg_solve(op.fast_inverse, np.ones(32), shift, tol=1e-14, maxiter=2)
         assert err.value.residual > 0 and err.value.iterations == 2
 
+    @pytest.mark.parametrize("extents, shape", [((1.0,), (13,)),
+                                                ((1.0, 2.0), (6, 5))],
+                             ids=["1d", "2d"])
+    def test_zero_shift_returns_the_exact_inverse(self, rng, extents, shape):
+        # without a shift the preconditioner inverts the system: the first
+        # iterate is inverse(rhs) itself, one iteration
+        g = Grid(extents, shape)
+        op = DiffusionOperator(MatrixField(g, np.linspace(1.0, 3.0, g.dim),
+                                           alpha=1.0))
+        rhs = rng.standard_normal(shape)
+        x, iterations = cg_solve(op.fast_inverse, rhs, np.zeros(shape))
+        assert iterations == 1 and np.array_equal(x, op.fast_inverse(rhs))
+
     def test_cg_breakdown_reported(self):
         # an inverse that underflows every residual to 0 leaves r.z and
         # p.(L + shift)p at 0: a failed solve, not a ZeroDivisionError

@@ -255,29 +255,40 @@ class TestContinuation:
             k_continuation(exp.data, exp.solver_cfg)
 
     def test_saturated_truncation_reproduces_solution(self):
-        # every height above max K gives the identical discrete problem
+        # every height above max K gives the identical discrete problem, so
+        # the relaxed solves at two such heights agree bit for bit; the
+        # ladder mixes the lower one, which moves the increment by no more
+        # than the solves' stopping tolerance
         exp = make_exp(n=48, k_schedule=[1000.0, 4000.0])
-        w, diag, traces = k_continuation(exp.data, exp.solver_cfg)
-        assert diag.increments[0] <= 1e-13
+        data, cfg = exp.data, exp.solver_cfg
+        low, high = (outer_fixed_point(data, cfg, k)[0] for k in cfg.k_schedule)
+        assert np.array_equal(low.values, high.values)
+        _, diag, _ = k_continuation(data, cfg)
+        assert diag.increments[0] <= cfg.outer_tol
 
-    def test_lower_heights_mix_and_the_top_two_stay_relaxed(self):
-        # the top two heights are the relaxed solves bit for bit; the lower
-        # ones reach their fixed points in fewer Picard iterations
+    def test_lower_heights_mix_and_the_top_stays_relaxed(self):
+        # the top height is the relaxed solve bit for bit; each lower one is
+        # the mixed solve and reaches its fixed point in fewer Picard
+        # iterations than the relaxed one
         exp = make_exp(n=48, k_schedule=[5.0, 25.0, 200.0, 5000.0])
         data, cfg = exp.data, exp.solver_cfg
         n_ladder = (0.05, 0.1, 0.2, 0.4)
         w, diag, traces = k_continuation(data, cfg, n_ladder=n_ladder)
         relaxed = [outer_fixed_point(data, cfg, k) for k in cfg.k_schedule]
-        for (_, plain), trace in zip(relaxed[:2], traces[:2]):
+        mixed = [outer_fixed_point(data, cfg, k, anderson=True)
+                 for k in cfg.k_schedule[:-1]]
+        for (_, plain), (_, mix), trace in zip(relaxed, mixed, traces):
             assert trace.converged
-            assert len(trace.records) < len(plain.records)
-        for (_, plain), trace in zip(relaxed[2:], traces[2:]):
             assert [r.to_dict() for r in trace.records] \
-                == [r.to_dict() for r in plain.records]
-            assert (trace.residual, trace.eps_solver) \
-                == (plain.residual, plain.eps_solver)
+                == [r.to_dict() for r in mix.records]
+            assert len(trace.records) < len(plain.records)
+        top, plain = traces[-1], relaxed[-1][1]
+        assert [r.to_dict() for r in top.records] \
+            == [r.to_dict() for r in plain.records]
+        assert (top.residual, top.eps_solver) \
+            == (plain.residual, plain.eps_solver)
         assert np.array_equal(w.values, relaxed[-1][0].values)
-        top_two = [v.values for v, _ in relaxed[2:]]
+        top_two = [mixed[-1][0].values, w.values]
         assert diag.increments[-1] == energy_norm(
             exp.grid, gradient(exp.grid, top_two[0] - top_two[1]))
         for col, values in zip((2, 3), top_two):
@@ -639,12 +650,23 @@ class TestAndersonMixing:
         assert trace.converged and trace.residual <= 3.0 * cfg.outer_tol
 
 
+def window_fit(columns, target):
+    """The last fit of a fresh ``_WindowFit`` of the Anderson depth that
+    takes the columns in turn, its oldest leaving once the window is full."""
+    fit = solver._WindowFit(solver.ANDERSON_DEPTH)
+    for column in columns:
+        if fit.m == solver.ANDERSON_DEPTH:
+            fit.drop_oldest()
+        gamma = fit.push(column, target)
+    return gamma
+
+
 class TestLeastSquaresFit:
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_matches_lstsq(self, rng, m):
         columns = rng.standard_normal((200, m))
         target = rng.standard_normal(200)
-        gamma = solver._least_squares(list(columns.T), target)
+        gamma = window_fit(columns.T, target)
         want = np.linalg.lstsq(columns, target, rcond=None)[0]
         assert np.allclose(gamma, want, rtol=1e-12, atol=1e-14)
 
@@ -659,11 +681,32 @@ class TestLeastSquaresFit:
             columns = (u * np.geomspace(1.0, 1.0 / cond, m)) @ v.T
             rank = np.linalg.lstsq(columns, u[:, 0],
                                    rcond=solver.DEGENERATE_FIT)[2]
-            gamma = solver._least_squares(list(columns.T), u[:, 0])
+            gamma = window_fit(columns.T, u[:, 0])
             if rank < m:
                 assert gamma is None
             if cond <= 1e9:
                 assert gamma is not None
+
+    def test_updated_window_matches_a_fresh_one(self, rng):
+        # nine columns through a window of five: the oldest leaves four
+        # times, and the updated factors fit like fresh ones of the last five
+        depth = solver.ANDERSON_DEPTH
+        columns = rng.standard_normal((9, 200)) \
+            * np.geomspace(1.0, 1e-3, 9)[:, None]
+        target = rng.standard_normal(200)
+        gamma = window_fit(columns, target)
+        want = window_fit(columns[-depth:], target)
+        assert np.allclose(gamma, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(gamma, np.linalg.lstsq(columns[-depth:].T, target,
+                                                  rcond=None)[0],
+                           rtol=1e-12, atol=1e-14)
+        # a last column in the span of the window, up to rounding, leaves
+        # the updated window degenerate
+        planted = rng.standard_normal(depth - 1) @ columns[-depth + 1:]
+        stack = np.vstack([columns, planted])
+        assert np.linalg.lstsq(stack[-depth:].T, target,
+                               rcond=solver.DEGENERATE_FIT)[2] < depth
+        assert window_fit(stack, target) is None
 
     def test_repeated_defect_difference_takes_the_relaxed_step(self, rng):
         # seeded fault: the defects advance by one fixed difference, so the

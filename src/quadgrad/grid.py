@@ -38,6 +38,7 @@ Conventions, chosen so every summation-by-parts identity holds to roundoff:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -195,7 +196,10 @@ def edge_values(v: np.ndarray):
 def gradient(grid: Grid, v: np.ndarray) -> tuple:
     """Forward differences of the nodal array v per axis edge, with
     Dirichlet zero extension: one edge array per axis."""
-    return tuple((hi - lo) / h for (hi, lo), h in zip(edge_values(v), grid.h))
+    plan = _stencil_plan(v.shape)
+    ext = _zero_padded(v, plan)
+    return tuple((ext[hi] - ext[lo]) / h
+                 for (hi, lo), h in zip(plan.edges, grid.h))
 
 
 def node_average(grid: Grid, grad: tuple):
@@ -214,8 +218,10 @@ def lp_norm(grid: Grid, v: np.ndarray, p) -> float:
 
 def energy_norm(grid: Grid, grad: tuple) -> float:
     """L^2 norm of a per-edge gradient in the shared product measure."""
-    total = sum(float((c * c).sum()) for c in grad)
-    return float(np.sqrt(total * grid.node_measure))
+    total = 0.0
+    for c in grad:
+        total += float((c * c).sum())
+    return math.sqrt(total * grid.node_measure)
 
 
 def h1_seminorm(grid: Grid, v: np.ndarray) -> float:
@@ -285,13 +291,20 @@ class DiffusionOperator:
                                                          for b in range(g.dim)])
             self._inv_eig = 0.5 / half_eig
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """(2d+1)-point stencil; the axis terms are summed in axis order."""
+    def apply(self, v: np.ndarray, diffs=None) -> np.ndarray:
+        """(2d+1)-point stencil; the axis terms are summed in axis order.
+
+        The stencil differences the zero-padded v along every edge.  A list
+        ``diffs`` receives those differences, one edge array per axis in
+        axis order; divided by h they are ``gradient(grid, v)`` bit for bit.
+        """
         ext = _zero_padded(v, self._plan)
         out = None
         for coef, (hi, lo), (nhi, nlo) in self._axes:
-            flux = ext[hi] - ext[lo]
-            flux *= coef
+            diff = ext[hi] - ext[lo]
+            if diffs is not None:
+                diffs.append(diff)
+            flux = diff * coef
             term = flux[nlo] - flux[nhi]
             if out is None:
                 out = term
@@ -311,6 +324,10 @@ class DiffusionOperator:
         return bx @ s @ by
 
 
+# the smallest positive normal double, the floor of CG's stopping target
+_TINY = np.finfo(float).tiny
+
+
 def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
     """Conjugate gradients for (L + diag(shift)) x = rhs on nodal arrays,
     started from x = 0 and preconditioned with ``inverse``, the exact
@@ -324,15 +341,15 @@ def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
     step passes the ratio that makes tol |rhs| its forcing target (see
     ``solver.inner_solve``).  Returns (x, iterations).
     """
-    b_norm = float(np.sqrt(np.vdot(rhs, rhs).real))
-    target = tol * max(b_norm, np.finfo(float).tiny)
+    b_norm = math.sqrt(np.vdot(rhs, rhs).real)
+    target = tol * max(b_norm, _TINY)
     if b_norm == 0.0 or b_norm <= target:
         return np.zeros(rhs.shape), 0
     # the zero start's residual is rhs itself, and L p = r for p = inverse(r)
     r = np.array(rhs, dtype=float)
     z = inverse(r)
     rz = float(np.vdot(r, z).real)
-    if 0.0 < rz < np.inf and not np.any(shift):
+    if 0.0 < rz < np.inf and not shift.any():
         # L z = rhs: the loop's first step, alpha = r.z / z.r = 1, returns z
         return z, 1
     x = np.zeros(rhs.shape)
@@ -352,7 +369,7 @@ def cg_solve(inverse, rhs: np.ndarray, shift, tol: float = 1e-12, maxiter=None):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.sqrt(np.vdot(r, r).real) <= target:
+        if math.sqrt(np.vdot(r, r).real) <= target:
             return x, it
         z = inverse(r)
         rz_new = float(np.vdot(r, z).real)

@@ -63,9 +63,9 @@ def _entropy_core(x, one_p=None, log1p_x=None):
     small = x < 0.1
     xs = x[small]
     # Horner from the last coefficient: c - xs * 0 = c exactly
-    acc = _CORE_COEFFS[-1]
+    acc = np.full(xs.shape, _CORE_COEFFS[-1])
     for c in reversed(_CORE_COEFFS[:-1]):
-        acc = c - xs * acc
+        np.subtract(c, np.multiply(xs, acc, out=acc), out=acc)
     out[small] = xs * xs * acc
     return out
 
@@ -203,7 +203,7 @@ def transformed_terms(t, a_quad, grad_sq, delta, model: HModel):
     the second result equals ``g_delta(t, delta)`` bit for bit.  ``delta``
     broadcasts like ``t``, so a sampled check can draw one per point.
     """
-    if np.any(delta <= 0):
+    if (np.asarray(delta) <= 0).any():
         raise DomainError(f"substitution parameter must be positive, got {delta}")
     t = np.asarray(t, dtype=float)
     x = delta * np.abs(t)

@@ -201,10 +201,15 @@ def inner_coefficients(data: SolveData, w_vals, delta, k, grad=None):
     return np.maximum(b, 0.0), _rhs_from(data, w_vals, one_p, g, sgn)
 
 
+# the Newton matrix's diagonal where no node lies within 1/k of zero
+_NO_SHIFT = np.float64(0.0)
+
+
 @dataclass
 class InnerResult:
     """Work and outcome of one inner solve.  ``image`` is the stencil applied
-    to the returned W, which the next inner solve takes with W as its start."""
+    to the returned W and ``grad`` its per-edge gradient; the next inner
+    solve takes this result as ``start`` with W as its start."""
 
     iterations: int
     residual: float
@@ -212,10 +217,11 @@ class InnerResult:
     cg_iterations: int
     ls_halvings: int
     image: np.ndarray
+    grad: tuple
 
 
 def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig, k: float,
-                x0=None, grad=None, image=None):
+                x0=None, grad=None, start=None):
     """Solve -div(A DW) + b sign_k(W) = rhs(w) at the truncation height k
     by damped semismooth Newton; w and the returned W are nodal arrays.
 
@@ -228,12 +234,15 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig, k: float,
     (an inexact Newton forcing term, Dembo, Eisenstat and Steihaug 1982),
     while Newton stops on the true residual, |r| <= inner_tol |rhs|.
 
-    ``x0`` is the start (zero if omitted) and ``image`` its stencil image,
-    the ``InnerResult.image`` of the solve that returned it; the stencil is
-    then applied once per line-search trial and never to the start.
-    ``grad`` is the per-edge gradient of w when the caller carries it.  The
-    result counts the Newton steps, the CG iterations of all of them and the
-    line-search halvings.
+    ``x0`` is the start (zero if omitted) and ``start`` the ``InnerResult``
+    of the solve that returned it, whose ``image`` and ``grad`` are x0's
+    stencil image and edge gradient; the stencil is then applied once per
+    line-search trial and never to the start.  The accepted trial's stencil
+    pass also hands back its edge differences, which over h are the
+    returned W's gradient; a solve that returns its start passes
+    ``start.grad`` through.  ``grad`` is the per-edge gradient of w when the
+    caller carries it.  The result counts the Newton steps, the CG
+    iterations of all of them and the line-search halvings.
     """
     delta = cfg.delta
     try:
@@ -244,13 +253,18 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig, k: float,
         raise TransformOverflowError(
             "the transformed coefficients K_delta(w) and rhs(w) overflow double "
             f"precision at delta = {delta:g} ({exc})") from exc
-    op = data.op
+    grid, op = data.grid, data.op
+    # W's edge gradient where held, and the accepted trial's edge differences
+    grad_W = diffs = None
     if x0 is None:
-        W = np.zeros(data.grid.shape)
-        LW = np.zeros(data.grid.shape)
+        W = np.zeros(grid.shape)
+        LW = np.zeros(grid.shape)
     else:
-        W = np.array(x0, dtype=float)
-        LW = op.apply(W) if image is None else image
+        W = np.asarray(x0, dtype=float)
+        if start is None:
+            LW = op.apply(W)
+        else:
+            LW, grad_W = start.image, start.grad
 
     def residual_vec(v, lv):
         r = lv + b * np.minimum(np.maximum(k * v, -1.0), 1.0)
@@ -264,24 +278,33 @@ def inner_solve(w: np.ndarray, data: SolveData, cfg: SolverConfig, k: float,
     cg_iterations = halvings = 0
     for it in range(cfg.max_inner + 1):
         if res <= target:
-            return W, InnerResult(it, res, rhs_l2, cg_iterations, halvings, LW)
+            if diffs is not None:
+                grad_W = tuple(d / h for d, h in zip(diffs, grid.h))
+            elif grad_W is None:
+                grad_W = gradient(grid, W)
+            return W, InnerResult(it, res, rhs_l2, cg_iterations, halvings,
+                                  LW, grad_W)
         if it == cfg.max_inner:
             raise NewtonStall(
                 f"inner Newton out of budget ({cfg.max_inner} iterations) at "
                 f"residual {res:g} (target {target:g})", residual=res,
                 iterations=cfg.max_inner)
-        diag = b * k * (np.abs(W) <= 1.0 / k)
+        # the semismooth slope of sign_k; no node within 1/k leaves it zero
+        near = np.abs(W) <= 1.0 / k
+        diag = b * k * near if near.any() else _NO_SHIFT
         step, its = cg_solve(op.fast_inverse, -r, diag,
                              tol=max(1e-15, forcing / res))
         cg_iterations += its
         t = 1.0
         for _ in range(40):
             W_trial = W + t * step
-            LW_trial = op.apply(W_trial)
+            trial_diffs = []
+            LW_trial = op.apply(W_trial, trial_diffs)
             r_trial = residual_vec(W_trial, LW_trial)
             res_trial = math.sqrt(np.vdot(r_trial, r_trial))
             if res_trial <= (1.0 - 1e-4 * t) * res:
                 W, LW, r, res = W_trial, LW_trial, r_trial, res_trial
+                diffs = trial_diffs
                 break
             t *= 0.5
             halvings += 1
@@ -514,11 +537,12 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float, anderson=Fal
     The iterates w, the inner solutions W and their edge gradients are plain
     arrays; only the returned solution is wrapped in a ``ScalarField``.
     Every inner solve after the first starts Newton from the previous inner
-    solution and its stencil image.  Each iteration takes the per-edge
-    gradients of W and W - w once; every energy and, by linearity, the
-    gradient of the relaxed iterate (for the next K_delta) come from them.
-    The defect is differenced before its gradient, so it stays accurate
-    relative to itself as it vanishes.
+    solution, its stencil image and its edge gradient.  The gradient of W
+    comes with W from the inner solve (``InnerResult.grad``), so each
+    iteration takes one per-edge gradient itself, of the defect W - w;
+    every energy and, by linearity, the gradient of the relaxed iterate (for
+    the next K_delta) come from the two.  The defect is differenced before
+    its gradient, so it stays accurate relative to itself as it vanishes.
 
     Returns (w_k, trace).  Raises MaxOuterIterations when the increment never
     drops below outer_tol; it and any SolverFailure of an inner solve leave
@@ -541,15 +565,14 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float, anderson=Fal
     norm_w = energy_norm(grid, grad_w)
     max_rhs = 0.0
     final = False
-    W = image = None
+    W = inner = None
     for m in range(cfg.max_outer + 1):
         try:
-            W, inner = inner_solve(w, data, cfg, k, x0=W, grad=grad_w, image=image)
+            W, inner = inner_solve(w, data, cfg, k, x0=W, grad=grad_w, start=inner)
         except SolverFailure as exc:
             exc.traces = [trace]
             raise
-        image = inner.image
-        grad_W = gradient(grid, W)
+        grad_W = inner.grad
         grad_D = gradient(grid, W - w)
         norm_W = energy_norm(grid, grad_W)
         defect = energy_norm(grid, grad_D)

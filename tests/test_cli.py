@@ -957,8 +957,8 @@ class TestVerifyCommand:
          lambda lift: lambda grid, f: lift(grid, f) * (1.0 + 1e-6),
          "dual-norm duality and Riesz equality"),
         (DiffusionOperator, "apply",
-         lambda apply: lambda self, v: apply(self, v)
-         + 1e-10 * np.roll(apply(self, v), 1),
+         lambda apply: lambda self, v, *diffs: (av := apply(self, v, *diffs))
+         + 1e-10 * np.roll(av, 1),
          "operator symmetry"),
     ], ids=["riesz-lift", "stencil"])
     def test_planted_grid_fault_exits_5(self, monkeypatch, capsys, name, owner,

@@ -130,6 +130,54 @@ class TestInnerSolve:
             inner_solve(np.zeros(exp.grid.shape), exp.data, exp.solver_cfg,
                         top_height(exp))
 
+    @pytest.mark.parametrize("dim, n", [(1, 48), (2, 16)], ids=["1d", "2d"])
+    def test_carried_gradient_is_the_fields_gradient(self, monkeypatch, dim,
+                                                     n):
+        # InnerResult.grad is gradient(grid, W) bit for bit: the accepted
+        # trial's stencil differences over h, after a full step or a halved
+        # one, and the start's own gradient when the start has converged
+        exp = make_exp(n=n, dim=dim)
+        grid, data, cfg, k = exp.grid, exp.data, exp.solver_cfg, 200.0
+
+        def exact(W, info):
+            want = gradient(grid, W)
+            return len(info.grad) == len(want) == dim and all(
+                np.array_equal(got, ref) for got, ref in zip(info.grad, want))
+
+        w = 0.05 * np.sin(2 * np.pi * grid.coords()[0])
+        W, info = inner_solve(w, data, cfg, k)
+        assert info.iterations > 0 and info.ls_halvings == 0
+        assert exact(W, info)
+        again, passed = inner_solve(w, data, cfg, k, x0=W, start=info)
+        assert passed.iterations == 0 and again is W
+        assert passed.grad is info.grad and exact(again, passed)
+        again, fresh = inner_solve(w, data, cfg, k, x0=W)
+        assert fresh.iterations == 0 and exact(again, fresh)
+
+        # from x0 = 1 against a steep w, the second Newton step halves once;
+        # an inner_tol between the residuals after steps 1 and 2 stops there
+        w, x0 = 10.0 * w, np.ones(grid.shape)
+        with pytest.raises(NewtonStall) as stall:
+            inner_solve(w, data, replace(cfg, max_inner=1), k, x0=x0)
+        rhs_l2 = inner_solve(w, data, cfg, k)[1].rhs_l2
+        stop = replace(cfg, inner_tol=0.75 * stall.value.residual / rhs_l2)
+        trials = [0]  # stencil passes: the start's, then per Newton step
+        stencil, cg = DiffusionOperator.apply, solver.cg_solve
+
+        def counted_apply(self, v, *diffs):
+            trials[-1] += 1
+            return stencil(self, v, *diffs)
+
+        def counted_cg(*args, **kwargs):
+            trials.append(0)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(DiffusionOperator, "apply", counted_apply)
+        monkeypatch.setattr(solver, "cg_solve", counted_cg)
+        W, info = inner_solve(w, data, stop, k, x0=x0)
+        assert trials == [1, 1, 2] and info.ls_halvings == 1
+        assert exact(W, info)
+
     def test_energy_identity(self):
         # testing the discrete equation with its own solution: the energy
         # product plus the (nonnegative) zeroth-order pairing equals the load
@@ -462,9 +510,9 @@ class TestNewtonCG:
         applies, cg_applies = [], []
         stencil, cg = DiffusionOperator.apply, solver.cg_solve
 
-        def counted_apply(self, v):
+        def counted_apply(self, v, *diffs):
             applies.append(1)
-            return stencil(self, v)
+            return stencil(self, v, *diffs)
 
         def counted_cg(*args, **kwargs):
             before = len(applies)
@@ -566,6 +614,28 @@ class TestPlainArrays:
         w, trace = outer_fixed_point(exp.data, cfg, cfg.k_schedule[0])
         assert trace.converged and len(trace.records) > 1
         assert len(built) == 1 and built[0] is w
+
+
+class TestOuterLoopWork:
+    @pytest.mark.parametrize("dim, n, picard", [(1, 48, 42), (2, 16, 39)],
+                             ids=["1d", "2d"])
+    def test_one_gradient_per_picard_iteration(self, monkeypatch, dim, n,
+                                               picard):
+        # W's gradient leaves the inner solve with W, so a relaxed level
+        # differences one field per Picard iteration, the defect W - w, plus
+        # the zero start and the final fixed-point residual
+        exp = make_exp(n=n, dim=dim)
+        calls = []
+        gradient_of = solver.gradient
+
+        def counted(grid, v):
+            calls.append(1)
+            return gradient_of(grid, v)
+
+        monkeypatch.setattr(solver, "gradient", counted)
+        _, trace = outer_fixed_point(exp.data, exp.solver_cfg, top_height(exp))
+        assert trace.converged and len(trace.records) == picard
+        assert len(calls) == picard + 2
 
 
 class TestOuterLoopEnergies:

@@ -1,4 +1,6 @@
-"""Command-line entry points: constants | check | solve | sweep | verify.
+"""Command-line entry points: constants | solve | sweep | verify.
+
+`constants` also gives the smallness verdicts, under exit 3 when one fails.
 
 Exit-code contract: 0 success, 2 config error or unwritable output,
 3 smallness violation, 4 solver non-convergence, 5 invariant violation.
@@ -61,13 +63,12 @@ _EXIT_TABLE = (
 )
 
 
-def _out_dir(args, exp: Experiment):
-    """``--out``, else ``report.out_dir``, else None; created before any work,
-    so that an unwritable location fails first."""
-    out_dir = args.out or exp.out_dir
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _out_dir(args):
+    """``--out``, or None; created before any work, so that an unwritable
+    location fails first."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _dump_json(payload, out_dir, name):
@@ -88,7 +89,7 @@ def _constants_experiment(args) -> Experiment:
 
 def cmd_constants(args):
     exp = _constants_experiment(args)
-    out_dir = _out_dir(args, exp)
+    out_dir = _out_dir(args)
     payload = {
         "report": exp.report.to_dict(),
         "norms": exp.data.norms,
@@ -96,19 +97,6 @@ def cmd_constants(args):
         "seed": exp.seed,
     }
     print(_dump_json(payload, out_dir, "constants_report.json"))
-    return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
-
-
-def cmd_check(args):
-    exp = _constants_experiment(args)
-    out_dir = _out_dir(args, exp)
-    a1, a3 = exp.report.smallness_A1, exp.report.smallness_A3
-    payload = {
-        "A1": {"holds": a1.holds, "margin": a1.margin},
-        "A3": {"holds": a3.holds, "margin": a3.margin},
-        "seed": exp.seed,
-    }
-    print(_dump_json(payload, out_dir, "smallness.json"))
     return EXIT_OK if exp.report.admissible else EXIT_SMALLNESS
 
 
@@ -152,7 +140,7 @@ def _write_diagnostics(diag, ks, out_dir):
 
 def cmd_solve(args):
     exp = experiment_from_file(args.config)
-    out_dir = _out_dir(args, exp)
+    out_dir = _out_dir(args)
     data, cfg = exp.data, exp.solver_cfg
     try:
         w_star, diag, traces = k_continuation(data, cfg, n_ladder=exp.n_ladder)
@@ -201,7 +189,7 @@ def cmd_sweep(args):
     exp = _constants_experiment(args)
     c, report = exp.data.constants, exp.report
     d0 = report.delta0
-    out_dir = _out_dir(args, exp)
+    out_dir = _out_dir(args)
     rows = []
     if args.mode == "delta":
         for d in np.linspace(c.gamma, report.delta1, args.points):
@@ -273,7 +261,7 @@ def _equivalence_crosscheck(exp: Experiment):
     if min(coarsest) < 3:
         return skipped(f"the {exp.grid.shape} grid has no three nested coarse "
                        f"grids of at least 3 nodes per axis")
-    # inadmissible data is the check command's verdict (exit 3)
+    # inadmissible data is the constants command's verdict (exit 3)
     report = exp.report
     if exp.delta_mode == "delta0" and not report.admissible:
         return skipped(smallness_error(report.smallness_A1, report.smallness_A3))
@@ -315,7 +303,7 @@ def cmd_verify(args):
     seed = exp.seed if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    out_dir = _out_dir(args, exp)
+    out_dir = _out_dir(args)
     rng = np.random.default_rng(seed)
     results = []
     data = exp.data
@@ -368,9 +356,8 @@ def build_parser():
                     "growth",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("constants", cmd_constants), ("check", cmd_check),
-                     ("solve", cmd_solve), ("sweep", cmd_sweep),
-                     ("verify", cmd_verify)):
+    for name, fn in (("constants", cmd_constants), ("solve", cmd_solve),
+                     ("sweep", cmd_sweep), ("verify", cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)

@@ -9,7 +9,7 @@ A config is one JSON document with four blocks:
   constants -- provenance of the Sobolev constant: "estimate" for the grid
                estimator or "literature:<value>" for a user-supplied number;
   solver    -- fixed-point knobs, delta either "delta0" or an explicit value;
-  report    -- output ladder heights and optional sweep parameters.
+  report    -- output ladder heights and the deltas of the reported zero pairs.
 
 Each JSON object is read through `_block`, which refuses a key its reader
 would ignore.  Norms entering the constants engine are always recomputed
@@ -70,7 +70,6 @@ class Experiment:
     report: CriticalReport | None
     delta_mode: str
     n_ladder: tuple
-    out_dir: str | None
     from_csv: tuple
     constants_error: str | None = None
     exponents: dict | None = None
@@ -254,7 +253,7 @@ def build_experiment(cfg: dict, base_dir: str = ".", n=None,
                    [f.name for f in fields(SolverConfig)])
     cspec = _block(cfg.get("constants", {}), "constants",
                    ("C_N", "declared_norms", "root_tol"))
-    rspec = _block(cfg.get("report", {}), "report", ("n_ladder", "y_deltas", "out_dir"))
+    rspec = _block(cfg.get("report", {}), "report", ("n_ladder", "y_deltas"))
     try:
         grid = Grid(_numbers(gspec["extents"], "problem.grid.extents"),
                     _numbers(gspec["n"] if n is None else n, "problem.grid.n", int))
@@ -283,9 +282,6 @@ def build_experiment(cfg: dict, base_dir: str = ".", n=None,
     if any(n <= 0 for n in n_ladder):
         raise ConfigError(
             f"report.n_ladder heights must be positive, got {list(n_ladder)}")
-    out_dir = rspec.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"report.out_dir must be a path, got {out_dir!r}")
 
     A = _build_matrix_field(problem["A"], grid, alpha)
     from_csv = []
@@ -381,7 +377,7 @@ def build_experiment(cfg: dict, base_dir: str = ".", n=None,
         raw=cfg, seed=seed, grid=grid, data=data,
         solver_cfg=solver_cfg, report=report,
         delta_mode="delta0" if delta_spec == "delta0" else "explicit",
-        out_dir=out_dir, n_ladder=n_ladder, from_csv=tuple(from_csv),
+        n_ladder=n_ladder, from_csv=tuple(from_csv),
         constants_error=str(constants_error) if constants_error else None,
         exponents={"sobolev": sobolev_exp, "f_norm": f_exp, "q": q, "N": N},
     )

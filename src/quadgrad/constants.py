@@ -42,6 +42,7 @@ from .errors import (
 )
 
 DEFAULT_ROOT_TOL = 1e-12
+BISECT_STEPS = 200  # halvings of one bracket at most
 
 
 def compute_theta(q, sobolev_exponent):
@@ -223,6 +224,22 @@ def phi_at_min(delta: float, c: ProblemConstants) -> float:
         / _depth_scale(c)
 
 
+def _bisect(below, lo, hi, width=0.0):
+    """Bracket [lo, hi] of the point where ``below`` turns false, halved
+    while its midpoint lies strictly inside and it is wider than ``width``,
+    for at most BISECT_STEPS halvings; ``below(lo)`` is taken to hold and
+    ``below(hi)`` not to."""
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= width:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def solve_delta0(c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
     """Closed-form parameter at which the profile minimum crosses zero.
 
@@ -230,8 +247,9 @@ def solve_delta0(c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
     L* = ((1+theta)/theta * |f|_dual * D)^(theta/(1+theta)), and L_delta is
     affine in delta, so delta0 = (alpha - C_N^2*|a0|_{N/2} - L*) /
     (C_N^2*|f|_{N/2}), at least gamma.  delta0 is then rounded up to the
-    first float (up to bisection) where the minimum is nonnegative, so the
-    profile at delta0 has no two distinct zeros.  Returns (delta0, Z_delta0).
+    first float where the minimum is nonnegative (`_bisect` of the last step
+    down to adjacent floats), so the profile at delta0 has no two distinct
+    zeros.  Returns (delta0, Z_delta0).
     The minimum at gamma may exceed zero by tol * max(1, |f|_dual) before the
     second smallness condition counts as failed; delta0 is gamma when it is
     nonnegative.
@@ -262,22 +280,18 @@ def solve_delta0(c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
                 "constants are corrupted"
             )
         lo, hi, step = hi, min(d0 + step, d1), 2.0 * step
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if phi_at_min(mid, c) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+    _, hi = _bisect(lambda d: phi_at_min(d, c) < 0.0, lo, hi)
     return hi, z_delta(hi, c)
 
 
 def zeros_y(delta: float, c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
     """Two distinct zeros of the profile for gamma <= delta < delta0.
 
-    Bisects on [0, Z_delta] and on [Z_delta, X_hi] where X_hi doubles until
-    the profile turns positive.  Raises NoTwoZeros when the minimum is not
-    strictly negative (delta at or above the double-zero parameter).
+    `_bisect` halves [0, Z_delta] and [Z_delta, X_hi], where X_hi doubles
+    until the profile turns positive, down to a width of 0.1*tol*max(1,
+    upper end); each zero is its bracket's midpoint.  Raises NoTwoZeros when
+    the minimum is not strictly negative (delta at or above the double-zero
+    parameter).
     """
     zd = z_delta(delta, c)
     f_min = phi_at_min(delta, c)
@@ -287,22 +301,11 @@ def zeros_y(delta: float, c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
             "no two distinct zeros exist"
         )
 
-    def bisect(lo, hi, f_lo):
-        # location-based bisection: the returned point sits within 0.1*tol
-        # (relative) of the sign change, so a 10*tol neighbourhood brackets it
-        width_target = 0.1 * tol * max(1.0, abs(hi))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi or (hi - lo) <= width_target:
-                break
-            f_mid = phi(delta, mid, c)
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    y_minus = bisect(0.0, zd, c.norm_f_Hm1)
+    # the midpoint of the last bracket sits within 0.1*tol (relative) of the
+    # sign change, so a 10*tol neighbourhood brackets it
+    lo, hi = _bisect(lambda x: phi(delta, x, c) >= 0.0, 0.0, zd,
+                     0.1 * tol * max(1.0, zd))
+    y_minus = 0.5 * (lo + hi)
     hi = max(2.0 * zd, 1.0)
     f_hi = phi(delta, hi, c)
     while f_hi <= 0.0:
@@ -310,8 +313,9 @@ def zeros_y(delta: float, c: ProblemConstants, tol: float = DEFAULT_ROOT_TOL):
         if not math.isfinite(hi):
             raise BracketError("profile never turns positive above its minimum")
         f_hi = phi(delta, hi, c)
-    y_plus = bisect(zd, hi, f_min)
-    return y_minus, y_plus
+    lo, hi = _bisect(lambda x: phi(delta, x, c) < 0.0, zd, hi,
+                     0.1 * tol * max(1.0, hi))
+    return y_minus, 0.5 * (lo + hi)
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,17 +84,28 @@ class TestExitCodes:
         # precondition violations surface as config errors
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
 
+    # the smallness verdicts are checked by constants, the one command that
+    # reports them
     def test_check_passes_benchmarks(self, capsys):
-        assert main(["check", "--config", config_path("benchmark_1d.json")]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["A1"]["holds"] and payload["A3"]["holds"]
-        assert payload["A1"]["margin"] > 0 and payload["A3"]["margin"] >= 0
+        assert main(["constants", "--config",
+                     config_path("benchmark_1d.json")]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        a1, a3 = rep["smallness_A1"], rep["smallness_A3"]
+        assert a1["holds"] and a3["holds"]
+        assert a1["margin"] > 0 and a3["margin"] >= 0
 
     def test_check_smallness_failure(self, capsys):
-        assert main(["check", "--config",
+        assert main(["constants", "--config",
                      config_path("fail_smallness.json")]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["A1"]["holds"] and not payload["A3"]["holds"]
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["smallness_A1"]["holds"] and not rep["smallness_A3"]["holds"]
+
+    def test_retired_check_command_exits_2(self, capsys):
+        # constants gives the smallness verdicts under the same exit rule
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", config_path("benchmark_1d.json")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
     def test_solve_rejects_smallness_failure_without_solving(self, tmp_path):
         out = os.path.join(tmp_path, "out")
@@ -100,24 +113,19 @@ class TestExitCodes:
                      "--out", out]) == 3
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("command", ["solve", "constants", "check",
-                                         "verify"])
-    @pytest.mark.parametrize("key, message", [
-        ("out_dir", "must be a path"),
-        ("n_ladder", "must be a list of numbers"),
-    ], ids=["out_dir", "n_ladder"])
+    @pytest.mark.parametrize("command", ["solve", "constants", "verify"])
+    @pytest.mark.parametrize("key", ["n_ladder", "y_deltas"])
     def test_malformed_report_entry_beats_smallness_verdict(
-            self, tmp_path, capsys, command, key, message):
+            self, tmp_path, capsys, command, key):
         # every entry is checked before the data's admissibility is judged,
         # so a malformed one exits 2 on inadmissible data in every command
         cfg = load_benchmark("fail_smallness.json")
         cfg["report"][key] = 5
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: report.{key} {message}")
+        assert err.startswith(f"config error: report.{key} must be a list of numbers")
 
-    @pytest.mark.parametrize("command", ["solve", "constants", "check",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["solve", "constants", "verify"])
     @pytest.mark.parametrize("key, value, message", [
         ("rho", 2.0, "relaxation must lie in (0, 1]"),
         ("cg_tol", -1.0, "cg_tol must be positive"),
@@ -132,8 +140,7 @@ class TestExitCodes:
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_nonpositive_ladder_height_exits_2(self, tmp_path, capsys, command):
         # refused with the config, before a solve runs any truncation level
         cfg = load_benchmark("benchmark_1d.json")
@@ -145,8 +152,7 @@ class TestExitCodes:
             "config error: report.n_ladder heights must be positive")
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("N", [0, -2])
     def test_nonpositive_dimension_exits_2(self, tmp_path, capsys, command, N):
         # with an explicit pair no default exponent needs N, so the config
@@ -195,14 +201,13 @@ class TestExitCodes:
         (("problem", "H"), 5),
         (("problem", "f"), {"expr": 5}),
         (("report", "n_ladder"), 5),
-        (("report", "out_dir"), 5),
         (("seed",), "abc"),
         (("problem", "f"), {"csv": 5}),
         (("problem", "a0"), {"expr": {"kind": "constant"}}),
         (("problem", "A"), {"kind": "diagonal", "entries": 5}),
         (("seed",), -1),
     ], ids=["problem", "solver", "constants", "report", "A", "H", "f-expr",
-            "n_ladder", "out_dir", "seed", "csv-path", "expr-key",
+            "n_ladder", "seed", "csv-path", "expr-key",
             "A-entries", "seed-negative"])
     def test_mistyped_entry_exits_2(self, tmp_path, capsys, path, value):
         cfg = load_benchmark("benchmark_1d.json")
@@ -214,8 +219,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["check", "constants", "solve",
-                                         "sweep", "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_nonpositive_delta1_exits_3(self, tmp_path, capsys, command):
         # alpha - C_N^2 |a0|_{N/2} <= 0: no substitution range, so the first
         # smallness condition fails as well
@@ -239,7 +243,7 @@ class TestExitCodes:
         assert code in {0, 2, 3, 4, 5}
 
     @settings(max_examples=200, deadline=None)
-    @given(command=st.sampled_from(["constants", "check", "sweep", "verify"]),
+    @given(command=st.sampled_from(["constants", "sweep", "verify"]),
            path=st.sampled_from(_CONFIG_PATHS),
            value=st.sampled_from([5, "x", None, [], {}, -1.0, True, 0, 1e308]))
     def test_mutated_config_keeps_exit_contract_in_every_command(
@@ -269,8 +273,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err.startswith("config error:") and "[FAIL]" not in out
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("key, value, verify_exit", [
         ("alpha", 0.0, 2),
         ("A", {"kind": "constant", "matrix": [[1.0, 0.0, 0.0],
@@ -294,8 +297,7 @@ class TestExitCodes:
         else:
             assert err.startswith("config error:") and "[FAIL]" not in out
 
-    @pytest.mark.parametrize("command", ["constants", "check", "sweep",
-                                         "verify", "solve"])
+    @pytest.mark.parametrize("command", ["constants", "sweep", "verify", "solve"])
     @pytest.mark.parametrize("index, value", [(1, 5.0), (0, 1e308)],
                              ids=["repeated", "huge-first"])
     def test_non_increasing_schedule_exits_2(self, tmp_path, capsys, command,
@@ -305,8 +307,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "config error: truncation schedule")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "sweep",
-                                         "solve"])
+    @pytest.mark.parametrize("command", ["constants", "sweep", "solve"])
     def test_seed_option_only_where_sampled(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", config_path("benchmark_1d.json"),
@@ -355,8 +356,7 @@ class TestExitCodes:
             assert "[FAIL] equivalence cross-check" in captured.out
             assert message in captured.out
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("edits, block, key", [
         ({("solver", "max_outter"): 3}, "solver", "max_outter"),
         ({("solver", "anderson"): 3}, "solver", "anderson"),
@@ -379,10 +379,12 @@ class TestExitCodes:
         ({("constants", "declared_norms"): {"f_hm1": 0.225}},
          "constants.declared_norms", "f_hm1"),
         ({("report", "n_laddr"): [0.1]}, "report", "n_laddr"),
+        # --out is the one way to name the output directory
+        ({("report", "out_dir"): "out"}, "report", "out_dir"),
     ], ids=["misspelt", "retired", "top-level", "problem", "grid",
             "exponent_pair", "A-other-kind", "H-other-kind", "f", "f-expr",
             "a0-expr-other-kind", "H-mu", "constants-and-report",
-            "declared_norms", "report"])
+            "declared_norms", "report", "retired-out_dir"])
     def test_unknown_solver_key_exits_2(self, tmp_path, capsys, command, edits,
                                         block, key):
         # an ignored key would leave the entry it meant at its default: a
@@ -399,8 +401,7 @@ class TestExitCodes:
         assert captured.err == (f"config error: unknown key(s) [{key!r}] in "
                                 f"{block} block\n")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_k_beside_schedule_exits_2(self, tmp_path, capsys, command):
         # the schedule is the one spelling of the truncation heights
         cfg = mutated_benchmark(("solver", "k"), 7.0)
@@ -408,8 +409,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: unknown key(s) ['k'] in solver block\n")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_exits_2(self, tmp_path, capsys, command, k):
         # a single height is a one-entry schedule, held to the schedule's rules
@@ -420,8 +420,7 @@ class TestExitCodes:
             "config error: truncation schedule must be positive and increase, "
             f"got ({float(k)!r},)\n")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_csv_beside_expr_exits_2(self, tmp_path, capsys, command):
         # the CSV field would be read and the expression silently ignored
         cfg = load_benchmark("benchmark_1d.json")
@@ -435,8 +434,7 @@ class TestExitCodes:
         assert captured.err == ("config error: f.csv and f.expr exclude each "
                                 "other; give one of the two\n")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("p", [1000.0, 1e308], ids=["1000", "1e308"])
     def test_sobolev_ascent_out_of_range_exits_2(self, tmp_path, capsys,
                                                  command, p):
@@ -451,8 +449,7 @@ class TestExitCodes:
             "config error: problem.exponent_pair.sobolev leaves the "
             "double-precision range")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("name", ["benchmark_2d.json", "fail_smallness.json"],
                              ids=["admissible", "inadmissible"])
     def test_huge_coefficient_names_problem_a(self, tmp_path, capsys, command,
@@ -482,8 +479,7 @@ class TestExitCodes:
         assert captured.err == ""
         assert json.loads(captured.out)["ball_violation"] is False
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("content, message", [
         (None, "has grid (128,)"),
         ("64,0.015384615384615385\nabc\n", "could not convert"),
@@ -518,8 +514,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"config error: cannot read config {path}: 'utf-8' codec")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     @pytest.mark.parametrize("entry", ["directory", "not-utf8"])
     def test_unreadable_csv_field_exits_2(self, tmp_path, capsys, command,
                                           entry):
@@ -538,11 +533,9 @@ class TestExitCodes:
         assert captured.err.startswith("config error: f.csv: ")
         assert path in captured.err
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
-    @pytest.mark.parametrize("via", ["--out", "report.out_dir"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch,
-                                      command, via):
+                                      command):
         # an existing file where the output directory should go: refused
         # before any work, so nothing is solved and nothing is printed
         solves = []
@@ -554,20 +547,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "k_continuation", refusing)
         taken = os.path.join(tmp_path, "taken")
         open(taken, "w").close()
-        cfg = load_benchmark("benchmark_1d.json")
-        out = ["--out", taken]
-        if via == "report.out_dir":
-            cfg["report"]["out_dir"] = taken
-            out = []
-        assert main([command, "--config", write_cfg(tmp_path, cfg), *out]) == 2
+        cfg = write_cfg(tmp_path, load_benchmark("benchmark_1d.json"))
+        assert main([command, "--config", cfg, "--out", taken]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not solves
         err = captured.err
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
         assert repr(taken) in err
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_constant_matrix_spelling_exits_2(self, tmp_path, capsys, command):
         # problem.A is "identity" or "diagonal"; the matrix spelling is
         # refused even where it writes a diagonal A
@@ -580,8 +568,7 @@ class TestExitCodes:
         assert captured.err == ("config error: unknown kind 'constant' in "
                                 "problem.A block\n")
 
-    @pytest.mark.parametrize("command", ["constants", "check", "solve", "sweep",
-                                         "verify"])
+    @pytest.mark.parametrize("command", ["constants", "solve", "sweep", "verify"])
     def test_negative_a0_exits_2(self, tmp_path, capsys, command):
         cfg = load_benchmark("benchmark_1d.json")
         cfg["problem"]["a0"] = {"expr": {"kind": "constant", "value": -0.2}}
@@ -979,11 +966,11 @@ class TestVerifyCommand:
 
     def test_inadmissible_data_skips_crosscheck_with_its_own_margin(
             self, capsys, monkeypatch):
-        # the skip quotes the config's own A3 margin, the one check gives,
-        # and builds no coarse grid
+        # the skip quotes the config's own A3 margin, the one constants
+        # gives, and builds no coarse grid
         path = config_path("fail_smallness.json")
-        assert main(["check", "--config", path]) == 3
-        a3 = json.loads(capsys.readouterr().out)["A3"]["margin"]
+        assert main(["constants", "--config", path]) == 3
+        a3 = json.loads(capsys.readouterr().out)["report"]["smallness_A3"]["margin"]
         monkeypatch.setattr(cli, "build_experiment", None)
         assert main(["verify", "--config", path]) == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
@@ -1326,13 +1313,13 @@ class TestDeclaredNorms:
     def test_consistent_declaration_passes(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_1d.json")
         cfg["constants"]["declared_norms"] = {"f_Hm1": 0.22508464130490846}
-        assert main(["check", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert main(["constants", "--config", write_cfg(tmp_path, cfg)]) == 0
         capsys.readouterr()
 
     def test_inconsistent_declaration_rejected(self, tmp_path, capsys):
         cfg = load_benchmark("benchmark_1d.json")
         cfg["constants"]["declared_norms"] = {"f_Hm1": 0.3}
-        assert main(["check", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert main(["constants", "--config", write_cfg(tmp_path, cfg)]) == 2
         assert "deviates" in capsys.readouterr().err
 
 
@@ -1346,3 +1333,15 @@ def test_cli_import_leaves_scipy_out():
          "import sys, quadgrad.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_names_exactly_the_subcommands():
+    # the usage lines and the bullet list of README's command-line section
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    usage = {name for line in section.splitlines() if line.startswith("quadgrad ")
+             for name in line.split()[1].split("|")}
+    bullets = set(re.findall(r"^\* `([a-z]+)`", section, re.MULTILINE))
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert usage == bullets == set(commands), (usage, bullets, set(commands))

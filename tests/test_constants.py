@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadgrad.constants import (
     ProblemConstants,
+    _depth_scale,
     c_lambda_bound,
     check_smallness,
     compute_G,
@@ -264,12 +265,22 @@ class TestDoubleZero:
         # delta0 sits on the nonnegative side of the root (so zeros_y refuses
         # it) and the profile at its minimizer vanishes to roundoff; the wide
         # sets put delta0 up to 10^4 below delta1, where one ulp of delta
-        # moves L_delta by far less than one ulp of its own
+        # moves L_delta by far less than one ulp of its own.  Where the
+        # closed form's minimum is negative, the round-up stops at the first
+        # float whose minimum is nonnegative.
+        rounded = 0
         for i in range(7000):
             c = random_admissible_constants(rng, wide=i >= 5000)
             d0, zd0 = solve_delta0(c)
             assert phi_at_min(d0, c) >= 0.0
             assert abs(phi(d0, zd0, c)) <= 1e-14 * max(1.0, c.norm_f_Hm1)
+            L_star = ((1.0 + c.theta) / c.theta * c.norm_f_Hm1 * _depth_scale(c)) \
+                ** (c.theta / (1.0 + c.theta))
+            closed = max(c.gamma, delta1(c) - L_star / (c.C_N**2 * c.norm_f_N2))
+            if phi_at_min(closed, c) < 0.0:
+                assert phi_at_min(math.nextafter(d0, 0.0), c) < 0.0
+                rounded += 1
+        assert rounded >= 3000, rounded  # 3357 of the 7000 at this seed
 
     def test_smallness_failure_raises(self, rng):
         c = random_admissible_constants(rng)

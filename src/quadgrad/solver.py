@@ -22,14 +22,16 @@ Structure of one solve at truncation height k:
           (2011) 1715; Toth and Kelley, SIAM J. Numer. Anal. 53 (2015) 805),
           which falls back to the relaxed step whenever the mixed iterate
           would leave the ball |Dw| <= Z;
-  ladder: re-solve cold along an increasing truncation schedule and record
-          tail energies and increments as convergence diagnostics.  The
-          heights below the top show only the limit k -> infinity, so only
-          their discrete fixed points matter and they are Anderson-mixed;
-          the top height keeps the relaxed trajectory and gives the reported
-          solution.  The final increment then compares a mixed solve with a
-          relaxed one, so it carries the relaxed solve's stopping error
-          (below outer_tol) even where both heights pose the same problem.
+  ladder: solve an increasing truncation schedule from the top down and
+          record tail energies and increments as convergence diagnostics.
+          The top height keeps the relaxed trajectory from w = 0 and gives
+          the reported solution.  The heights below it show only the limit
+          k -> infinity, so only their discrete fixed points matter: they
+          are Anderson-mixed, each started from the solution one height
+          above it when that lies in the ball.  The final increment then
+          compares a mixed solve with a relaxed one, so it carries the
+          relaxed solve's stopping error (below outer_tol) even where both
+          heights pose the same problem.
 
 Every inner solve is followed by the a priori estimate check: the energy of
 the output is bounded by the profile value at the input's energy, an exact
@@ -528,11 +530,13 @@ class _AndersonStep:
         return self.relaxed(w, W, grad_W, grad_D, defect)
 
 
-def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float, anderson=False):
+def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float,
+                      anderson=False, w0=None):
     """Relaxed Picard iteration on the inner solution map at the truncation
-    height k, started at zero.  With ``anderson`` true and a ball radius to
-    guard it, the step is Anderson mixing (``_AndersonStep``) instead; the
-    rule is chosen once, before the first iteration.
+    height k, started at ``w0``, zero if omitted; the first inner solve
+    starts Newton from w0 as well.  With ``anderson`` true and a ball radius
+    to guard it, the step is Anderson mixing (``_AndersonStep``) instead;
+    the rule is chosen once, before the first iteration.
 
     The iterates w, the inner solutions W and their edge gradients are plain
     arrays; only the returned solution is wrapped in a ``ScalarField``.
@@ -560,12 +564,12 @@ def outer_fixed_point(data: SolveData, cfg: SolverConfig, k: float, anderson=Fal
         step = _AndersonStep(grid, cfg.rho, data.ball_radius, trace)
     else:
         step = partial(_relaxed_step, grid, cfg.rho)
-    w = np.zeros(grid.shape)
+    w = np.zeros(grid.shape) if w0 is None else w0
     grad_w = gradient(grid, w)
     norm_w = energy_norm(grid, grad_w)
     max_rhs = 0.0
     final = False
-    W = inner = None
+    W, inner = w0, None
     for m in range(cfg.max_outer + 1):
         try:
             W, inner = inner_solve(w, data, cfg, k, x0=W, grad=grad_w, start=inner)
@@ -624,23 +628,26 @@ class LadderDiagnostics:
 
 def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
                    relaxed_heights=1):
-    """Solve along the truncation schedule and collect diagnostics; each
-    height is an ``outer_fixed_point`` solve started cold from w = 0.
+    """Solve along the truncation schedule from the top height down and
+    collect diagnostics; each height is one ``outer_fixed_point`` solve.
 
-    The top ``relaxed_heights`` heights keep the paper's relaxed trajectory;
-    the heights below them are Anderson-mixed (``_AndersonStep``, guarded by
-    the ball radius; relaxed without one), since only their discrete fixed
-    points enter the diagnostics.  By default only the top height, which
-    gives the reported solution, stays relaxed; the final increment then
-    compares a mixed solve with a relaxed one and carries the relaxed
-    solve's stopping error.
+    The top ``relaxed_heights`` heights keep the paper's relaxed trajectory
+    from w = 0; the heights below them are Anderson-mixed
+    (``_AndersonStep``, guarded by the ball radius; relaxed without one),
+    since only their discrete fixed points enter the diagnostics.  A mixed
+    height starts from the solution one height above it when that solution
+    has |Dw| <= ball_radius, and from w = 0 otherwise.  By default only the
+    top height, which gives the reported solution, stays relaxed; the final
+    increment then compares a mixed solve with a relaxed one and carries
+    the relaxed solve's stopping error.
 
-    A SolverFailure leaves with ``traces``: the finished heights' traces,
-    then the failing height's partial one.
+    Solutions, traces and diagnostics come back in schedule order.  A
+    SolverFailure leaves with ``traces``: the finished heights' traces in
+    schedule order, then the failing height's partial one.
     """
     schedule = tuple(cfg.k_schedule)
     n_ladder = tuple(n_ladder)
-    grid = data.grid
+    grid, radius = data.grid, data.ball_radius
     solutions = []
     traces = []
     diag = LadderDiagnostics(
@@ -649,15 +656,21 @@ def k_continuation(data: SolveData, cfg: SolverConfig, n_ladder=(),
         increments=[], max_abs=[],
     )
     mixed = len(schedule) - relaxed_heights
-    for kidx, k in enumerate(schedule):
+    for kidx in reversed(range(len(schedule))):
+        # the last record's |DW| is the energy of the solution one height up
+        w0 = None
+        if kidx < mixed and traces and radius is not None \
+                and traces[0].records[-1].grad_norm_W <= radius:
+            w0 = solutions[0].values
         try:
-            w_k, trace = outer_fixed_point(data, cfg, k, anderson=kidx < mixed)
+            w_k, trace = outer_fixed_point(data, cfg, schedule[kidx],
+                                           anderson=kidx < mixed, w0=w0)
         except SolverFailure as exc:
             exc.traces = traces + exc.traces
             raise
-        solutions.append(w_k)
-        traces.append(trace)
-        diag.max_abs.append(float(np.max(np.abs(w_k.values))))
+        solutions.insert(0, w_k)
+        traces.insert(0, trace)
+        diag.max_abs.insert(0, float(np.max(np.abs(w_k.values))))
         for nidx, n in enumerate(n_ladder):
             tail = gradient(grid, remainder(w_k.values, n))
             diag.tail_energy[nidx, kidx] = energy_norm(grid, tail) ** 2

@@ -228,15 +228,30 @@ def test_benchmark_solutions_match_reference(run_1d, run_2d):
 
 def test_benchmark_iteration_counts(run_1d, run_2d):
     # a change that only saves work must leave the trajectory where it is,
-    # and one that adds linear work must say so here; the three lower
-    # heights are Anderson-mixed, the top one keeps the relaxed trajectory
-    for run, picard, newton, cg in ((run_1d, [13, 13, 14, 42], 91, 233),
-                                    (run_2d, [10, 12, 13, 38], 77, 205)):
+    # and one that adds linear work must say so here; the top height keeps
+    # the relaxed trajectory from w = 0, and the three lower heights are
+    # Anderson-mixed, each started from the solution one height above it
+    for run, picard, newton, cg in ((run_1d, [10, 11, 10, 42], 74, 167),
+                                    (run_2d, [9, 11, 7, 38], 66, 160)):
         traces = run[3]
         assert [len(t.records) for t in traces] == picard
         assert sum(r.inner_iterations
                    for t in traces for r in t.records) == newton
         assert sum(r.cg_iterations for t in traces for r in t.records) <= cg
+
+
+def test_warm_started_heights_take_no_more_work_than_cold(run_1d, run_2d):
+    # each lower height, started from the solution one height above it,
+    # takes no more Newton steps and CG iterations than its cold mixed solve
+    for exp, _, _, traces, _ in (run_1d, run_2d):
+        for trace in traces[:-1]:
+            _, cold = outer_fixed_point(exp.data, exp.solver_cfg, trace.k,
+                                        anderson=True)
+            for work in ("inner_iterations", "cg_iterations"):
+                warm_work, cold_work = (
+                    sum(getattr(r, work) for r in t.records)
+                    for t in (trace, cold))
+                assert warm_work <= cold_work, (trace.k, work)
 
 
 def test_warm_started_newton_steps_per_picard(run_1d):

@@ -605,10 +605,12 @@ class TestExitCodes:
             f" (so far: Picard {len(rows)}, Newton {newton}, CG {cg})\n")
 
     def test_inner_failure_exits_4_with_trace(self, tmp_path, capsys):
-        # one Newton step per inner solve finishes the first, mixed level of
-        # benchmark_2d, then runs out of budget in the relaxed second one
+        # one Newton step per inner solve finishes the relaxed top height of
+        # benchmark_2d, which runs first, then runs out of budget in the
+        # first inner solve of the mixed height 25, started from the top
+        # solution
         raw = load_benchmark("benchmark_2d.json")
-        raw["solver"].update(max_inner=1, k_schedule=[5.0, 25.0])
+        raw["solver"].update(max_inner=1, k_schedule=[25.0, 100000.0])
         cfg = write_cfg(tmp_path, raw)
         out = os.path.join(tmp_path, "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 4
@@ -616,13 +618,13 @@ class TestExitCodes:
         exp = experiment_from_file(cfg)
         with pytest.raises(errors.NewtonStall) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=exp.n_ladder)
-        *finished, partial = err.value.traces
-        assert finished and all(t.converged for t in finished)
-        assert not partial.converged
+        finished, partial = err.value.traces
+        assert finished.k == 100000.0 and finished.converged
+        assert partial.k == 25.0 and not partial.converged
         with open(os.path.join(out, "trace.jsonl")) as fh:
             rows = [json.loads(line) for line in fh]
         assert len(rows) == sum(len(t.records) for t in err.value.traces)
-        assert rows[-1]["k"] == partial.k
+        assert {row["k"] for row in rows} == {finished.k}
 
     def test_exhausted_line_search_exits_4_with_trace(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -780,6 +782,20 @@ class TestSolveCommand:
             cells += [cell for row in body for cell in row]
             for cell in cells:
                 assert repr(float(cell)) == cell
+
+    def test_trace_rows_come_in_schedule_order(self, tmp_path, capsys):
+        # the top height runs first, yet its rows come last
+        cfg = config_path("benchmark_1d.json")
+        out = os.path.join(tmp_path, "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        exp = experiment_from_file(cfg)
+        _, _, traces = k_continuation(exp.data, exp.solver_cfg,
+                                      n_ladder=exp.n_ladder)
+        with open(os.path.join(out, "trace.jsonl")) as fh:
+            ks = [json.loads(line)["k"] for line in fh]
+        assert ks == [t.k for t in traces for _ in t.records]
+        assert [t.k for t in traces] == list(exp.solver_cfg.k_schedule)
 
     def test_without_heights_solves_at_the_default(self, tmp_path, capsys):
         # neither k nor k_schedule: the SolverConfig default, one height

@@ -315,35 +315,70 @@ class TestContinuation:
         assert diag.increments[0] <= cfg.outer_tol
 
     def test_lower_heights_mix_and_the_top_stays_relaxed(self):
-        # the top height is the relaxed solve bit for bit; each lower one is
-        # the mixed solve and reaches its fixed point in fewer Picard
-        # iterations than the relaxed one
+        # the top height is the cold relaxed solve bit for bit; each lower
+        # one is the mixed solve started from the solution one height above
+        # it, and reaches its fixed point in fewer Picard iterations than
+        # the relaxed one
         exp = make_exp(n=48, k_schedule=[5.0, 25.0, 200.0, 5000.0])
         data, cfg = exp.data, exp.solver_cfg
         n_ladder = (0.05, 0.1, 0.2, 0.4)
         w, diag, traces = k_continuation(data, cfg, n_ladder=n_ladder)
-        relaxed = [outer_fixed_point(data, cfg, k) for k in cfg.k_schedule]
-        mixed = [outer_fixed_point(data, cfg, k, anderson=True)
-                 for k in cfg.k_schedule[:-1]]
-        for (_, plain), (_, mix), trace in zip(relaxed, mixed, traces):
-            assert trace.converged
-            assert [r.to_dict() for r in trace.records] \
-                == [r.to_dict() for r in mix.records]
-            assert len(trace.records) < len(plain.records)
-        top, plain = traces[-1], relaxed[-1][1]
+        top_w, plain = outer_fixed_point(data, cfg, top_height(exp))
+        top = traces[-1]
         assert [r.to_dict() for r in top.records] \
             == [r.to_dict() for r in plain.records]
         assert (top.residual, top.eps_solver) \
             == (plain.residual, plain.eps_solver)
-        assert np.array_equal(w.values, relaxed[-1][0].values)
-        top_two = [mixed[-1][0].values, w.values]
-        assert diag.increments[-1] == energy_norm(
-            exp.grid, gradient(exp.grid, top_two[0] - top_two[1]))
-        for col, values in zip((2, 3), top_two):
+        assert np.array_equal(w.values, top_w.values)
+        solutions = [top_w.values]
+        for k, trace in zip(cfg.k_schedule[-2::-1], traces[-2::-1]):
+            w_k, warm = outer_fixed_point(data, cfg, k, anderson=True,
+                                          w0=solutions[0])
+            _, relaxed = outer_fixed_point(data, cfg, k)
+            assert trace.converged and trace.records[0].grad_norm_w > 0.0
+            assert [r.to_dict() for r in trace.records] \
+                == [r.to_dict() for r in warm.records]
+            assert (trace.residual, trace.eps_solver) \
+                == (warm.residual, warm.eps_solver)
+            assert len(trace.records) < len(relaxed.records)
+            solutions.insert(0, w_k.values)
+        assert diag.increments == [
+            energy_norm(exp.grid, gradient(exp.grid, lo - hi))
+            for lo, hi in zip(solutions, solutions[1:])]
+        for col, values in enumerate(solutions):
             for row, n in enumerate(n_ladder):
                 tail = gradient(exp.grid, remainder(values, n))
                 assert diag.tail_energy[row, col] \
                     == energy_norm(exp.grid, tail) ** 2
+
+    def test_warm_start_outside_the_ball_starts_cold(self):
+        # the top solution starts the lower height while it lies in the
+        # ball; a radius just below its energy refuses it, and the lower
+        # height is then the cold mixed solve
+        exp = make_exp(n=48, k_schedule=[200.0, 5000.0])
+        cfg = exp.solver_cfg
+        _, _, traces = k_continuation(exp.data, cfg)
+        top_energy = traces[1].records[-1].grad_norm_W
+        assert traces[0].records[0].grad_norm_w == top_energy
+        data = replace(exp.data, ball_radius=0.999 * top_energy)
+        _, _, traces = k_continuation(data, cfg)
+        _, cold = outer_fixed_point(data, cfg, 200.0, anderson=True)
+        assert traces[0].records[0].grad_norm_w == 0.0
+        assert [r.to_dict() for r in traces[0].records] \
+            == [r.to_dict() for r in cold.records]
+
+    def test_relaxed_heights_start_cold(self):
+        # with two relaxed heights the second from the top is the cold
+        # relaxed solve, and the height below it starts from its solution
+        exp = make_exp(n=48, k_schedule=[25.0, 200.0, 5000.0])
+        data, cfg = exp.data, exp.solver_cfg
+        _, _, traces = k_continuation(data, cfg, relaxed_heights=2)
+        w_mid, relaxed = outer_fixed_point(data, cfg, 200.0)
+        _, warm = outer_fixed_point(data, cfg, 25.0, anderson=True,
+                                    w0=w_mid.values)
+        for trace, expected in zip(traces, (warm, relaxed)):
+            assert [r.to_dict() for r in trace.records] \
+                == [r.to_dict() for r in expected.records]
 
     def test_without_ball_radius_every_height_stays_relaxed(self):
         # an explicit delta above delta0 has no ball to guard the mixing
@@ -372,36 +407,57 @@ class TestContinuation:
                 assert E[nidx, -1] == 0.0
 
     def test_failure_carries_partial_diagnostics(self):
+        # the top height runs first, so its exhausted budget ends the ladder
         exp = make_exp(n=48, k_schedule=[5.0, 25.0], max_outer=2,
                        outer_tol=1e-14)
         with pytest.raises(MaxOuterIterations) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
         (partial,) = err.value.traces
-        assert partial.k == 5.0
+        assert partial.k == 25.0
         assert len(partial.records) == 2 and not partial.converged
 
-    def test_inner_failure_carries_finished_and_partial_traces(
-            self, monkeypatch):
-        # stall the third inner solve of the second height
+    @staticmethod
+    def _stall_third_inner_solve(monkeypatch, height):
+        """Make the third inner solve at ``height`` stall; returns the list
+        of the heights of all inner solves."""
         calls = []
 
         def stalling(w, data, cfg, k, **kw):
             calls.append(k)
-            if calls.count(25.0) == 3:
+            if calls.count(height) == 3:
                 raise NewtonStall("stalled", residual=1.0, iterations=40)
             return inner_solve(w, data, cfg, k, **kw)
 
         monkeypatch.setattr(solver, "inner_solve", stalling)
-        exp = make_exp(n=48, k_schedule=[5.0, 25.0])
+        return calls
+
+    def test_inner_failure_carries_finished_and_partial_traces(
+            self, monkeypatch):
+        # stall a lower height: the finished heights above it come first,
+        # in schedule order, then its partial trace
+        calls = self._stall_third_inner_solve(monkeypatch, 5.0)
+        exp = make_exp(n=48, k_schedule=[5.0, 25.0, 200.0])
         with pytest.raises(NewtonStall) as err:
             k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
         exc = err.value
-        finished, partial = exc.traces
-        assert finished.k == 5.0 and finished.converged
-        assert len(finished.records) == calls.count(5.0)
-        assert partial.k == 25.0 and len(partial.records) == 2
+        *finished, partial = exc.traces
+        assert [t.k for t in finished] == [25.0, 200.0]
+        for trace in finished:
+            assert trace.converged
+            assert len(trace.records) == calls.count(trace.k)
+        assert partial.k == 5.0 and len(partial.records) == 2
         assert not partial.converged
         assert (exc.residual, exc.iterations) == (1.0, 40)
+
+    def test_top_failure_carries_its_partial_trace_alone(self, monkeypatch):
+        calls = self._stall_third_inner_solve(monkeypatch, 25.0)
+        exp = make_exp(n=48, k_schedule=[5.0, 25.0])
+        with pytest.raises(NewtonStall) as err:
+            k_continuation(exp.data, exp.solver_cfg, n_ladder=(0.1,))
+        (partial,) = err.value.traces
+        assert partial.k == 25.0 and len(partial.records) == 2
+        assert not partial.converged
+        assert calls == [25.0] * 3
 
 
 class TestTruncationMonotonicity:
